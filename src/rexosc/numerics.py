@@ -1,8 +1,7 @@
 """Shared numerical kernels: grids, quadrature, finite-difference stencils,
 and a symmetric tridiagonal eigensolver.
 
-All functions are pure; heavy loops are delegated to the kernel backend
-(compiled extension or NumPy fallback, chosen at import).
+All functions are pure; heavy loops are delegated to ``_kernels``.
 """
 from __future__ import annotations
 
@@ -113,6 +112,8 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
     """k smallest eigenvalues of a symmetric tridiagonal matrix, ascending."""
     if not 1 <= k <= matrix.dimension:
         raise DomainError("k must satisfy 1 <= k <= dimension")
+    if not (np.isfinite(matrix.diagonal).all() and np.isfinite(matrix.off_diagonal).all()):
+        raise DomainError("matrix entries must be finite")
     try:
         vals = _kernels.tridiagonal_smallest(matrix.diagonal, matrix.off_diagonal, k)
     except RuntimeError as exc:

@@ -8,6 +8,7 @@ regularity scans.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .errors import DomainError
 _MAX_INDEX = 64
 
 _REAL_TOL = 1e-12
+
+# A multisection sweep of root isolation splits each interval into at most
+# 2**_SPLIT_BITS parts, that is at most 63 interior probes.
+_SPLIT_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -225,55 +230,105 @@ def _sturm_chain(c: np.ndarray, tol: float) -> list:
         if r.size == 1 and r[0] == 0.0:
             break
         chain.append(-r)
+    if chain[-1].size > 1:
+        # p has a repeated root: every member shares the factor chain[-1] and
+        # would vanish at that root, so divide the factor out of the chain
+        g = chain[-1][::-1]
+        chain = [np.polydiv(c[::-1], g)[0][::-1] for c in chain]
     return chain
 
 
-def _variations(chain: list, x: float) -> int:
-    vals = []
-    for c in chain:
-        v = 0.0
-        for ck in c[::-1]:
-            v = v * x + ck
-        scale = np.max(np.abs(c)) * max(1.0, abs(x)) ** (c.size - 1)
-        if abs(v) > 1e-14 * scale:
-            vals.append(v)
-    count = 0
-    for u, w in zip(vals, vals[1:]):
-        if (u > 0) != (w > 0):
-            count += 1
-    return count
+def _sturm_table(p: Polynomial):
+    """Sturm chain of p as (columns, degree, scale): the chain padded into an
+    (L, D) ascending coefficient array and split into its D columns, with
+    each member's degree and coefficient scale as (L, 1) arrays. None when p
+    is constant."""
+    chain = _sturm_chain(_real_coeffs(p), _REAL_TOL)
+    if chain[0].size == 1:
+        return None
+    coeffs = np.zeros((len(chain), max(c.size for c in chain)))
+    for row, c in zip(coeffs, chain):
+        row[:c.size] = c
+    degree = np.array([[c.size - 1] for c in chain])
+    scale = np.array([[np.max(np.abs(c))] for c in chain])
+    return list(coeffs.T[:, :, None]), degree, scale
+
+
+def _variations(table, x: np.ndarray) -> np.ndarray:
+    """Sign variations of the Sturm chain at each probe in x.
+
+    Members with |value| <= 1e-14 * scale * max(1, |x|)^degree count as zero
+    and are skipped, so a root of p at a probe is counted as left of it.
+    """
+    columns, degree, scale = table
+    vals = columns[-1] + 0.0 * x
+    for c in columns[-2::-1]:
+        vals = vals * x + c
+    kept = np.abs(vals) > 1e-14 * (scale * np.maximum(1.0, np.abs(x)) ** degree)
+    sign = np.sign(vals) * kept
+    if not kept.all():
+        # a skipped member takes the sign of the last kept one above it
+        rows = np.where(kept, np.arange(sign.shape[0])[:, None], 0)
+        sign = sign[np.maximum.accumulate(rows, axis=0), np.arange(x.size)]
+    return np.count_nonzero(sign[1:] * sign[:-1] < 0.0, axis=0)
+
+
+def _finite_interval(lo: float, hi: float) -> tuple:
+    lo, hi = float(lo), float(hi)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError("need finite lo < hi")
+    return lo, hi
 
 
 def count_real_roots(p: Polynomial, lo: float, hi: float) -> int:
     """Distinct real roots of a real-coefficient polynomial in (lo, hi]."""
-    if not lo < hi:
-        raise DomainError("need lo < hi")
-    c = _real_coeffs(p)
-    chain = _sturm_chain(c, _REAL_TOL)
-    if chain[0].size == 1:
+    lo, hi = _finite_interval(lo, hi)
+    table = _sturm_table(p)
+    if table is None:
         return 0
-    return _variations(chain, lo) - _variations(chain, hi)
+    v_lo, v_hi = _variations(table, np.array([lo, hi]))
+    return int(v_lo - v_hi)
 
 
 def isolate_real_roots(p: Polynomial, lo: float, hi: float,
                        tol: float = 1e-12) -> list:
-    """Locate the distinct real roots of p in (lo, hi] by Sturm bisection."""
-    c = _real_coeffs(p)
-    chain = _sturm_chain(c, _REAL_TOL)
-    if chain[0].size == 1:
+    """Locate the distinct real roots of p in (lo, hi] by Sturm multisection.
+
+    Each sweep splits every interval that still holds a root into up to 64
+    equal parts, whose end points are counted in one vectorized call. An
+    interval narrower than tol * max(1, |a|, |b|) yields one root at its
+    midpoint. A sweep never splits past the first level at which a part
+    could be that narrow, so roots closer than tol merge as under plain
+    bisection.
+    """
+    lo, hi = _finite_interval(lo, hi)
+    table = _sturm_table(p)
+    if table is None:
         return []
+    # one column per interval: a, b, V(a), V(b)
+    state = np.array([[lo], [hi], *_variations(table, np.array([lo, hi]))[:, None]])
+    state = state[:, state[2] > state[3]]
     roots = []
-
-    def recurse(a: float, b: float, count: int):
-        if count == 0:
-            return
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            roots.extend([0.5 * (a + b)] * min(count, 1))
-            return
-        mid = 0.5 * (a + b)
-        left = _variations(chain, a) - _variations(chain, mid)
-        recurse(a, mid, left)
-        recurse(mid, b, count - left)
-
-    recurse(lo, hi, _variations(chain, lo) - _variations(chain, hi))
+    while state.shape[1]:
+        a, b, v_a, v_b = state
+        room = tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        done = b - a <= room
+        if done.any():
+            roots.extend((0.5 * (a[done] + b[done])).tolist())
+            state, room = state[:, ~done], room[~done]
+            if not state.shape[1]:
+                break
+            a, b, v_a, v_b = state
+        ratio = float(np.min((b - a) / room))
+        parts = 2 ** min(max(math.ceil(math.log2(ratio) - 1e-9), 1), _SPLIT_BITS)
+        probes = a[:, None] + (b - a)[:, None] * (np.arange(1, parts) / parts)
+        v_x = _variations(table, probes.ravel()).reshape(probes.shape)
+        edges = np.concatenate([a[:, None], probes, b[:, None]], axis=1)
+        counts = np.concatenate([v_a[:, None], v_x, v_b[:, None]], axis=1)
+        # zero-filtered counts can wobble near a repeated root; keep them
+        # non-increasing so no part holds a negative number of roots
+        counts = np.maximum(np.minimum.accumulate(counts, axis=1), v_b[:, None])
+        state = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                          counts[:, :-1].ravel(), counts[:, 1:].ravel()])
+        state = state[:, state[2] > state[3]]
     return sorted(roots)

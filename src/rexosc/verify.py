@@ -53,7 +53,10 @@ class VerificationReport:
 def decay_quadratic_form(spec: OscillatorSpec) -> np.ndarray:
     """Diagonal of the real quadratic form governing |psi|^2 decay in the
     original coordinates (reduces to the tilde frequency on a plain axis)."""
-    sys = model.decouple(spec)
+    return _decay_diagonal(model.decouple(spec))
+
+
+def _decay_diagonal(sys) -> np.ndarray:
     lin = sys.coordinate_map.linear
     w = np.array([complex(x).real for x in sys.tilde_frequencies])
     q = np.real(lin.T @ np.diag(w) @ lin)
@@ -65,7 +68,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     """Per-axis grids covering the eigenfunction support (tails < 1e-30 in
     probability), centered on the real part of any coordinate shift."""
     sys = model.decouple(spec)
-    q = decay_quadratic_form(spec)
+    q = _decay_diagonal(sys)
     grids = []
     for i in range(spec.dimension):
         hw = 12.0 / np.sqrt(q[i])
@@ -79,7 +82,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
 
 def _axis_second_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """8th-order stencil along one axis of a tensor grid (trims 4 per side)."""
-    from ._kernels.fallback import STENCIL8
+    from ._kernels import STENCIL8
 
     sl = [slice(None)] * f.ndim
     n = f.shape[axis]
@@ -308,7 +311,7 @@ def pole_scan(spec: OscillatorSpec, config: REConfig, box=None) -> list:
         raise DomainError("one co-dimension per axis required")
     sys = model.decouple(spec)
     if box is None:
-        q = decay_quadratic_form(spec)
+        q = _decay_diagonal(sys)
         box = [(-12.0 / np.sqrt(qi) - 1.0, 12.0 / np.sqrt(qi) + 1.0) for qi in q]
     hits = []
     for i, (w, m) in enumerate(zip(sys.tilde_frequencies, config.codimensions)):

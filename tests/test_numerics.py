@@ -162,3 +162,13 @@ def test_default_half_width():
     assert numerics.default_half_width(4.0) == pytest.approx(6.0)
     with pytest.raises(DomainError):
         numerics.default_half_width(0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_reject_non_finite_entries(bad):
+    with pytest.raises(DomainError):
+        numerics.lowest_eigenvalues(TridiagonalMatrix(np.array([1.0, bad]),
+                                                      np.array([0.5])), 2)
+    with pytest.raises(DomainError):
+        numerics.lowest_eigenvalues(TridiagonalMatrix(np.array([1.0, 2.0]),
+                                                      np.array([bad])), 1)

@@ -155,3 +155,123 @@ def test_orthogonality_via_quadrature():
     for j in range(9):
         for k in range(j + 1, 9):
             assert abs(numerics.integrate(vals[j] * vals[k] * weight, g)) < 1e-8
+
+
+def _roots_poly(*roots):
+    p = Polynomial((1,))
+    for r in roots:
+        p = poly.multiply(p, Polynomial((-r, 1)))
+    return p
+
+
+def _variations_loop(chain, x):
+    """Scalar reference for the vectorized sign-variation count."""
+    vals = []
+    for c in chain:
+        v = 0.0
+        for ck in c[::-1]:
+            v = v * x + ck
+        if abs(v) > 1e-14 * (np.max(np.abs(c)) * max(1.0, abs(x)) ** (c.size - 1)):
+            vals.append(v)
+    return sum((u > 0) != (w > 0) for u, w in zip(vals, vals[1:]))
+
+
+def test_vectorized_variations_match_scalar_loop():
+    rng = np.random.default_rng(11)
+    p1 = poly.compose_linear(poly.pseudo_hermite(5), 0.8, 0.8 * (0.3 + 0.2j))
+    cases = [poly.hermite(8), poly.pseudo_hermite(7), _roots_poly(1, 1, -2),
+             poly.multiply(p1, poly.conjugate_coefficients(p1))]
+    for p in cases:
+        chain = poly._sturm_chain(poly._real_coeffs(p), poly._REAL_TOL)
+        x = np.concatenate([rng.uniform(-6, 6, 200), [0.0, 1.0, -2.0]])
+        np.testing.assert_array_equal(poly._variations(poly._sturm_table(p), x),
+                                      [_variations_loop(chain, xi) for xi in x])
+
+
+def _bisection_reference(p, lo, hi, tol=1e-12):
+    """Recursive Sturm bisection: the isolation multisection must reproduce."""
+    table = poly._sturm_table(p)
+
+    def var(x):
+        return int(poly._variations(table, np.array([x]))[0])
+
+    roots = []
+
+    def recurse(a, b, count):
+        if count <= 0:
+            return
+        if b - a <= tol * max(1.0, abs(a), abs(b)):
+            roots.append(0.5 * (a + b))
+            return
+        mid = 0.5 * (a + b)
+        left = var(a) - var(mid)
+        recurse(a, mid, left)
+        recurse(mid, b, count - left)
+
+    recurse(lo, hi, var(lo) - var(hi))
+    return sorted(roots)
+
+
+def test_multisection_matches_bisection_reference():
+    # pseudo_hermite(3) has its real root at the midpoint of (-10, 10], so
+    # where it lands within tol depends on the final interval chosen
+    cases = [(poly.pseudo_hermite(3), -10, 10), (poly.hermite(6), -5, 5),
+             (poly.exceptional_hermite(2, 3), -4, 4.5), (_roots_poly(1, 3), 0, 64)]
+    for p, lo, hi in cases:
+        np.testing.assert_allclose(poly.isolate_real_roots(p, lo, hi),
+                                   _bisection_reference(p, lo, hi), rtol=0, atol=1e-14)
+
+
+def test_isolation_root_on_a_probe():
+    # (0, 64] splits into 64 unit parts, so 1 and 3 are multisection probes
+    hi = 2 ** poly._SPLIT_BITS
+    roots = poly.isolate_real_roots(_roots_poly(1, 3), 0, hi)
+    np.testing.assert_allclose(roots, [1, 3], atol=1e-11)
+
+
+def test_isolation_interval_is_open_below_closed_above():
+    p = _roots_poly(1, 2)
+    np.testing.assert_allclose(poly.isolate_real_roots(p, 1, 2), [2], atol=1e-11)
+    assert poly.count_real_roots(p, 1, 2) == 1
+    assert poly.isolate_real_roots(p, 0.5, 1) == pytest.approx([1], abs=1e-11)
+    assert poly.isolate_real_roots(p, 2, 3) == []
+
+
+def test_isolation_double_root_is_one_root():
+    p = _roots_poly(1, 1)
+    assert poly.count_real_roots(p, -5, 5) == 1
+    roots = poly.isolate_real_roots(p, -5, 5)
+    assert len(roots) == 1 and abs(roots[0] - 1) < 1e-11
+
+
+def test_isolation_separates_roots_1e9_apart():
+    # exact coefficients keep the pair distinct in the Sturm chain; the 1e-14
+    # zero filter limits where the pair can be placed to about sqrt(1e-14)
+    p = _roots_poly(0.0, 1e-9)
+    assert poly.count_real_roots(p, -1, 1) == 2
+    roots = poly.isolate_real_roots(p, -1, 1)
+    assert len(roots) == 2 and roots[0] < roots[1]
+    assert np.all(np.abs(roots) < 2e-7)
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_isolation_agrees_with_count_on_scan_polynomials(m):
+    # pole-scan polynomials p1 * conj(p1), p1 = companion(s (t + shift)):
+    # every real root is a double root; the last shifts put one on the axis
+    base = poly.pseudo_hermite(m)
+    shifts = [0.0, 0.4, 0.3j, -0.25 + 0.1j]
+    for s in (0.7, 1.3, 0.9 * np.exp(0.3j)):
+        shifts_m = shifts + [complex(-z / s + 0.2) for z in poly.pseudo_hermite_zeros(m)]
+        for shift in shifts_m:
+            p1 = poly.compose_linear(base, s, s * shift)
+            scan = poly.multiply(p1, poly.conjugate_coefficients(p1))
+            assert (len(poly.isolate_real_roots(scan, -8, 8))
+                    == poly.count_real_roots(scan, -8, 8)), (s, shift)
+
+
+def test_root_interval_must_be_finite_and_ordered():
+    for lo, hi in ((5, -5), (1, 1), (-np.inf, np.inf), (0, np.nan)):
+        with pytest.raises(DomainError):
+            poly.isolate_real_roots(poly.hermite(2), lo, hi)
+        with pytest.raises(DomainError):
+            poly.count_real_roots(poly.hermite(2), lo, hi)
