@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "horner",
-    "second_derivative_at",
     "second_derivative_profile",
     "simpson",
     "tridiagonal_smallest",
@@ -21,23 +20,21 @@ STENCIL8 = np.array(
 )
 
 
-def second_derivative_profile(samples: np.ndarray, spacing: float) -> np.ndarray:
-    """Second derivative at all interior points (4 trimmed per side)."""
+def second_derivative_profile(samples: np.ndarray, spacing: float,
+                              axis: int = 0) -> np.ndarray:
+    """Second derivative along ``axis`` at all interior points of that axis
+    (4 trimmed per side; the other axes keep their length)."""
     f = np.asarray(samples)
-    n = f.shape[0]
+    n = f.shape[axis]
     if n < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    out = STENCIL8[0] * f[0:n - 8]
-    for j in range(1, 9):
-        out = out + STENCIL8[j] * f[j:n - 8 + j]
+    window = [slice(None)] * f.ndim
+    out = None
+    for j, c in enumerate(STENCIL8):
+        window[axis] = slice(j, n - 8 + j)
+        term = c * f[tuple(window)]
+        out = term if out is None else out + term
     return out / spacing**2
-
-
-def second_derivative_at(samples: np.ndarray, spacing: float, index: int) -> complex:
-    """Second derivative at one interior index."""
-    f = np.asarray(samples)
-    window = f[index - 4:index + 5]
-    return complex(np.dot(STENCIL8, window)) / spacing**2
 
 
 def simpson(samples: np.ndarray, spacing: float) -> complex:

@@ -1,7 +1,9 @@
-"""Shared numerical kernels: grids, quadrature, finite-difference stencils,
-and a symmetric tridiagonal eigensolver.
+"""Validated front ends to the numerical kernels: grids, quadrature, the
+second-derivative stencil and a symmetric tridiagonal eigensolver.
 
-All functions are pure; heavy loops are delegated to ``_kernels``.
+All functions are pure. The arithmetic lives in ``_kernels``; in particular
+the 8th-order stencil has one n-D implementation there, which the pointwise
+``second_derivative`` applies to its 9-point window.
 """
 from __future__ import annotations
 
@@ -85,14 +87,14 @@ def second_derivative(samples, grid: Grid, index: int) -> complex:
         raise ShapeError("samples length must equal grid.n_points")
     if index < STENCIL_REACH or index > grid.n_points - 1 - STENCIL_REACH:
         raise BoundaryError("index too close to grid boundary for the stencil")
-    return _kernels.second_derivative_at(
-        np.ascontiguousarray(f, dtype=complex), grid.spacing, index)
+    window = f[index - STENCIL_REACH:index + STENCIL_REACH + 1]
+    return complex(second_derivative_profile(window, grid.spacing)[0])
 
 
-def second_derivative_profile(samples, spacing: float) -> np.ndarray:
-    """Vector of f'' on the interior (4 points trimmed per side)."""
+def second_derivative_profile(samples, spacing: float, axis: int = 0) -> np.ndarray:
+    """f'' along ``axis`` on its interior (4 points trimmed per side)."""
     return _kernels.second_derivative_profile(
-        np.ascontiguousarray(samples, dtype=complex), float(spacing))
+        np.ascontiguousarray(samples, dtype=complex), float(spacing), axis)
 
 
 def integrate(samples, grid: Grid) -> complex:

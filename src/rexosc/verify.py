@@ -80,20 +80,6 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     return grids
 
 
-def _axis_second_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """8th-order stencil along one axis of a tensor grid (trims 4 per side)."""
-    from ._kernels import STENCIL8
-
-    sl = [slice(None)] * f.ndim
-    n = f.shape[axis]
-    out = None
-    for j, c in enumerate(STENCIL8):
-        sl[axis] = slice(j, n - 8 + j)
-        term = c * f[tuple(sl)]
-        out = term if out is None else out + term
-    return out / h**2
-
-
 def _interior(f: np.ndarray) -> np.ndarray:
     sl = tuple(slice(STENCIL_REACH, n - STENCIL_REACH) for n in f.shape)
     return f[sl]
@@ -153,7 +139,7 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
 
     lap = None
     for axis in range(spec.dimension):
-        d2 = _axis_second_derivative(psi, axis, grids[axis].spacing)
+        d2 = numerics.second_derivative_profile(psi, grids[axis].spacing, axis)
         # trim the remaining axes to the common interior
         sl = tuple(slice(None) if a == axis else
                    slice(STENCIL_REACH, psi.shape[a] - STENCIL_REACH)
