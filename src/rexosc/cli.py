@@ -40,6 +40,7 @@ from .transform import CouplingValue
 _VALIDATION = (DomainError, ShapeError, FlavorError)
 _NUMERICAL = (NumericalFailureError, IndeterminateError)
 _SINGULAR = (SingularityError, DegenerateTransformError, DegenerateDirectionError)
+_COUPLING_FLAGS = sorted({f for case in model.CASES.values() for f in case.flags})
 
 
 def _complex_dict(z) -> dict:
@@ -100,48 +101,66 @@ class JobConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _numbers(text: str, flag: str, kind=float) -> tuple:
+    """Comma-separated numbers of one flag; a malformed entry is a DomainError."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise DomainError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def _parse_state(text: str, dimension: int) -> Eigenstate:
     parts = text.split(",")
     if len(parts) != dimension:
         raise DomainError(f"state {text!r} needs one level per axis")
-    return Eigenstate(tuple(None if p.strip() in ("g", "G") else int(p)
-                            for p in parts))
+    try:
+        levels = tuple(None if p.strip() in ("g", "G") else int(p) for p in parts)
+    except ValueError:
+        raise DomainError(f"state {text!r} needs 'g' or an integer per axis") from None
+    return Eigenstate(levels)
+
+
+def _case_name(args) -> str | None:
+    """The case the flags select: a 3D case by its ``--case`` alias (None if
+    no case has it), otherwise the perturbed case ``--dim`` implies."""
+    if not args.case:
+        return next((name for name, case in model.CASES.items()
+                     if case.alias is None and case.dimension == args.dim), "none")
+    if args.dim != 3:
+        raise DomainError("--case selects a 3D case and needs --dim 3")
+    return next((name for name, case in model.CASES.items()
+                 if case.alias == args.case), None)
+
+
+def _given_couplings(args, name: str) -> dict:
+    """The couplings the case's flags carry, parsed; a coupling flag the case
+    does not read is a DomainError."""
+    case = model.CASES[name]
+    for flag in _COUPLING_FLAGS:
+        if getattr(args, flag) and flag not in case.flags:
+            raise DomainError(f"case {name} does not read --{flag}")
+    return {c: CouplingValue.parse(getattr(args, f))
+            for c, f in zip(case.couplings, case.flags) if getattr(args, f)}
 
 
 def _build_spec(args) -> OscillatorSpec:
-    omegas = tuple(float(w) for w in args.omega.split(","))
-    dim = args.dim
-    if len(omegas) != dim:
+    omegas = _numbers(args.omega, "--omega")
+    if len(omegas) != args.dim:
         raise DomainError("--omega must list one frequency per axis")
-    linear = CouplingValue.parse(args.linear) if args.linear else None
-    coupling = CouplingValue.parse(args.coupling) if args.coupling else None
-    if dim == 1:
-        if linear:
-            return OscillatorSpec.linear_1d(omegas[0], linear)
-        return OscillatorSpec.oscillator(*omegas)
-    if dim == 2:
-        if coupling:
-            return OscillatorSpec.quadratic_2d(omegas[0], omegas[1], coupling)
-        return OscillatorSpec.oscillator(*omegas)
-    case = args.case
-    if case == "lq":
-        return OscillatorSpec.lq_3d(omegas[0], omegas[1], omegas[2],
-                                    linear or CouplingValue.zero(),
-                                    coupling or CouplingValue.zero())
-    if case == "q1":
-        if not (args.lambda2 and args.lambda3):
-            raise DomainError("case q1 needs --lambda2 and --lambda3")
-        return OscillatorSpec.q1_3d(omegas[0], omegas[2],
-                                    CouplingValue.parse(args.lambda2),
-                                    CouplingValue.parse(args.lambda3))
-    if case == "q2":
-        if args.lambda1 is None or coupling is None:
-            raise DomainError("case q2 needs --lambda1 and --coupling")
-        return OscillatorSpec.q2_3d(omegas[0], omegas[2],
-                                    CouplingValue.parse(args.lambda1), coupling)
-    if case:
-        raise DomainError(f"unknown 3D case {case!r}")
-    return OscillatorSpec.oscillator(*omegas)
+    name = _case_name(args)
+    if name is None:
+        raise DomainError(f"unknown 3D case {args.case!r}")
+    case = model.CASES[name]
+    if case.required_flags and not all(getattr(args, f) for f in case.flags):
+        raise DomainError(f"case {case.alias} needs "
+                          + " and ".join(f"--{f}" for f in case.flags))
+    couplings = _given_couplings(args, name)
+    if not case.required_flags:
+        couplings = {c: couplings.get(c) or CouplingValue.zero() for c in case.couplings}
+    if case.alias is None and not all(couplings.values()):
+        # a perturbation implied by --dim is off until its flag is nonzero
+        name, couplings = "none", {}
+    return OscillatorSpec(args.dim, omegas, name, couplings)
 
 
 def _emit(args, text: str) -> None:
@@ -178,66 +197,36 @@ def cmd_transform(args) -> int:
         "linear": [[_complex_dict(z) for z in row]
                    for row in sys_.coordinate_map.linear],
         "shift": [_complex_dict(z) for z in sys_.coordinate_map.shift],
-        "real_spectrum": None,
         "tilde_ratio": _ratio_string(sys_.tilde_frequencies) if sys_.is_real else None,
     }
-    if spec.case == "quadratic2d":
-        lam = spec.couplings["lam"]
-        out["mixing"] = _complex_dict(
-            transform.mixing_factor_2d(*spec.frequencies, lam))
-        out["real_spectrum"] = transform.spectral_reality_2d(*spec.frequencies, lam)
-    elif spec.case == "lq3d":
-        v = transform.spectral_reality_3d(
-            "lq", omega1=spec.frequencies[0], omega2=spec.frequencies[1],
-            omega3=spec.frequencies[2], lambda0=spec.couplings["lambda0"],
-            lam=spec.couplings["lam"])
-        out["real_spectrum"] = v.real
-        out["certificate"] = v.certificate
-    elif spec.case == "q1_3d":
-        v = transform.spectral_reality_3d(
-            "q1", omega=spec.frequencies[0], omega3=spec.frequencies[2],
-            lambda2=spec.couplings["lambda2"], lambda3=spec.couplings["lambda3"])
-        out["real_spectrum"] = v.real
-        out["certificate"] = v.certificate
-    elif spec.case == "q2_3d":
-        v = transform.spectral_reality_3d(
-            "q2", omega=spec.frequencies[0], omega3=spec.frequencies[2],
-            lambda1=spec.couplings["lambda1"].magnitude, lam=spec.couplings["lam"])
-        out["real_spectrum"] = v.real
-        out["certificate"] = v.certificate
-    else:
-        out["real_spectrum"] = sys_.is_real
+    case = spec.case_record
+    verdict = (case.reality(spec.frequencies, spec.couplings) if case.reality
+               else sys_.is_real)
+    out["real_spectrum"] = bool(verdict)
+    if isinstance(verdict, transform.RealityVerdict):
+        out["certificate"] = verdict.certificate
+    if case.mixing:
+        out["mixing"] = _complex_dict(case.mixing(spec.frequencies, spec.couplings))
     _emit(args, json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_degeneracy(args) -> int:
-    ratio = Fraction(args.ratio)
-    flavor = args.flavor
-    if args.dim == 2:
-        omegas = [float(w) for w in args.omega.split(",")]
-        coupling = transform.degeneracy_coupling_2d(ratio, omegas[0], omegas[1],
-                                                    flavor=flavor)
-        lam = CouplingValue(coupling.magnitude, coupling.flavor)
-        freqs = transform.tilde_frequencies_2d(omegas[0], omegas[1], lam)
-    elif args.dim == 3:
-        omegas = [float(w) for w in args.omega.split(",")]
-        l1 = CouplingValue.parse(args.lambda1).magnitude if args.lambda1 else None
-        coupling = transform.degeneracy_coupling_3d(
-            args.case, ratio, omega=omegas[0], omega3=omegas[-1],
-            lambda1=l1, flavor=flavor)
-        if args.case == "q2":
-            freqs = transform.tilde_frequencies_q2(
-                omegas[0], omegas[-1], l1,
-                CouplingValue(coupling.magnitude, coupling.flavor))[1:]
-        else:
-            sysq = transform.decouple_3d_q1(
-                omegas[0], omegas[-1],
-                CouplingValue(coupling.magnitude, coupling.flavor),
-                CouplingValue.zero())
-            freqs = sysq.tilde_frequencies[1:]
-    else:
+    try:
+        ratio = Fraction(args.ratio)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"--ratio expects a fraction such as 1/2, got {args.ratio!r}") \
+            from None
+    if args.dim not in (2, 3):
         raise DomainError("degeneracy solving applies to dimensions 2 and 3")
+    omegas = _numbers(args.omega, "--omega")
+    if len(omegas) != args.dim:
+        raise DomainError("--omega must list one frequency per axis")
+    name = _case_name(args)
+    if name is None or model.CASES[name].degeneracy is None:
+        raise DomainError(f"unknown case {args.case!r}")
+    coupling, freqs = model.CASES[name].degeneracy(
+        ratio, omegas, _given_couplings(args, name), args.flavor)
     out = {
         "coupling": _coupling_dict(coupling),
         "target_ratio": str(ratio),
@@ -271,11 +260,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table(args) -> int:
-    omega = float(args.omega)
-    lam0 = CouplingValue.parse(args.linear) if args.linear else CouplingValue.zero()
-    spec = (OscillatorSpec.linear_1d(omega, lam0) if lam0 else
-            OscillatorSpec.oscillator(omega))
-    xs = [float(x) for x in args.xs.split(",")]
+    spec = _build_spec(args)
+    xs = _numbers(args.xs, "--xs")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["m", "x", "re_V", "im_V", "re_psi0", "im_psi0",
@@ -298,10 +284,17 @@ def cmd_table(args) -> int:
 
 def _job_from_args(args) -> JobConfig:
     if getattr(args, "job", None):
-        with open(args.job) as fh:
-            return JobConfig.from_json(fh.read())
+        try:
+            with open(args.job) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read job file {args.job!r}: {exc.strerror}") from None
+        try:
+            return JobConfig.from_json(text)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"job file {args.job!r} is not a valid job: {exc}") from None
     spec = _build_spec(args)
-    ms = tuple(int(m) for m in args.m.split(",")) if args.m else (0,) * spec.dimension
+    ms = _numbers(args.m, "--m", int) if args.m else (0,) * spec.dimension
     config = REConfig(ms)
     states = tuple(_parse_state(s, spec.dimension) for s in args.state) \
         if args.state else (Eigenstate.ground(spec.dimension),)
@@ -462,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=3)
     p.add_argument("--xs", type=str, default="-1.7,-0.9,0.4,1.1,2.3")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_table)
+    # the spec flags table lacks read as unset, so it builds a 1D spec
+    p.set_defaults(fn=cmd_table, dim=1, case=None, **dict.fromkeys(_COUPLING_FLAGS))
 
     p = sub.add_parser("verify", help="residuals, poles, PT eigenvalues, Gram")
     _add_spec_flags(p)

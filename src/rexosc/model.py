@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -18,13 +19,111 @@ from .transform import CouplingValue, DecoupledSystem
 EVEN_ONLY = "even_only"
 EVEN_AND_ODD = "even_and_odd"
 
-_CASES = {
-    "none": (),
-    "linear": ("lambda0",),
-    "quadratic2d": ("lam",),
-    "lq3d": ("lambda0", "lam"),
-    "q1_3d": ("lambda2", "lambda3"),
-    "q2_3d": ("lambda1", "lam"),
+_DIMENSION_WORDS = {1: "one", 2: "two", 3: "three"}
+
+
+@dataclass(frozen=True)
+class Case:
+    """Everything the package knows about one perturbation case.
+
+    ``decouple``, ``reality`` and ``mixing`` take (frequencies, couplings);
+    each of ``terms`` takes (couplings, point) and is added, left to right,
+    to the oscillator sum of the base potential. ``degeneracy`` takes
+    (ratio, frequencies, given couplings, flavor) and returns the coupling
+    reaching the ratio with the tilde frequencies of the pair it sets.
+    """
+
+    dimension: int | None               # None: any dimension
+    decouple: Callable
+    couplings: tuple = ()
+    flags: tuple = ()                   # CLI flag each coupling is read from
+    alias: str | None = None            # --case value; None: implied by --dim
+    required_flags: bool = False        # else an unset or zero flag reads as real zero
+    equal_xy: bool = False              # x and y frequencies must be equal
+    real_couplings: tuple = ()          # couplings that must not be imaginary
+    terms: tuple = ()
+    odd_axis: int | None = None         # axis where an imaginary lambda0 allows odd m
+    # nonzero imaginary couplings (in ``couplings`` order) -> parity operators
+    # paired with time reversal; an unlisted set is classified by sampling
+    parities: dict = field(default_factory=dict)
+    reality: Callable | None = None     # None: read off the tilde frequencies
+    mixing: Callable | None = None
+    degeneracy: Callable | None = None
+
+
+def _unperturbed(w, c) -> DecoupledSystem:
+    n = len(w)
+    cmap = transform.CoordinateMap(np.eye(n, dtype=complex), np.zeros(n, dtype=complex))
+    return DecoupledSystem(tuple(complex(x) for x in w), 0j, cmap)
+
+
+def _degeneracy_2d(ratio, w, c, flavor):
+    lam = transform.degeneracy_coupling_2d(ratio, w[0], w[1], flavor=flavor)
+    return lam, transform.tilde_frequencies_2d(w[0], w[1], lam)
+
+
+def _degeneracy_q1(ratio, w, c, flavor):
+    lam = transform.degeneracy_coupling_3d("q1", ratio, omega=w[0], omega3=w[2],
+                                           flavor=flavor)
+    sys = transform.decouple_3d_q1(w[0], w[2], lam, CouplingValue.zero())
+    return lam, sys.tilde_frequencies[1:]
+
+
+def _degeneracy_q2(ratio, w, c, flavor):
+    l1 = c["lambda1"].magnitude if "lambda1" in c else None
+    lam = transform.degeneracy_coupling_3d("q2", ratio, omega=w[0], omega3=w[2],
+                                           lambda1=l1, flavor=flavor)
+    return lam, transform.tilde_frequencies_q2(w[0], w[2], l1, lam)[1:]
+
+
+CASES = {
+    "none": Case(None, _unperturbed),
+    "linear": Case(
+        1, lambda w, c: transform.shift_map_1d(w[0], c["lambda0"]),
+        couplings=("lambda0",), flags=("linear",),
+        terms=(lambda c, p: c["lambda0"].value * p[0],),
+        odd_axis=0, parities={("lambda0",): ("inversion",)}),
+    "quadratic2d": Case(
+        2, lambda w, c: transform.rotate_map_2d(w[0], w[1], c["lam"]),
+        couplings=("lam",), flags=("coupling",),
+        terms=(lambda c, p: 0.5 * c["lam"].value * p[0] * p[1],),
+        parities={("lam",): ("P1", "P2")},
+        reality=lambda w, c: transform.spectral_reality_2d(w[0], w[1], c["lam"]),
+        mixing=lambda w, c: transform.mixing_factor_2d(w[0], w[1], c["lam"]),
+        degeneracy=_degeneracy_2d),
+    "lq3d": Case(
+        3, lambda w, c: transform.decouple_3d_lq(w[0], w[1], w[2], c["lambda0"], c["lam"]),
+        couplings=("lambda0", "lam"), flags=("linear", "coupling"), alias="lq",
+        terms=(lambda c, p: c["lambda0"].value * p[2],
+               lambda c, p: 0.5 * c["lam"].value * p[0] * p[1]),
+        odd_axis=2,
+        parities={("lambda0", "lam"): ("P4",), ("lambda0",): ("P2",),
+                  ("lam",): ("P1", "P3")},
+        reality=lambda w, c: transform.spectral_reality_3d(
+            "lq", omega1=w[0], omega2=w[1], omega3=w[2], lambda0=c["lambda0"],
+            lam=c["lam"])),
+    "q1_3d": Case(
+        3, lambda w, c: transform.decouple_3d_q1(w[0], w[2], c["lambda2"], c["lambda3"]),
+        couplings=("lambda2", "lambda3"), flags=("lambda2", "lambda3"), alias="q1",
+        required_flags=True, equal_xy=True,
+        terms=(lambda c, p: 0.5 * (c["lambda2"].value * p[1] * p[2]
+                                   + c["lambda3"].value * p[2] * p[0]),),
+        parities={("lambda2", "lambda3"): ("P2",), ("lambda2",): ("P3",),
+                  ("lambda3",): ("P1",)},
+        reality=lambda w, c: transform.spectral_reality_3d(
+            "q1", omega=w[0], omega3=w[2], lambda2=c["lambda2"], lambda3=c["lambda3"]),
+        degeneracy=_degeneracy_q1),
+    "q2_3d": Case(
+        3, lambda w, c: transform.decouple_3d_q2(w[0], w[2], c["lambda1"].magnitude,
+                                                 c["lam"]),
+        couplings=("lambda1", "lam"), flags=("lambda1", "coupling"), alias="q2",
+        required_flags=True, equal_xy=True, real_couplings=("lambda1",),
+        terms=(lambda c, p: 0.5 * c["lambda1"].value * p[0] * p[1],
+               lambda c, p: 0.5 * c["lam"].value * (p[1] * p[2] + p[2] * p[0])),
+        parities={("lam",): ("P2",)},
+        reality=lambda w, c: transform.spectral_reality_3d(
+            "q2", omega=w[0], omega3=w[2], lambda1=c["lambda1"].magnitude, lam=c["lam"]),
+        degeneracy=_degeneracy_q2),
 }
 
 
@@ -43,24 +142,22 @@ class OscillatorSpec:
         freqs = tuple(float(w) for w in self.frequencies)
         if len(freqs) != self.dimension or any(w <= 0 for w in freqs):
             raise DomainError("need one positive frequency per axis")
+        if not all(math.isfinite(w) for w in freqs):
+            raise DomainError("frequencies must be finite")
         object.__setattr__(self, "frequencies", freqs)
-        if self.case not in _CASES:
+        if self.case not in CASES:
             raise DomainError(f"unknown perturbation case {self.case!r}")
-        expected = set(_CASES[self.case])
-        if set(self.couplings) != expected:
-            raise DomainError(f"case {self.case!r} needs couplings {sorted(expected)}")
-        if self.case == "linear" and self.dimension != 1:
-            raise DomainError("linear case is one-dimensional")
-        if self.case == "quadratic2d" and self.dimension != 2:
-            raise DomainError("quadratic2d case is two-dimensional")
-        if self.case in ("lq3d", "q1_3d", "q2_3d") and self.dimension != 3:
-            raise DomainError(f"{self.case} case is three-dimensional")
-        if self.case in ("q1_3d", "q2_3d") and freqs[0] != freqs[1]:
+        record = CASES[self.case]
+        if set(self.couplings) != set(record.couplings):
+            raise DomainError(
+                f"case {self.case!r} needs couplings {sorted(record.couplings)}")
+        if record.dimension not in (None, self.dimension):
+            raise DomainError(f"{self.case} case is "
+                              f"{_DIMENSION_WORDS[record.dimension]}-dimensional")
+        if record.equal_xy and freqs[0] != freqs[1]:
             raise DomainError(f"{self.case} requires equal x and y frequencies")
-        if self.case == "q2_3d":
-            l1 = self.couplings["lambda1"]
-            if l1.is_imaginary and l1.magnitude != 0:
-                raise DomainError("the xy coupling must be real in this case")
+        if set(record.real_couplings) & set(self.imaginary_couplings):
+            raise DomainError("the xy coupling must be real in this case")
 
     # convenience constructors -------------------------------------------
     @classmethod
@@ -95,9 +192,18 @@ class OscillatorSpec:
                    {"lambda1": lambda1, "lam": lam})
 
     @property
+    def case_record(self) -> Case:
+        return CASES[self.case]
+
+    @property
+    def imaginary_couplings(self) -> tuple:
+        """Names of the nonzero imaginary couplings, in the case's order."""
+        return tuple(n for n in CASES[self.case].couplings
+                     if self.couplings[n].is_imaginary and self.couplings[n])
+
+    @property
     def is_hermitian(self) -> bool:
-        return all(not (c.is_imaginary and c.magnitude != 0)
-                   for c in self.couplings.values())
+        return not self.imaginary_couplings
 
 
 @dataclass(frozen=True)
@@ -153,21 +259,7 @@ class SpectrumTable:
 
 def decouple(spec: OscillatorSpec) -> DecoupledSystem:
     """Coordinate map and tilde frequencies for any supported spec."""
-    w = spec.frequencies
-    c = spec.couplings
-    if spec.case == "none":
-        cmap = transform.CoordinateMap(np.eye(spec.dimension, dtype=complex),
-                                       np.zeros(spec.dimension, dtype=complex))
-        return DecoupledSystem(tuple(complex(x) for x in w), 0j, cmap)
-    if spec.case == "linear":
-        return transform.shift_map_1d(w[0], c["lambda0"])
-    if spec.case == "quadratic2d":
-        return transform.rotate_map_2d(w[0], w[1], c["lam"])
-    if spec.case == "lq3d":
-        return transform.decouple_3d_lq(w[0], w[1], w[2], c["lambda0"], c["lam"])
-    if spec.case == "q1_3d":
-        return transform.decouple_3d_q1(w[0], w[2], c["lambda2"], c["lambda3"])
-    return transform.decouple_3d_q2(w[0], w[2], c["lambda1"].magnitude, c["lam"])
+    return spec.case_record.decouple(spec.frequencies, spec.couplings)
 
 
 def base_potential(spec: OscillatorSpec, point):
@@ -176,23 +268,13 @@ def base_potential(spec: OscillatorSpec, point):
     if p.shape[0] != spec.dimension:
         raise ShapeError("point dimension mismatch")
     v = sum(0.25 * w**2 * p[i] ** 2 for i, w in enumerate(spec.frequencies))
-    c = spec.couplings
-    if spec.case == "linear":
-        v = v + c["lambda0"].value * p[0]
-    elif spec.case == "quadratic2d":
-        v = v + 0.5 * c["lam"].value * p[0] * p[1]
-    elif spec.case == "lq3d":
-        v = v + c["lambda0"].value * p[2] + 0.5 * c["lam"].value * p[0] * p[1]
-    elif spec.case == "q1_3d":
-        v = v + 0.5 * (c["lambda2"].value * p[1] * p[2]
-                       + c["lambda3"].value * p[2] * p[0])
-    elif spec.case == "q2_3d":
-        v = v + 0.5 * c["lambda1"].value * p[0] * p[1] \
-            + 0.5 * c["lam"].value * (p[1] * p[2] + p[2] * p[0])
+    for term in spec.case_record.terms:
+        v = v + term(spec.couplings, p)
     return v
 
 
 _TINY = 1e-300
+MAX_STATES = 100_000  # spectrum refuses to enumerate more ladder combinations
 
 
 def rational_term_1d(omega, m: int, xt):
@@ -217,14 +299,9 @@ def admissible_codimensions(spec: OscillatorSpec) -> tuple:
     """Per-tilde-axis rule: odd co-dimensions are regular only on a shift
     axis whose linear coupling is imaginary and nonzero."""
     rules = [EVEN_ONLY] * spec.dimension
-    if spec.case == "linear":
-        l0 = spec.couplings["lambda0"]
-        if l0.is_imaginary and l0.magnitude != 0:
-            rules[0] = EVEN_AND_ODD
-    elif spec.case == "lq3d":
-        l0 = spec.couplings["lambda0"]
-        if l0.is_imaginary and l0.magnitude != 0:
-            rules[2] = EVEN_AND_ODD
+    axis = spec.case_record.odd_axis
+    if axis is not None and "lambda0" in spec.imaginary_couplings:
+        rules[axis] = EVEN_AND_ODD
     return tuple(rules)
 
 
@@ -340,18 +417,24 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
     Rational tilde-frequency ratios are detected and grouped with exact
     integer arithmetic; otherwise levels closer than ``tolerance`` merge.
     """
+    if not math.isfinite(energy_cutoff):
+        raise DomainError("the energy cutoff must be finite")
     validate_config(spec, config)
     sys = decouple(spec)
     freqs = [complex(w) for w in sys.tilde_frequencies]
     real = all(abs(w.imag) <= 1e-12 * max(1.0, abs(w)) for w in freqs)
     axis_levels = []
+    count = 1
     for w, m in zip(freqs, config.codimensions):
         levels = [None]
         n = 0
         while (n + m + 1) * w.real <= energy_cutoff + 1e-12:
+            if count * (len(levels) + 1) > MAX_STATES:
+                raise DomainError(f"more than {MAX_STATES} states below the cutoff")
             levels.append(n)
             n += 1
         axis_levels.append(levels)
+        count *= len(levels)
 
     weights = _rational_weights(freqs) if real else None
     groups: dict = {}

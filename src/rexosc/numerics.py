@@ -40,6 +40,8 @@ class Grid:
             raise DomainError("grid needs at least 9 points")
         if not self.half_width > 0:
             raise DomainError("half_width must be positive")
+        if not np.isfinite([self.center, self.half_width]).all():
+            raise DomainError("grid center and half_width must be finite")
 
     @property
     def spacing(self) -> float:

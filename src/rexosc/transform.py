@@ -38,6 +38,8 @@ class CouplingValue:
         if self.flavor not in (REAL, IMAGINARY):
             raise DomainError(f"unknown coupling flavor {self.flavor!r}")
         object.__setattr__(self, "magnitude", float(self.magnitude))
+        if not np.isfinite(self.magnitude):
+            raise DomainError("coupling magnitude must be finite")
 
     @property
     def value(self) -> complex:
@@ -65,10 +67,12 @@ class CouplingValue:
     @classmethod
     def parse(cls, text: str) -> "CouplingValue":
         """Parse 'real:1.5' / 'imaginary:0.3' (bare numbers default to real)."""
-        if ":" in text:
-            flavor, _, mag = text.partition(":")
-            return cls(float(mag), flavor.strip())
-        return cls(float(text), REAL)
+        flavor, _, mag = text.partition(":") if ":" in text else (REAL, "", text)
+        try:
+            magnitude = float(mag)
+        except ValueError:
+            raise DomainError(f"cannot parse coupling {text!r}") from None
+        return cls(magnitude, flavor.strip())
 
 
 @dataclass(frozen=True)
@@ -495,52 +499,17 @@ def space_inversion(dimension: int) -> ParityOperator:
 def pt_classification(spec) -> list:
     """Parity operators paired with time reversal for the given spec.
 
-    Non-Hermitian flavor combinations return the assigned operators for the
-    case; purely real couplings fall back to sampling plain parity
-    invariance of the (real) potential.
+    A non-Hermitian flavor combination that the spec's case lists returns
+    its assigned operators; any other spec, purely real couplings included,
+    falls back to sampling plain parity invariance of the potential.
     """
     dim = spec.dimension
-    case = spec.case
-    if dim == 1:
-        lam0 = spec.couplings.get("lambda0", CouplingValue.zero())
-        if lam0.is_imaginary and lam0:
-            return [space_inversion(1)]
-        return _sample_parity_invariance(spec, [space_inversion(1)])
-    ops = parity_operators(dim)
+    ops = parity_operators(dim) if dim > 1 else [space_inversion(1)]
+    names = spec.case_record.parities.get(spec.imaginary_couplings)
+    if names is None:
+        return _sample_parity_invariance(spec, ops)
     named = {op.name: op for op in ops}
-    if case == "quadratic2d":
-        lam = spec.couplings["lam"]
-        if lam.is_imaginary and lam:
-            return [named["P1"], named["P2"]]
-        return _sample_parity_invariance(spec, ops)
-    if case == "lq3d":
-        lam0, lam = spec.couplings["lambda0"], spec.couplings["lam"]
-        i0 = lam0.is_imaginary and bool(lam0)
-        il = lam.is_imaginary and bool(lam)
-        if i0 and il:
-            return [named["P4"]]
-        if i0:
-            return [named["P2"]]
-        if il:
-            return [named["P1"], named["P3"]]
-        return _sample_parity_invariance(spec, ops)
-    if case == "q1_3d":
-        l2, l3 = spec.couplings["lambda2"], spec.couplings["lambda3"]
-        i2 = l2.is_imaginary and bool(l2)
-        i3 = l3.is_imaginary and bool(l3)
-        if i2 and i3:
-            return [named["P2"]]
-        if i2:
-            return [named["P3"]]
-        if i3:
-            return [named["P1"]]
-        return _sample_parity_invariance(spec, ops)
-    if case == "q2_3d":
-        lam = spec.couplings["lam"]
-        if lam.is_imaginary and lam:
-            return [named["P2"]]
-        return _sample_parity_invariance(spec, ops)
-    return _sample_parity_invariance(spec, ops if dim > 1 else [space_inversion(1)])
+    return [named[n] for n in names]
 
 
 def _sample_parity_invariance(spec, candidates, n_samples: int = 100,

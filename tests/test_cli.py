@@ -170,3 +170,70 @@ def test_threads_env_smoke(capsys, monkeypatch):
                         "--points", "2001"], capsys)
     assert code == 0
     assert json.loads(out)["max_residual"] <= 1e-6
+
+
+# ------------------------------------------------------------ input boundary
+
+@pytest.mark.parametrize("argv,message", [
+    (["transform", "--dim", "2", "--omega", "1,2", "--coupling", "real:nan"],
+     "coupling magnitude must be finite"),
+    (["transform", "--dim", "1", "--omega", "2", "--linear", "imaginary:inf"],
+     "coupling magnitude must be finite"),
+    (["transform", "--dim", "2", "--omega", "1,nan"], "frequencies must be finite"),
+    (["transform", "--dim", "1", "--omega", "inf"], "frequencies must be finite"),
+    (["transform", "--omega", "abc"], "--omega expects comma-separated numbers"),
+    (["transform", "--dim", "2", "--omega", "1,2", "--coupling", "real:abc"],
+     "cannot parse coupling"),
+    (["transform", "--dim", "2", "--omega", "1,2", "--coupling", "complex:1"],
+     "unknown coupling flavor"),
+    (["verify", "--omega", "2", "--state", "x"], "needs 'g' or an integer"),
+    (["verify", "--omega", "2", "--m", "two"], "--m expects comma-separated numbers"),
+    (["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "1/0"],
+     "--ratio expects a fraction"),
+    (["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "abc"],
+     "--ratio expects a fraction"),
+    (["degeneracy", "--dim", "2", "--omega", "1", "--ratio", "1/2"],
+     "--omega must list one frequency per axis"),
+    (["transform", "--dim", "3", "--omega", "1,2,3", "--lambda2", "real:1"],
+     "case none does not read --lambda2"),
+    (["transform", "--dim", "2", "--omega", "1,2", "--linear", "real:1"],
+     "case quadratic2d does not read --linear"),
+    (["transform", "--dim", "1", "--omega", "2", "--coupling", "real:1"],
+     "case linear does not read --coupling"),
+    (["transform", "--dim", "3", "--case", "q1", "--omega", "1,1,2", "--lambda2", "real:1",
+      "--lambda3", "real:1", "--coupling", "real:1"], "case q1_3d does not read --coupling"),
+    (["degeneracy", "--dim", "2", "--omega", "1,3", "--lambda1", "real:1", "--ratio", "1/2"],
+     "case quadratic2d does not read --lambda1"),
+    (["transform", "--dim", "1", "--omega", "2", "--case", "lq"], "needs --dim 3"),
+    (["transform", "--dim", "2", "--omega", "1,2", "--case", "q1"], "needs --dim 3"),
+    (["transform", "--dim", "3", "--case", "q1", "--omega", "1,2,3", "--lambda2", "real:1",
+      "--lambda3", "real:1"], "requires equal x and y frequencies"),
+    (["spectrum", "--omega", "1", "--cutoff", "inf"], "cutoff must be finite"),
+    (["spectrum", "--omega", "1", "--cutoff", "nan"], "cutoff must be finite"),
+    (["spectrum", "--dim", "2", "--omega", "1,1", "--cutoff", "1e9"], "states below the cutoff"),
+    (["plotdata", "--omega", "2", "--points", "11", "--half-width", "inf"],
+     "must be finite"),
+    (["table", "--omega", "2,3"], "--omega must list one frequency per axis"),
+    (["table", "--xs", "0,x"], "--xs expects comma-separated numbers"),
+])
+def test_bad_input_exits_1_with_one_line(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("validation error: ")
+    assert message in err
+
+
+def test_missing_job_file_exits_1(tmp_path, capsys):
+    code, _, err = run(["verify", "--job", str(tmp_path / "absent.json")], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "cannot read job file" in err
+
+
+@pytest.mark.parametrize("text", ["not json", "{}", '{"spec": 3}'])
+def test_malformed_job_file_exits_1(text, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    code, _, err = run(["verify", "--job", str(path)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "is not a valid job" in err

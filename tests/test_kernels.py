@@ -20,6 +20,17 @@ def test_stencil_profile_quadratic():
     assert np.max(np.abs(out - 2.0)) < 1e-10
 
 
+def test_stencil_profile_along_each_axis_of_a_mesh():
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=(11, 12, 13)) + 1j * rng.normal(size=(11, 12, 13))
+    for axis in range(3):
+        out = _kernels.second_derivative_profile(f, 0.1, axis)
+        lines = np.moveaxis(f, axis, -1).reshape(-1, f.shape[axis])
+        ref = np.stack([_kernels.second_derivative_profile(line, 0.1) for line in lines])
+        assert out.shape[axis] == f.shape[axis] - 8
+        np.testing.assert_array_equal(np.moveaxis(out, axis, -1).reshape(ref.shape), ref)
+
+
 def test_eigenvalues_match_dense():
     rng = np.random.default_rng(3)
     d = rng.normal(size=60)

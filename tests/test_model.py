@@ -289,3 +289,45 @@ def test_energy_depends_only_on_structure():
     eA = model.relative_energy(cfg, st, sysA)
     w1, w2 = sysA.tilde_frequencies
     assert eA == pytest.approx((1 + 2 + 1) * complex(w1) + (0 + 4 + 1) * complex(w2))
+
+
+# ---------------------------------------------------------------- case table
+
+def test_case_table_records_are_consistent():
+    aliases = [c.alias for c in model.CASES.values() if c.alias is not None]
+    assert len(aliases) == len(set(aliases))
+    for name, case in model.CASES.items():
+        assert len(case.flags) == len(case.couplings), name
+        assert set(case.real_couplings) <= set(case.couplings), name
+        for imaginary in case.parities:
+            # keys list imaginary couplings in the case's coupling order
+            assert list(imaginary) == [c for c in case.couplings if c in imaginary], name
+        if case.odd_axis is not None:
+            assert "lambda0" in case.couplings, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        OscillatorSpec.oscillator(1.0, bad)
+    with pytest.raises(DomainError, match="finite"):
+        CouplingValue(bad, "imaginary")
+    with pytest.raises(DomainError, match="finite"):
+        CouplingValue.parse(f"real:{bad}")
+
+
+def test_spectrum_rejects_non_finite_cutoff():
+    spec = OscillatorSpec.oscillator(1.0)
+    for cutoff in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="cutoff must be finite"):
+            model.spectrum(spec, REConfig((0,)), cutoff)
+
+
+def test_spectrum_refuses_too_many_states():
+    spec = OscillatorSpec.oscillator(1.0, 1.0)
+    with pytest.raises(DomainError, match=f"more than {model.MAX_STATES} states"):
+        model.spectrum(spec, REConfig((0, 0)), 1e9)
+    # a purely imaginary tilde frequency never climbs the ladder
+    spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(2.0), CouplingValue.real(0.1))
+    with pytest.raises(DomainError, match="states"):
+        model.spectrum(spec, REConfig((0, 0, 0)), 5.0)

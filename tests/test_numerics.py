@@ -39,6 +39,20 @@ def test_second_derivative_gaussian_analytic():
     assert numerics.second_derivative(f, g, 4) == pytest.approx(expected, abs=5e-10)
 
 
+def test_second_derivative_is_the_profile_at_one_point():
+    g = Grid(0.2, 1.5, 31)
+    f = np.sin(3 * g.points) + 1j * np.cos(g.points)
+    profile = numerics.second_derivative_profile(f, g.spacing)
+    for idx in (4, 15, 26):
+        assert numerics.second_derivative(f, g, idx) == profile[idx - 4]
+
+
+def test_grid_rejects_non_finite_center_and_width():
+    for center, half_width in [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf)]:
+        with pytest.raises(DomainError, match="finite"):
+            Grid(center, half_width, 11)
+
+
 def test_second_derivative_boundary_error():
     g = Grid(0.0, 1.0, 21)
     f = g.points**2
