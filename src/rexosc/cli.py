@@ -199,7 +199,7 @@ def cmd_transform(args) -> int:
         "shift": [_complex_dict(z) for z in sys_.coordinate_map.shift],
         "tilde_ratio": _ratio_string(sys_.tilde_frequencies) if sys_.is_real else None,
     }
-    case = spec.case_record
+    case = model.CASES[spec.case]
     verdict = (case.reality(spec.frequencies, spec.couplings) if case.reality
                else sys_.is_real)
     out["real_spectrum"] = bool(verdict)

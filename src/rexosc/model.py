@@ -47,7 +47,7 @@ class Case:
     # paired with time reversal; an unlisted set is classified by sampling
     parities: dict = field(default_factory=dict)
     reality: Callable | None = None     # None: read off the tilde frequencies
-    mixing: Callable | None = None
+    mixing: Callable | None = None      # the 2D mixing factor k
     degeneracy: Callable | None = None
 
 
@@ -192,10 +192,6 @@ class OscillatorSpec:
                    {"lambda1": lambda1, "lam": lam})
 
     @property
-    def case_record(self) -> Case:
-        return CASES[self.case]
-
-    @property
     def imaginary_couplings(self) -> tuple:
         """Names of the nonzero imaginary couplings, in the case's order."""
         return tuple(n for n in CASES[self.case].couplings
@@ -259,7 +255,7 @@ class SpectrumTable:
 
 def decouple(spec: OscillatorSpec) -> DecoupledSystem:
     """Coordinate map and tilde frequencies for any supported spec."""
-    return spec.case_record.decouple(spec.frequencies, spec.couplings)
+    return CASES[spec.case].decouple(spec.frequencies, spec.couplings)
 
 
 def base_potential(spec: OscillatorSpec, point):
@@ -268,7 +264,7 @@ def base_potential(spec: OscillatorSpec, point):
     if p.shape[0] != spec.dimension:
         raise ShapeError("point dimension mismatch")
     v = sum(0.25 * w**2 * p[i] ** 2 for i, w in enumerate(spec.frequencies))
-    for term in spec.case_record.terms:
+    for term in CASES[spec.case].terms:
         v = v + term(spec.couplings, p)
     return v
 
@@ -299,7 +295,7 @@ def admissible_codimensions(spec: OscillatorSpec) -> tuple:
     """Per-tilde-axis rule: odd co-dimensions are regular only on a shift
     axis whose linear coupling is imaginary and nonzero."""
     rules = [EVEN_ONLY] * spec.dimension
-    axis = spec.case_record.odd_axis
+    axis = CASES[spec.case].odd_axis
     if axis is not None and "lambda0" in spec.imaginary_couplings:
         rules[axis] = EVEN_AND_ODD
     return tuple(rules)

@@ -503,9 +503,11 @@ def pt_classification(spec) -> list:
     its assigned operators; any other spec, purely real couplings included,
     falls back to sampling plain parity invariance of the potential.
     """
+    from . import model  # local import to avoid a module cycle
+
     dim = spec.dimension
     ops = parity_operators(dim) if dim > 1 else [space_inversion(1)]
-    names = spec.case_record.parities.get(spec.imaginary_couplings)
+    names = model.CASES[spec.case].parities.get(spec.imaginary_couplings)
     if names is None:
         return _sample_parity_invariance(spec, ops)
     named = {op.name: op for op in ops}
