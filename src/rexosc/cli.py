@@ -215,8 +215,8 @@ def cmd_degeneracy(args) -> int:
     try:
         ratio = Fraction(args.ratio)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"--ratio expects a fraction such as 1/2, got {args.ratio!r}") \
-            from None
+        raise DomainError(
+            f"--ratio expects a fraction such as 1/2, got {args.ratio!r}") from None
     if args.dim not in (2, 3):
         raise DomainError("degeneracy solving applies to dimensions 2 and 3")
     omegas = _numbers(args.omega, "--omega")
