@@ -29,12 +29,16 @@ def second_derivative_profile(samples: np.ndarray, spacing: float,
     if n < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
     window = [slice(None)] * f.ndim
-    out = None
+    out = term = None
     for j, c in enumerate(STENCIL8):
         window[axis] = slice(j, n - 8 + j)
-        term = c * f[tuple(window)]
-        out = term if out is None else out + term
-    return out / spacing**2
+        if out is None:
+            out = c * f[tuple(window)]
+        else:
+            term = np.multiply(c, f[tuple(window)], out=term)
+            out += term
+    out /= spacing**2
+    return out
 
 
 def simpson(samples: np.ndarray, spacing: float) -> complex:
@@ -64,7 +68,8 @@ def horner(coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
     z = np.asarray(points, dtype=complex)
     out = np.full(z.shape, c[-1], dtype=complex)
     for k in range(c.shape[0] - 2, -1, -1):
-        out = out * z + c[k]
+        out *= z
+        out += c[k]
     return out
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -266,18 +267,16 @@ def cmd_table(args) -> int:
     w = csv.writer(buf)
     w.writerow(["m", "x", "re_V", "im_V", "re_psi0", "im_psi0",
                 "re_psi1", "im_psi1"])
+    pts = np.array([xs], dtype=complex)
     for m in range(args.max_m + 1):
-        config = REConfig((m,))
-        for x in xs:
-            pt = np.array([x], dtype=complex)
-            v = complex(model.re_potential(spec, config, pt, validate=False))
-            p0 = complex(model.eigenfunction(spec, config, Eigenstate((None,)),
-                                             pt, validate=False))
-            p1 = complex(model.eigenfunction(spec, config, Eigenstate((0,)),
-                                             pt, validate=False))
-            w.writerow([m, f"{x:.12g}", f"{v.real:.12g}", f"{v.imag:.12g}",
-                        f"{p0.real:.12g}", f"{p0.imag:.12g}",
-                        f"{p1.real:.12g}", f"{p1.imag:.12g}"])
+        plan = model.plan(spec, REConfig((m,)), pts, validate=False)
+        v = plan.potential(pts)
+        p0 = plan.psi(Eigenstate((None,)))
+        p1 = plan.psi(Eigenstate((0,)))
+        for i, x in enumerate(xs):
+            w.writerow([m, f"{x:.12g}", f"{v[i].real:.12g}", f"{v[i].imag:.12g}",
+                        f"{p0[i].real:.12g}", f"{p0[i].imag:.12g}",
+                        f"{p1[i].real:.12g}", f"{p1[i].imag:.12g}"])
     _emit(args, buf.getvalue())
     return 0
 
@@ -290,16 +289,19 @@ def _job_from_args(args) -> JobConfig:
         except OSError as exc:
             raise DomainError(f"cannot read job file {args.job!r}: {exc.strerror}") from None
         try:
-            return JobConfig.from_json(text)
+            job = JobConfig.from_json(text)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"job file {args.job!r} is not a valid job: {exc}") from None
+        if not job.states:
+            raise DomainError(f"job file {args.job!r} lists no states")
+        return job
     spec = _build_spec(args)
     ms = _numbers(args.m, "--m", int) if args.m else (0,) * spec.dimension
     config = REConfig(ms)
     states = tuple(_parse_state(s, spec.dimension) for s in args.state) \
         if args.state else (Eigenstate.ground(spec.dimension),)
     grids = {"n_points": args.points}
-    if getattr(args, "spacing", None):
+    if getattr(args, "spacing", None) is not None:
         grids["spacing"] = args.spacing
     job = JobConfig(spec, config, states, grids, {"format": args.format})
     if getattr(args, "emit_job", None):
@@ -308,45 +310,71 @@ def _job_from_args(args) -> JobConfig:
     return job
 
 
+def _threads() -> int:
+    """Worker threads from REXOSC_THREADS (default 1)."""
+    text = os.environ.get("REXOSC_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise DomainError(f"REXOSC_THREADS must be an integer, got {text!r}") from None
+
+
+def _check_mesh(grids, remedy: str = "lower --points") -> None:
+    """Refuse a mesh above verify.MAX_MESH_POINTS before anything is allocated."""
+    points = math.prod(g.n_points for g in grids)
+    if points > verify.MAX_MESH_POINTS:
+        raise DomainError(f"a mesh of {points} points exceeds the limit of "
+                          f"{verify.MAX_MESH_POINTS}; {remedy}")
+
+
+def _job_grids(job: JobConfig) -> list:
+    """The job's grids (``--points`` per axis, or ``--spacing``), size-checked."""
+    try:
+        n_points = int(job.grids.get("n_points", 4001))
+        spacing = job.grids.get("spacing")
+        spacing = None if spacing is None else float(spacing)
+    except (TypeError, ValueError):
+        raise DomainError(f"grid settings must be numbers, got {job.grids}") from None
+    grids = verify.suggest_grids(job.spec, n_points=n_points, spacing=spacing)
+    _check_mesh(grids, "lower --points" if spacing is None else "raise --spacing")
+    return grids
+
+
 def cmd_verify(args) -> int:
     job = _job_from_args(args)
     spec, config = job.spec, job.config
+    workers = _threads()
     model.validate_config(spec, config)
+    grids = _job_grids(job)
     report = verify.VerificationReport()
     report.pole_list = [{"axis": p.axis, "coordinate": p.coordinate}
                         for p in verify.pole_scan(spec, config)]
-    spacing = job.grids.get("spacing")
-    n_points = int(job.grids.get("n_points", 4001))
-    grids = verify.suggest_grids(spec, n_points=n_points, spacing=spacing)
+    job_plan = verify.MeshPlan(spec, config, grids)
 
-    workers = max(1, int(os.environ.get("REXOSC_THREADS", "1")))
+    with ThreadPoolExecutor(max_workers=min(workers, len(job.states))) as pool:
+        each_state = pool.map if workers > 1 and len(job.states) > 1 else map
+        results = list(each_state(job_plan.residual, job.states))
+        offsets = [off for _, off in results]
+        report.max_residual = max(res for res, _ in results)
+        report.fitted_offset = offsets[0]
+        spread = max(abs(a - offsets[0]) for a in offsets)
+        report.notes.append(f"offset spread across states: {spread:.3e}")
 
-    def scan(state):
-        return verify.residual_scan(spec, config, state, grids)
+        pt_values = {}
+        for op in transform.pt_classification(spec):
+            image = job_plan.image(op)
+            try:
+                vals = list(each_state(lambda st: job_plan.pt_eigenvalue(st, image),
+                                       job.states))
+                pt_values[op.name] = [_complex_dict(v) for v in vals]
+            except IndeterminateError as exc:
+                pt_values[op.name] = str(exc)
+            del image  # one image plan at a time
+        report.pt_eigenvalue = pt_values
+    real = job_plan.plan.system.is_real
+    del job_plan
 
-    if workers > 1 and len(job.states) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, job.states))
-    else:
-        results = [scan(st) for st in job.states]
-    offsets = [off for _, off in results]
-    report.max_residual = max(res for res, _ in results)
-    report.fitted_offset = offsets[0]
-    spread = max(abs(a - offsets[0]) for a in offsets)
-    report.notes.append(f"offset spread across states: {spread:.3e}")
-
-    parities = transform.pt_classification(spec)
-    pt_values = {}
-    for op in parities:
-        try:
-            vals = [verify.pt_parity_eigenvalue(spec, config, st, op, grids)
-                    for st in job.states]
-            pt_values[op.name] = [_complex_dict(v) for v in vals]
-        except IndeterminateError as exc:
-            pt_values[op.name] = str(exc)
-    report.pt_eigenvalue = pt_values
-
-    if spec.is_hermitian and model.decouple(spec).is_real:
+    if spec.is_hermitian and real:
         gram = verify.orthogonality_gram(spec, config, job.states)
         report.gram = [[_complex_dict(z) for z in row] for row in gram]
 
@@ -367,32 +395,30 @@ def cmd_plotdata(args) -> int:
     job = _job_from_args(args)
     spec, config = job.spec, job.config
     state = job.states[0]
+    if spec.dimension not in (1, 2):
+        raise DomainError("plot grids are emitted for dimensions 1 and 2")
     grids = verify.suggest_grids(spec, n_points=args.points)
     if args.half_width:
         grids = [verify.Grid(g.center, args.half_width, args.points) for g in grids]
+    _check_mesh(grids)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["x", "y", "re_V", "im_V", "re_psi", "im_psi"])
+    pts = np.stack(np.meshgrid(*(g.points for g in grids), indexing="ij")).astype(complex)
+    plan = model.plan(spec, config, pts, validate=False)
+    v = plan.potential(pts)
+    p = plan.psi(state)
     if spec.dimension == 1:
-        xs = grids[0].points
-        pts = xs[None, :].astype(complex)
-        v = model.re_potential(spec, config, pts, validate=False)
-        p = model.eigenfunction(spec, config, state, pts, validate=False)
-        for i, x in enumerate(xs):
+        for i, x in enumerate(grids[0].points):
             w.writerow([f"{x:.12g}", "0", f"{v[i].real:.12g}", f"{v[i].imag:.12g}",
                         f"{p[i].real:.12g}", f"{p[i].imag:.12g}"])
-    elif spec.dimension == 2:
+    else:
         xs, ys = grids[0].points, grids[1].points
-        pts = np.stack(np.meshgrid(xs, ys, indexing="ij")).astype(complex)
-        v = model.re_potential(spec, config, pts, validate=False)
-        p = model.eigenfunction(spec, config, state, pts, validate=False)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 w.writerow([f"{x:.12g}", f"{y:.12g}",
                             f"{v[i, j].real:.12g}", f"{v[i, j].imag:.12g}",
                             f"{p[i, j].real:.12g}", f"{p[i, j].imag:.12g}"])
-    else:
-        raise DomainError("plot grids are emitted for dimensions 1 and 2")
     _emit(args, buf.getvalue())
     return 0
 

@@ -280,9 +280,14 @@ def rational_term_1d(omega, m: int, xt):
     argument sqrt(omega/2)*xt, which is the reading that reproduces the
     closed forms of the shifted potentials exactly.
     """
+    return _rational_term(omega, m, np.sqrt(complex(omega) / 2)
+                          * np.asarray(xt, dtype=complex))
+
+
+def _rational_term(omega, m: int, u):
+    """The rational term at the scaled parameter u = sqrt(omega/2)*xt."""
     pm = poly.pseudo_hermite(m)
     s = np.sqrt(complex(omega) / 2)
-    u = s * np.asarray(xt, dtype=complex)
     h = poly.evaluate(pm, u)
     if np.any(np.abs(h) < _TINY):
         raise SingularityError("rational term evaluated at a denominator zero")
@@ -311,6 +316,24 @@ def validate_config(spec: OscillatorSpec, config: REConfig) -> None:
                 f"odd co-dimension {m} on axis {i} makes the potential singular")
 
 
+def _check_axes(spec: OscillatorSpec, config: REConfig, validate: bool) -> None:
+    """The admissibility gate, or with ``validate=False`` only the axis count,
+    so that a singular configuration can still be sampled off its poles."""
+    if validate:
+        validate_config(spec, config)
+    elif len(config.codimensions) != spec.dimension:
+        raise DomainError("one co-dimension per axis required")
+
+
+def _potential(spec: OscillatorSpec, config: REConfig, points, frequencies, scaled):
+    """V literally: the base potential on the original points plus, per tilde
+    axis, the rational term at the scaled parameter u_i."""
+    v = base_potential(spec, points)
+    for w, m, u in zip(frequencies, config.codimensions, scaled):
+        v += _rational_term(w, m, u)
+    return v
+
+
 def re_potential(spec: OscillatorSpec, config: REConfig, point,
                  validate: bool = True):
     """Rationally extended potential in the original coordinates.
@@ -318,50 +341,103 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     ``validate=False`` skips the admissibility gate so the closed form of a
     singular configuration can still be sampled off its poles.
     """
-    if validate:
-        validate_config(spec, config)
-    elif len(config.codimensions) != spec.dimension:
-        raise DomainError("one co-dimension per axis required")
+    _check_axes(spec, config, validate)
     sys = decouple(spec)
     t = sys.coordinate_map.forward(np.asarray(point, dtype=complex))
-    v = base_potential(spec, point)
-    for i, (w, m) in enumerate(zip(sys.tilde_frequencies, config.codimensions)):
-        v = v + rational_term_1d(w, m, t[i])
-    return v
+    freqs = sys.tilde_frequencies
+    return _potential(spec, config, point, freqs,
+                      [np.sqrt(complex(w) / 2) * ti for w, ti in zip(freqs, t)])
+
+
+def _axis_factor(omega, m: int, t, out=None):
+    """(u, gauss/h) of one tilde axis: the scaled parameter u = sqrt(omega/2)*t
+    and the state-independent factor, h being the pseudo-Hermite denominator.
+    ``out=t`` scales t into u in place."""
+    t = np.asarray(t, dtype=complex)
+    gauss = np.exp(-complex(omega) * t**2 / 4)
+    u = np.multiply(np.sqrt(complex(omega) / 2), t, out=out)
+    h = poly.evaluate(poly.pseudo_hermite(m), u)
+    if np.any(np.abs(h) < _TINY):
+        raise SingularityError("eigenfunction evaluated at a denominator zero")
+    gauss /= h
+    return u, gauss
+
+
+# i^m with unsigned zeros: (1j)**3 is -0-1j, whose negative zero would show
+# in the sign of zero parts of psi
+_PHASES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def _numerator(m: int, level, u):
+    """The state-dependent factor of one tilde axis: the phase i^m on the
+    ground level (so that parity-time eigenvalues of imaginary-shift
+    configurations come out +1 there), else the exceptional Hermite
+    polynomial at u."""
+    if level is None:
+        return _PHASES[m % 4]
+    return poly.evaluate(poly.exceptional_hermite(m, level + 1), u)
 
 
 def axis_eigenfunction(omega, m: int, level, t):
-    """One tilde-axis factor (unnormalized).
+    """One tilde-axis factor (unnormalized): gauss/h times the numerator."""
+    u, ratio = _axis_factor(omega, m, t)
+    return ratio * _numerator(m, level, u)
 
-    The ground factor carries a phase i^m so that parity-time eigenvalues of
-    imaginary-shift configurations come out +1 on the ground level.
+
+class Plan:
+    """The state-independent part of the closed-form eigenfunctions at a
+    fixed set of points; ``plan(spec, config, points)`` builds one.
+
+    The constructor takes the tilde coordinates of the points and keeps the
+    scaled parameters u_i = sqrt(omega_i/2)*t_i, written over ``tilde`` in
+    place, and the prefactor prod_i gauss_i/h_i. ``psi(state)`` then only
+    multiplies the prefactor by the ground phases and the numerators of the
+    excited axes; ``potential(points)`` reuses the u_i for the rational
+    terms. A built plan is never modified, so threads may share it.
     """
-    pm = poly.pseudo_hermite(m)
-    s = np.sqrt(complex(omega) / 2)
-    u = s * np.asarray(t, dtype=complex)
-    h = poly.evaluate(pm, u)
-    if np.any(np.abs(h) < _TINY):
-        raise SingularityError("eigenfunction evaluated at a denominator zero")
-    gauss = np.exp(-complex(omega) * np.asarray(t, dtype=complex) ** 2 / 4)
-    if level is None:
-        return (1j) ** m * gauss / h
-    return gauss / h * poly.evaluate(poly.exceptional_hermite(m, level + 1), u)
+
+    def __init__(self, spec: OscillatorSpec, config: REConfig,
+                 system: DecoupledSystem, tilde: np.ndarray):
+        self.spec, self.config, self.system = spec, config, system
+        self.scaled = []
+        self.prefactor = None
+        for i, (w, m) in enumerate(zip(system.tilde_frequencies, config.codimensions)):
+            u, ratio = _axis_factor(w, m, tilde[i], out=tilde[i])
+            self.scaled.append(u)
+            if self.prefactor is None:
+                self.prefactor = ratio
+            else:
+                self.prefactor *= ratio
+
+    def psi(self, state: Eigenstate):
+        """Closed-form eigenfunction (unnormalized) of ``state`` at the points."""
+        if len(state.levels) != len(self.scaled):
+            raise DomainError("one level per axis required")
+        out = self.prefactor
+        for u, m, lv in zip(self.scaled, self.config.codimensions, state.levels):
+            out = out * _numerator(m, lv, u)
+        return out
+
+    def potential(self, points):
+        """V at the plan's points, given again in the original coordinates."""
+        return _potential(self.spec, self.config, points,
+                          self.system.tilde_frequencies, self.scaled)
+
+
+def plan(spec: OscillatorSpec, config: REConfig, points,
+         validate: bool = True) -> Plan:
+    """The eigenfunction plan at ``points`` (coordinate index first): the
+    spec is decoupled and the points are mapped to the tilde axes once."""
+    _check_axes(spec, config, validate)
+    sys = decouple(spec)
+    return Plan(spec, config, sys,
+                sys.coordinate_map.forward(np.asarray(points, dtype=complex)))
 
 
 def eigenfunction(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
                   point, validate: bool = True):
     """Closed-form eigenfunction (unnormalized) in the original coordinates."""
-    if validate:
-        validate_config(spec, config)
-    if len(state.levels) != spec.dimension:
-        raise DomainError("one level per axis required")
-    sys = decouple(spec)
-    t = sys.coordinate_map.forward(np.asarray(point, dtype=complex))
-    out = 1.0 + 0j
-    for i, (w, m, lv) in enumerate(zip(sys.tilde_frequencies,
-                                       config.codimensions, state.levels)):
-        out = out * axis_eigenfunction(w, m, lv, t[i])
-    return out
+    return plan(spec, config, point, validate).psi(state)
 
 
 def relative_energy(config: REConfig, state: Eigenstate,

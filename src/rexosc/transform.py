@@ -98,7 +98,8 @@ class CoordinateMap:
         """Old coordinates -> tilde coordinates (accepts trailing-axis stacks)."""
         p = np.asarray(point, dtype=complex)
         t = np.tensordot(self.linear, p, axes=(1, 0))
-        return t + self.shift.reshape((-1,) + (1,) * (p.ndim - 1))
+        t += self.shift.reshape((-1,) + (1,) * (p.ndim - 1))
+        return t
 
     def inverse(self, point):
         """Tilde coordinates -> old coordinates (transpose, not conjugate)."""

@@ -7,9 +7,14 @@ Everything here avoids the closed-form energy formulas: energies are either
 fitted from pointwise residuals, computed as quadrature quotients, or read
 off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
+
+A verify job compiles its state-independent work once into a ``MeshPlan``
+(the eigenfunction plan, V and the pole mask on its mesh); the residual
+scan and the parity-time fit are its per-state steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +31,9 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
+# Largest mesh the CLI builds: 161^3 fits, at roughly 250 B per point while
+# a verify job runs.
+MAX_MESH_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,8 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
                   spacing: float | None = None) -> list:
     """Per-axis grids covering the eigenfunction support (tails < 1e-30 in
     probability), centered on the real part of any coordinate shift."""
+    if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
+        raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
     sys = model.decouple(spec)
     q = _decay_diagonal(sys)
     grids = []
@@ -75,9 +85,16 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
         center = -float(np.real(sys.coordinate_map.shift[i]))
         n = n_points
         if spacing is not None:
-            n = int(np.ceil(2 * hw / spacing)) | 1
+            span = 2 * float(hw) / spacing
+            if not math.isfinite(span):
+                raise DomainError(f"the grid spacing {spacing!r} is too small")
+            n = math.ceil(span) | 1
         grids.append(Grid(center, hw, n))
     return grids
+
+
+def _grid_list(grids) -> list:
+    return [grids] if isinstance(grids, Grid) else list(grids)
 
 
 def _interior(f: np.ndarray) -> np.ndarray:
@@ -90,18 +107,14 @@ def _mesh(grids) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij")).astype(complex)
 
 
-def _pole_mask(spec, config, grids, pole_guard: float) -> np.ndarray:
+def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
     """Boolean mask of interior points too close to a denominator zero,
     dilated by the stencil footprint plus a guard band."""
-    sys = model.decouple(spec)
-    pts = _mesh(grids)
-    t = sys.coordinate_map.forward(pts)
-    shape = tuple(g.n_points - 2 * STENCIL_REACH for g in grids)
-    bad = np.zeros(shape, dtype=bool)
-    for i, (w, m) in enumerate(zip(sys.tilde_frequencies, config.codimensions)):
+    bad = np.zeros(_interior(plan.prefactor).shape, dtype=bool)
+    for u, m in zip(plan.scaled, plan.config.codimensions):
         if m == 0:
             continue
-        u = _interior(np.sqrt(complex(w) / 2) * t[i])
+        u = _interior(u)
         for z in poly.pseudo_hermite_zeros(m):
             bad |= np.abs(u - z) < pole_guard
     if not bad.any():
@@ -116,6 +129,86 @@ def _pole_mask(spec, config, grids, pole_guard: float) -> np.ndarray:
     return bad
 
 
+def _laplacian(psi: np.ndarray, grids) -> np.ndarray:
+    """The stencil Laplacian of ``psi`` on the interior of the mesh."""
+    lap = None
+    for axis, grid in enumerate(grids):
+        d2 = numerics.second_derivative_profile(psi, grid.spacing, axis)
+        # trim the remaining axes to the common interior
+        sl = tuple(slice(None) if a == axis else
+                   slice(STENCIL_REACH, psi.shape[a] - STENCIL_REACH)
+                   for a in range(psi.ndim))
+        if lap is None:
+            lap = d2[sl]
+        else:
+            lap += d2[sl]
+    return lap
+
+
+def _image_plan(plan: model.Plan, grids, parity) -> model.Plan:
+    """The eigenfunction plan of ``plan``'s job on the parity image P·mesh of
+    ``grids``, reusing its decoupling."""
+    tilde = plan.system.coordinate_map.forward(
+        np.tensordot(np.asarray(parity.matrix, dtype=complex), _mesh(grids), axes=(1, 0)))
+    return model.Plan(plan.spec, plan.config, plan.system, tilde)
+
+
+class MeshPlan:
+    """A verify job compiled once for its mesh: the eigenfunction plan
+    (``model.Plan``), V on the interior and the pole-guard mask, which is
+    built from the plan's scaled parameters. The mesh itself is not kept.
+
+    ``residual`` and ``pt_eigenvalue`` then cost one ``plan.psi`` per state;
+    a parity fit also needs the plan of the image P·mesh, built by ``image``
+    once per operator and shared by all states. Nothing here is modified
+    after construction, so threads may share a plan.
+    """
+
+    def __init__(self, spec: OscillatorSpec, config: REConfig, grids,
+                 pole_guard: float = _POLE_GUARD):
+        self.grids = _grid_list(grids)
+        if len(self.grids) != spec.dimension:
+            raise ShapeError("one grid per axis required")
+        mesh = _mesh(self.grids)
+        self.plan = model.plan(spec, config, mesh)
+        self.potential = _interior(self.plan.potential(mesh))
+        del mesh
+        self.keep = ~_pole_mask(self.plan, pole_guard)
+
+    def residual(self, state: Eigenstate):
+        """(max_residual, fitted_offset) of ``state``; see ``residual_scan``."""
+        if not self.keep.any():
+            raise SingularityError("no interior points survive the pole guard")
+        psi = self.plan.psi(state)
+        r = self.potential * _interior(psi)
+        r -= _laplacian(psi, self.grids)
+        pk = _interior(psi)[self.keep]
+        rk = r[self.keep]
+        del psi, r  # only the kept points are needed from here on
+        sys = self.plan.system
+        e_rel = model.relative_energy(self.plan.config, state, sys)
+
+        weights = np.ones(pk.shape[0])
+        for _ in range(3):
+            num = np.sum(weights * np.conj(pk) * (rk - e_rel * pk))
+            den = np.sum(weights * np.abs(pk) ** 2)
+            c = num / den
+            err = np.abs(rk - (e_rel + c) * pk)
+            weights = err + 1e-30
+        wmax = max(complex(w).real for w in sys.tilde_frequencies)
+        scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
+        return float(np.max(err) / scale), complex(c)
+
+    def image(self, parity) -> model.Plan:
+        """The plan of the image P·mesh, for ``pt_eigenvalue``."""
+        return _image_plan(self.plan, self.grids, parity)
+
+    def pt_eigenvalue(self, state: Eigenstate, image: model.Plan,
+                      fit_tolerance: float = 1e-4) -> complex:
+        """PT eigenvalue of ``state``; see ``pt_parity_eigenvalue``."""
+        return _pt_fit(self.plan.psi(state), image.psi(state), fit_tolerance)
+
+
 # ---------------------------------------------------------------- residuals
 
 def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
@@ -127,47 +220,7 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     passes), and returns (max_residual, fitted_offset) with the residual
     normalized by max|psi| * (|E_rel| + max tilde frequency).
     """
-    if isinstance(grids, Grid):
-        grids = [grids]
-    if len(grids) != spec.dimension:
-        raise ShapeError("one grid per axis required")
-    model.validate_config(spec, config)
-    sys = model.decouple(spec)
-    pts = _mesh(grids)
-    psi = model.eigenfunction(spec, config, state, pts)
-    v = model.re_potential(spec, config, pts)
-
-    lap = None
-    for axis in range(spec.dimension):
-        d2 = numerics.second_derivative_profile(psi, grids[axis].spacing, axis)
-        # trim the remaining axes to the common interior
-        sl = tuple(slice(None) if a == axis else
-                   slice(STENCIL_REACH, psi.shape[a] - STENCIL_REACH)
-                   for a in range(spec.dimension))
-        d2 = d2[sl]
-        lap = d2 if lap is None else lap + d2
-    psi_i = _interior(psi)
-    r = -lap + _interior(v) * psi_i
-
-    keep = ~_pole_mask(spec, config, grids, pole_guard)
-    if not keep.any():
-        raise SingularityError("no interior points survive the pole guard")
-    pk = psi_i[keep]
-    rk = r[keep]
-    e_rel = model.relative_energy(config, state, sys)
-
-    weights = np.ones(pk.shape[0])
-    c = 0j
-    for _ in range(3):
-        num = np.sum(weights * np.conj(pk) * (rk - e_rel * pk))
-        den = np.sum(weights * np.abs(pk) ** 2)
-        c = num / den
-        err = np.abs(rk - (e_rel + c) * pk)
-        weights = err + 1e-30
-    err = np.abs(rk - (e_rel + c) * pk)
-    wmax = max(complex(w).real for w in sys.tilde_frequencies)
-    scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
-    return float(np.max(err) / scale), complex(c)
+    return MeshPlan(spec, config, grids, pole_guard).residual(state)
 
 
 # ------------------------------------------------------- Rayleigh quotients
@@ -230,13 +283,15 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     Raises IndeterminateError when the fit residual exceeds the tolerance
     (broken symmetry or a parity the state does not respect).
     """
-    if isinstance(grids, Grid):
-        grids = [grids]
-    model.validate_config(spec, config)
-    pts = _mesh(grids)
-    psi = model.eigenfunction(spec, config, state, pts)
-    image = np.tensordot(np.asarray(parity.matrix, dtype=complex), pts, axes=(1, 0))
-    psi_p = model.eigenfunction(spec, config, state, image)
+    grids = _grid_list(grids)
+    plan = model.plan(spec, config, _mesh(grids))
+    return _pt_fit(plan.psi(state), _image_plan(plan, grids, parity).psi(state),
+                   fit_tolerance)
+
+
+def _pt_fit(psi: np.ndarray, psi_p: np.ndarray, fit_tolerance: float) -> complex:
+    """The PT fit of ``pt_parity_eigenvalue`` from psi on the mesh and on its
+    parity image."""
     w = np.conj(psi_p)
     scale = np.max(np.abs(psi))
     keep = np.abs(psi) > 1e-8 * scale

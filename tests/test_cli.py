@@ -162,6 +162,45 @@ def test_exit_code_singular_table(capsys):
     assert "singular" in err
 
 
+def test_exit_code_singular_table_unperturbed(capsys):
+    # the m=1 denominator of the plain oscillator vanishes at x = 0
+    code, out, err = run(["table", "--omega", "2", "--xs", "0.4,0"], capsys)
+    assert code == 3
+    assert out == "" and err.count("\n") == 1 and "denominator zero" in err
+
+
+def test_oversized_mesh_refused_before_allocation(capsys, monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(cli.verify, "_mesh", no_mesh)
+    monkeypatch.setattr(cli.verify, "MeshPlan", no_mesh)
+    code, _, err = run(["verify", "--dim", "3", "--omega", "1,2,3"], capsys)
+    assert code == 1
+    assert "exceeds the limit" in err and "--points" in err
+
+
+def test_threads_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("REXOSC_THREADS", "abc")
+    code, out, err = run(["verify", "--omega", "2", "--points", "101"], capsys)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "REXOSC_THREADS" in err
+
+
+def test_threads_give_identical_reports(capsys, monkeypatch):
+    argv = ["verify", "--dim", "2", "--omega", "1,3", "--coupling",
+            f"imaginary:{float(SQ7)!r}", "--m", "2,2", "--state", "g,g", "--state", "0,g",
+            "--state", "g,0", "--state", "1,1", "--points", "41"]
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REXOSC_THREADS", threads)
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert sorted(json.loads(reports[0])["pt_eigenvalues"]) == ["P1", "P2"]
+
+
 def test_threads_env_smoke(capsys, monkeypatch):
     monkeypatch.setenv("REXOSC_THREADS", "2")
     code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
@@ -215,6 +254,15 @@ def test_threads_env_smoke(capsys, monkeypatch):
      "must be finite"),
     (["table", "--omega", "2,3"], "--omega must list one frequency per axis"),
     (["table", "--xs", "0,x"], "--xs expects comma-separated numbers"),
+    (["verify", "--omega", "2", "--spacing", "nan"], "spacing must be finite and positive"),
+    (["verify", "--omega", "2", "--spacing", "inf"], "spacing must be finite and positive"),
+    (["verify", "--omega", "2", "--spacing", "0"], "spacing must be finite and positive"),
+    (["verify", "--omega", "2", "--spacing", "-0.1"], "spacing must be finite and positive"),
+    (["verify", "--omega", "2", "--spacing", "1e-320"], "spacing 1e-320 is too small"),
+    (["verify", "--dim", "2", "--omega", "1,2", "--spacing", "1e-4"], "raise --spacing"),
+    (["verify", "--dim", "3", "--omega", "1,2,3"], "lower --points"),
+    (["verify", "--dim", "2", "--omega", "1,2", "--points", "2049"], "lower --points"),
+    (["plotdata", "--dim", "2", "--omega", "1,2", "--points", "2049"], "lower --points"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -237,3 +285,19 @@ def test_malformed_job_file_exits_1(text, tmp_path, capsys):
     code, _, err = run(["verify", "--job", str(path)], capsys)
     assert code == 1
     assert err.count("\n") == 1 and "is not a valid job" in err
+
+
+@pytest.mark.parametrize("states,grids,message", [
+    ([], {}, "lists no states"),
+    ([["g"]], {"n_points": "many"}, "grid settings must be numbers"),
+    ([["g"]], {"spacing": [1]}, "grid settings must be numbers"),
+])
+def test_job_file_bad_states_or_grids_exit_1(states, grids, message, tmp_path, capsys):
+    job = JobConfig(OscillatorSpec.oscillator(2.0), REConfig((0,)),
+                    (Eigenstate((None,)),), {}, {}).to_dict()
+    job.update(states=states, grids=grids)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, _, err = run(["verify", "--job", str(path)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and message in err

@@ -31,6 +31,26 @@ def test_stencil_profile_along_each_axis_of_a_mesh():
         np.testing.assert_array_equal(np.moveaxis(out, axis, -1).reshape(ref.shape), ref)
 
 
+def test_in_place_kernels_equal_their_out_of_place_loops():
+    # above numpy's 256 KiB temporary-elision threshold as well as below it
+    rng = np.random.default_rng(11)
+    for shape in ((40, 30), (300, 200)):
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c = rng.normal(size=6) + 1j * rng.normal(size=6)
+        ref = np.full(z.shape, c[-1])
+        for k in range(len(c) - 2, -1, -1):
+            ref = ref * z + c[k]
+        np.testing.assert_array_equal(_kernels.horner(c, z), ref)
+        for axis in (0, 1):
+            ref = None
+            n = z.shape[axis]
+            for j, w in enumerate(_kernels.STENCIL8):
+                term = w * np.take(z, range(j, n - 8 + j), axis=axis)
+                ref = term if ref is None else ref + term
+            np.testing.assert_array_equal(
+                _kernels.second_derivative_profile(z, 0.3, axis), ref / 0.3**2)
+
+
 def test_eigenvalues_match_dense():
     rng = np.random.default_rng(3)
     d = rng.normal(size=60)

@@ -331,3 +331,102 @@ def test_spectrum_refuses_too_many_states():
     spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(2.0), CouplingValue.real(0.1))
     with pytest.raises(DomainError, match="states"):
         model.spectrum(spec, REConfig((0, 0, 0)), 5.0)
+
+
+# ---------------------------------------------------------- evaluation plan
+
+_R, _I = CouplingValue.real, CouplingValue.imaginary
+
+# every case and flavor, each with a co-dimension per axis it admits
+_PLAN_SPECS = [
+    (OscillatorSpec.oscillator(2.0), (2,)),
+    (OscillatorSpec.oscillator(1.0, 2.0, 1.5), (2, 0, 2)),
+    (OscillatorSpec.linear_1d(2.0, _R(0.8)), (2,)),
+    (OscillatorSpec.linear_1d(2.0, _I(1.0)), (3,)),
+    (OscillatorSpec.quadratic_2d(1, 2, _R(SQ7 / 2)), (2, 0)),
+    (OscillatorSpec.quadratic_2d(1, 3, _I(SQ7)), (2, 2)),
+    (OscillatorSpec.lq_3d(1, 2, 1.5, _R(0.5), _R(1.0)), (2, 0, 2)),
+    (OscillatorSpec.lq_3d(1, 2, 1.5, _I(0.5), _R(1.0)), (2, 2, 1)),
+    (OscillatorSpec.lq_3d(1, 2, 1.5, _R(0.5), _I(1.0)), (0, 2, 2)),
+    (OscillatorSpec.lq_3d(1, 2, 1.5, _I(0.5), _I(1.0)), (2, 0, 3)),
+    (OscillatorSpec.q1_3d(np.sqrt(2), 1, _R(0.3), _R(0.4)), (2, 2, 0)),
+    (OscillatorSpec.q1_3d(np.sqrt(2), 1, _I(0.3), _R(0.4)), (2, 2, 2)),
+    (OscillatorSpec.q1_3d(np.sqrt(2), 1, _R(0.3), _I(0.4)), (0, 2, 2)),
+    (OscillatorSpec.q1_3d(np.sqrt(2), 1, _I(0.3), _I(0.2)), (2, 4, 2)),
+    (OscillatorSpec.q2_3d(1, 1, _R(0.5), _R(0.68)), (2, 2, 2)),
+    (OscillatorSpec.q2_3d(1, 1, _R(0.5), _I(0.4)), (2, 0, 2)),
+]
+
+
+def _levels(dim):
+    """Ground, each axis excited alone at levels 0-2, and two mixed states."""
+    out = [(None,) * dim]
+    for axis in range(dim):
+        for n in range(3):
+            out.append(tuple(n if a == axis else None for a in range(dim)))
+    out.append(tuple(range(dim)))
+    out.append(tuple(None if a % 2 else 1 for a in range(dim)))
+    return out
+
+
+def _axis_product(spec, config, state, points):
+    """psi as the plain product of per-axis factors on the tilde axes."""
+    sys = model.decouple(spec)
+    t = sys.coordinate_map.forward(points)
+    out = 1.0 + 0j
+    for w, m, lv, ti in zip(sys.tilde_frequencies, config.codimensions,
+                            state.levels, t):
+        out = out * model.axis_eigenfunction(w, m, lv, ti)
+    return out
+
+
+@pytest.mark.parametrize("spec,ms", _PLAN_SPECS,
+                         ids=lambda v: v.case + str(v.imaginary_couplings)
+                         if isinstance(v, OscillatorSpec) else str(v))
+def test_plan_psi_equals_axis_product(spec, ms):
+    rng = np.random.default_rng(61)
+    dim = spec.dimension
+    points = rng.normal(size=(dim, 40)) + 0.3j * rng.normal(size=(dim, 40))
+    ops = transform.parity_operators(dim) if dim > 1 else [transform.space_inversion(1)]
+    config = REConfig(ms)
+    for pts in [points] + [op.apply(points) for op in ops]:
+        plan = model.plan(spec, config, pts)
+        for levels in _levels(dim):
+            state = Eigenstate(levels)
+            got = plan.psi(state)
+            want = _axis_product(spec, config, state, pts)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, levels
+            np.testing.assert_array_equal(
+                got, model.eigenfunction(spec, config, state, pts))
+
+
+def test_plan_potential_equals_re_potential():
+    spec, ms = _PLAN_SPECS[7]
+    pts = np.random.default_rng(3).normal(size=(3, 25)).astype(complex)
+    plan = model.plan(spec, REConfig(ms), pts)
+    np.testing.assert_array_equal(plan.potential(pts),
+                                  model.re_potential(spec, REConfig(ms), pts))
+
+
+def test_plan_is_not_modified_by_psi():
+    spec, ms = _PLAN_SPECS[5]
+    pts = np.random.default_rng(4).normal(size=(2, 30)).astype(complex)
+    plan = model.plan(spec, REConfig(ms), pts)
+    before = [plan.prefactor.copy()] + [u.copy() for u in plan.scaled]
+    plan.psi(Eigenstate((1, 0)))
+    plan.psi(Eigenstate((None, None)))
+    for a, b in zip(before, [plan.prefactor] + plan.scaled):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_plan_denominator_zero_raises():
+    # the m=1 denominator of the unperturbed oscillator vanishes at x = 0
+    spec = OscillatorSpec.oscillator(2.0)
+    with pytest.raises(SingularityError):
+        model.plan(spec, REConfig((1,)), np.array([[0.4, 0.0]]), validate=False)
+
+
+def test_plan_rejects_wrong_level_count():
+    plan = model.plan(OscillatorSpec.oscillator(2.0), REConfig((0,)), np.array([[0.1]]))
+    with pytest.raises(DomainError):
+        plan.psi(Eigenstate((None, None)))

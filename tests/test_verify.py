@@ -1,4 +1,7 @@
 """Residuals, Rayleigh quotients, PT measurement, Gram, poles, grid oracle."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,31 @@ def test_residual_respects_pole_guard():
     with pytest.raises(SingularityError):
         verify.residual_scan(spec, REConfig((2, 2)),
                              Eigenstate((None, None)), grids, pole_guard=50.0)
+
+
+def test_mesh_plan_shared_by_threads():
+    spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
+    plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
+    states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
+    images = [plan.image(op) for op in transform.pt_classification(spec)]
+
+    def work(state):
+        return plan.residual(state), [plan.pt_eigenvalue(state, im) for im in images]
+
+    want = [work(st) for st in states]
+    arrays = [plan.potential, plan.keep, plan.plan.prefactor, *plan.plan.scaled]
+    before = [a.copy() for a in arrays]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, st) for _ in range(5) for st in states]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 5
+    for a, b in zip(before, arrays):
+        np.testing.assert_array_equal(a, b)
 
 
 # ------------------------------------------------------------------ Rayleigh
