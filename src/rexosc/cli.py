@@ -319,16 +319,9 @@ def _threads() -> int:
         raise DomainError(f"REXOSC_THREADS must be an integer, got {text!r}") from None
 
 
-def _check_mesh(grids, remedy: str = "lower --points") -> None:
-    """Refuse a mesh above verify.MAX_MESH_POINTS before anything is allocated."""
-    points = math.prod(g.n_points for g in grids)
-    if points > verify.MAX_MESH_POINTS:
-        raise DomainError(f"a mesh of {points} points exceeds the limit of "
-                          f"{verify.MAX_MESH_POINTS}; {remedy}")
-
-
 def _job_grids(job: JobConfig) -> list:
-    """The job's grids (``--points`` per axis, or ``--spacing``), size-checked."""
+    """The job's grids (``--points`` per axis, or ``--spacing``); a mesh above
+    verify.MAX_MESH_POINTS is refused before anything is allocated."""
     try:
         n_points = int(job.grids.get("n_points", 4001))
         spacing = job.grids.get("spacing")
@@ -336,7 +329,11 @@ def _job_grids(job: JobConfig) -> list:
     except (TypeError, ValueError):
         raise DomainError(f"grid settings must be numbers, got {job.grids}") from None
     grids = verify.suggest_grids(job.spec, n_points=n_points, spacing=spacing)
-    _check_mesh(grids, "lower --points" if spacing is None else "raise --spacing")
+    points = math.prod(g.n_points for g in grids)
+    if points > verify.MAX_MESH_POINTS:
+        raise DomainError(f"a mesh of {points} points exceeds the limit of "
+                          f"{verify.MAX_MESH_POINTS}; "
+                          + ("lower --points" if spacing is None else "raise --spacing"))
     return grids
 
 
@@ -397,10 +394,9 @@ def cmd_plotdata(args) -> int:
     state = job.states[0]
     if spec.dimension not in (1, 2):
         raise DomainError("plot grids are emitted for dimensions 1 and 2")
-    grids = verify.suggest_grids(spec, n_points=args.points)
-    if args.half_width:
-        grids = [verify.Grid(g.center, args.half_width, args.points) for g in grids]
-    _check_mesh(grids)
+    grids = _job_grids(job)
+    if args.half_width is not None:
+        grids = [verify.Grid(g.center, args.half_width, g.n_points) for g in grids]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["x", "y", "re_V", "im_V", "re_psi", "im_psi"])

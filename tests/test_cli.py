@@ -111,6 +111,13 @@ def test_plotdata_schema_and_symmetry(tmp_path, capsys):
     np.testing.assert_allclose(re_v, re_v[::-1], atol=1e-9)
 
 
+def test_plotdata_honours_spacing(capsys):
+    code, out, _ = run(["plotdata", "--omega", "2", "--spacing", "0.5"], capsys)
+    assert code == 0
+    xs = [float(r[0]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert len(xs) == 35 and np.diff(xs).max() <= 0.5
+
+
 def test_plotdata_2d_runs(tmp_path, capsys):
     out_path = tmp_path / "plot2.csv"
     code, _, _ = run(["plotdata", "--dim", "2", "--omega", "1,3",
@@ -263,6 +270,9 @@ def test_threads_env_smoke(capsys, monkeypatch):
     (["verify", "--dim", "3", "--omega", "1,2,3"], "lower --points"),
     (["verify", "--dim", "2", "--omega", "1,2", "--points", "2049"], "lower --points"),
     (["plotdata", "--dim", "2", "--omega", "1,2", "--points", "2049"], "lower --points"),
+    (["plotdata", "--omega", "2", "--spacing", "nan"], "spacing must be finite and positive"),
+    (["plotdata", "--omega", "2", "--points", "11", "--half-width", "0"],
+     "half_width must be positive"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
