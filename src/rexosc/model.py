@@ -351,13 +351,13 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
                       [np.sqrt(complex(w) / 2) * ti for w, ti in zip(freqs, t)])
 
 
-def _axis_factor(omega, m: int, t, out=None):
+def _axis_factor(omega, m: int, t, in_place: bool = False):
     """(u, gauss/h) of one tilde axis: the scaled parameter u = sqrt(omega/2)*t
     and the state-independent factor, h being the pseudo-Hermite denominator.
-    ``out=t`` scales t into u in place."""
+    ``in_place`` scales an array t into u in place."""
     t = np.asarray(t, dtype=complex)
     gauss = np.exp(-complex(omega) * t**2 / 4)
-    u = np.multiply(np.sqrt(complex(omega) / 2), t, out=out)
+    u = np.multiply(np.sqrt(complex(omega) / 2), t, out=t if in_place and t.ndim else None)
     h = poly.evaluate(poly.pseudo_hermite(m), u)
     if np.any(np.abs(h) < _TINY):
         raise SingularityError("eigenfunction evaluated at a denominator zero")
@@ -403,8 +403,8 @@ class Plan:
         self.spec, self.config, self.system = spec, config, system
         self.scaled = []
         self.prefactor = None
-        for i, (w, m) in enumerate(zip(system.tilde_frequencies, config.codimensions)):
-            u, ratio = _axis_factor(w, m, tilde[i], out=tilde[i])
+        for w, m, t in zip(system.tilde_frequencies, config.codimensions, tilde):
+            u, ratio = _axis_factor(w, m, t, in_place=True)
             self.scaled.append(u)
             if self.prefactor is None:
                 self.prefactor = ratio

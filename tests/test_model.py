@@ -400,6 +400,17 @@ def test_plan_psi_equals_axis_product(spec, ms):
                 got, model.eigenfunction(spec, config, state, pts))
 
 
+def test_eigenfunction_at_a_single_point():
+    spec, ms = _PLAN_SPECS[7]
+    pts = np.random.default_rng(5).normal(size=(3, 4)).astype(complex)
+    state = Eigenstate((0, None, 1))
+    many = model.eigenfunction(spec, REConfig(ms), state, pts)
+    for k in range(pts.shape[1]):
+        one = model.eigenfunction(spec, REConfig(ms), state, pts[:, k])
+        assert np.ndim(one) == 0
+        assert abs(one - many[k]) <= 1e-14 * abs(many[k])
+
+
 def test_plan_potential_equals_re_potential():
     spec, ms = _PLAN_SPECS[7]
     pts = np.random.default_rng(3).normal(size=(3, 25)).astype(complex)
