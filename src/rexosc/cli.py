@@ -326,7 +326,7 @@ def _job_grids(job: JobConfig) -> list:
         n_points = int(job.grids.get("n_points", 4001))
         spacing = job.grids.get("spacing")
         spacing = None if spacing is None else float(spacing)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"grid settings must be numbers, got {job.grids}") from None
     grids = verify.suggest_grids(job.spec, n_points=n_points, spacing=spacing)
     points = math.prod(g.n_points for g in grids)
@@ -347,10 +347,22 @@ def cmd_verify(args) -> int:
     report.pole_list = [{"axis": p.axis, "coordinate": p.coordinate}
                         for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
+    parities = transform.pt_classification(spec)
+    states = job.states
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(job.states))) as pool:
-        each_state = pool.map if workers > 1 and len(job.states) > 1 else map
-        results = list(each_state(job_plan.residual, job.states))
+    def scan(state):
+        # psi on the mesh is evaluated once per state; the parity fits keep
+        # only its pt_reference
+        psi = job_plan.plan.psi(state)
+        return (job_plan.residual(state, psi),
+                verify.pt_reference(psi) if parities else None)
+
+    def fit(reference, state):
+        return verify.pt_fit(reference, image.psi(state), verify.PT_FIT_TOLERANCE)
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(states))) as pool:
+        each_state = pool.map if workers > 1 and len(states) > 1 else map
+        results, references = zip(*each_state(scan, states))
         offsets = [off for _, off in results]
         report.max_residual = max(res for res, _ in results)
         report.fitted_offset = offsets[0]
@@ -358,18 +370,17 @@ def cmd_verify(args) -> int:
         report.notes.append(f"offset spread across states: {spread:.3e}")
 
         pt_values = {}
-        for op in transform.pt_classification(spec):
-            image = job_plan.image(op)
+        for op in parities:
+            image = verify.image_plan(job_plan.plan, grids, op)
             try:
-                vals = list(each_state(lambda st: job_plan.pt_eigenvalue(st, image),
-                                       job.states))
+                vals = list(each_state(fit, references, states))
                 pt_values[op.name] = [_complex_dict(v) for v in vals]
             except IndeterminateError as exc:
                 pt_values[op.name] = str(exc)
             del image  # one image plan at a time
         report.pt_eigenvalue = pt_values
     real = job_plan.plan.system.is_real
-    del job_plan
+    del job_plan, references
 
     if spec.is_hermitian and real:
         gram = verify.orthogonality_gram(spec, config, job.states)

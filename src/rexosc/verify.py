@@ -10,7 +10,7 @@ check rather than a tautology.
 
 A verify job compiles its state-independent work once into a ``MeshPlan``
 (the eigenfunction plan, V and the pole mask on its mesh); the residual
-scan and the parity-time fit are its per-state steps.
+scan and the parity-time fits share each state's eigenfunction on it.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reac
 # Largest mesh the CLI builds: 161^3 fits, at roughly 250 B per point while
 # a verify job runs.
 MAX_MESH_POINTS = 2**22
+PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,10 @@ def _laplacian(psi: np.ndarray, grids) -> np.ndarray:
     return lap
 
 
-def _image_plan(plan: model.Plan, grids, parity) -> model.Plan:
+def image_plan(plan: model.Plan, grids, parity) -> model.Plan:
     """The eigenfunction plan of ``plan``'s job on the parity image P·mesh of
-    ``grids``, reusing its decoupling."""
+    ``grids``, reusing its decoupling; a verify job builds one per parity
+    operator and shares it across its states."""
     tilde = plan.system.coordinate_map.forward(
         np.tensordot(np.asarray(parity.matrix, dtype=complex), _mesh(grids), axes=(1, 0)))
     return model.Plan(plan.spec, plan.config, plan.system, tilde)
@@ -158,10 +160,10 @@ class MeshPlan:
     (``model.Plan``), V on the interior and the pole-guard mask, which is
     built from the plan's scaled parameters. The mesh itself is not kept.
 
-    ``residual`` and ``pt_eigenvalue`` then cost one ``plan.psi`` per state;
-    a parity fit also needs the plan of the image P·mesh, built by ``image``
-    once per operator and shared by all states. Nothing here is modified
-    after construction, so threads may share a plan.
+    Each state then costs one ``plan.psi``, which ``residual`` and the
+    parity-time fits share: a fit takes the state's ``pt_reference`` of psi
+    and psi on an ``image_plan``. Nothing here is modified after
+    construction, so threads may share a plan.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids,
@@ -175,16 +177,16 @@ class MeshPlan:
         del mesh
         self.keep = ~_pole_mask(self.plan, pole_guard)
 
-    def residual(self, state: Eigenstate):
-        """(max_residual, fitted_offset) of ``state``; see ``residual_scan``."""
+    def residual(self, state: Eigenstate, psi: np.ndarray):
+        """(max_residual, fitted_offset) of ``state``, whose eigenfunction on
+        the mesh is ``psi``; see ``residual_scan``."""
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
-        psi = self.plan.psi(state)
         r = self.potential * _interior(psi)
         r -= _laplacian(psi, self.grids)
         pk = _interior(psi)[self.keep]
         rk = r[self.keep]
-        del psi, r  # only the kept points are needed from here on
+        del r  # only the kept points are needed from here on
         sys = self.plan.system
         e_rel = model.relative_energy(self.plan.config, state, sys)
 
@@ -199,15 +201,6 @@ class MeshPlan:
         scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
         return float(np.max(err) / scale), complex(c)
 
-    def image(self, parity) -> model.Plan:
-        """The plan of the image P·mesh, for ``pt_eigenvalue``."""
-        return _image_plan(self.plan, self.grids, parity)
-
-    def pt_eigenvalue(self, state: Eigenstate, image: model.Plan,
-                      fit_tolerance: float = 1e-4) -> complex:
-        """PT eigenvalue of ``state``; see ``pt_parity_eigenvalue``."""
-        return _pt_fit(self.plan.psi(state), image.psi(state), fit_tolerance)
-
 
 # ---------------------------------------------------------------- residuals
 
@@ -220,7 +213,8 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     passes), and returns (max_residual, fitted_offset) with the residual
     normalized by max|psi| * (|E_rel| + max tilde frequency).
     """
-    return MeshPlan(spec, config, grids, pole_guard).residual(state)
+    job = MeshPlan(spec, config, grids, pole_guard)
+    return job.residual(state, job.plan.psi(state))
 
 
 # ------------------------------------------------------- Rayleigh quotients
@@ -277,7 +271,7 @@ def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
 
 def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
                          state: Eigenstate, parity, grids,
-                         fit_tolerance: float = 1e-4) -> complex:
+                         fit_tolerance: float = PT_FIT_TOLERANCE) -> complex:
     """Least-squares scalar s with conj(psi(P p)) = s * psi(p) on the grid.
 
     Raises IndeterminateError when the fit residual exceeds the tolerance
@@ -285,18 +279,27 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     """
     grids = _grid_list(grids)
     plan = model.plan(spec, config, _mesh(grids))
-    return _pt_fit(plan.psi(state), _image_plan(plan, grids, parity).psi(state),
-                   fit_tolerance)
+    return pt_fit(pt_reference(plan.psi(state)),
+                  image_plan(plan, grids, parity).psi(state), fit_tolerance)
 
 
-def _pt_fit(psi: np.ndarray, psi_p: np.ndarray, fit_tolerance: float) -> complex:
-    """The PT fit of ``pt_parity_eigenvalue`` from psi on the mesh and on its
-    parity image."""
-    w = np.conj(psi_p)
-    scale = np.max(np.abs(psi))
-    keep = np.abs(psi) > 1e-8 * scale
-    s = np.sum(np.conj(psi[keep]) * w[keep]) / np.sum(np.abs(psi[keep]) ** 2)
-    resid = float(np.max(np.abs(w[keep] - s * psi[keep])) / scale)
+def pt_reference(psi: np.ndarray):
+    """What a parity-time fit keeps of psi on the mesh: the mask of points
+    where |psi| exceeds 1e-8 of its maximum, psi there, and that maximum.
+    It is a small fraction of psi, so a job can hold one per state."""
+    magnitude = np.abs(psi)
+    scale = np.max(magnitude)
+    keep = magnitude > 1e-8 * scale
+    return keep, psi[keep], scale
+
+
+def pt_fit(reference, psi_p: np.ndarray, fit_tolerance: float) -> complex:
+    """The fit of ``pt_parity_eigenvalue`` from the ``pt_reference`` of psi
+    and psi on the parity image of the mesh."""
+    keep, pk, scale = reference
+    w = np.conj(psi_p[keep])
+    s = np.sum(np.conj(pk) * w) / np.sum(np.abs(pk) ** 2)
+    resid = float(np.max(np.abs(w - s * pk)) / scale)
     if resid > fit_tolerance:
         raise IndeterminateError(
             f"parity-time fit residual {resid:.3e} exceeds {fit_tolerance:.0e}")

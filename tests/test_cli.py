@@ -208,6 +208,27 @@ def test_threads_give_identical_reports(capsys, monkeypatch):
     assert sorted(json.loads(reports[0])["pt_eigenvalues"]) == ["P1", "P2"]
 
 
+def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
+    # four states and two parity operators: psi on the mesh once per state,
+    # then once per state on each image; the fits reuse the mesh psi
+    sizes = []
+    psi = cli.model.Plan.psi
+
+    def counted(plan, state):
+        out = psi(plan, state)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(cli.model.Plan, "psi", counted)
+    code, out, _ = run(["verify", "--dim", "2", "--omega", "1,3", "--coupling",
+                        f"imaginary:{float(SQ7)!r}", "--m", "2,2", "--state", "g,g",
+                        "--state", "0,g", "--state", "g,0", "--state", "1,1",
+                        "--points", "41"], capsys)
+    assert code == 0
+    assert sorted(json.loads(out)["pt_eigenvalues"]) == ["P1", "P2"]
+    assert sizes == [41 * 41] * 12
+
+
 def test_threads_env_smoke(capsys, monkeypatch):
     monkeypatch.setenv("REXOSC_THREADS", "2")
     code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
@@ -300,6 +321,7 @@ def test_malformed_job_file_exits_1(text, tmp_path, capsys):
 @pytest.mark.parametrize("states,grids,message", [
     ([], {}, "lists no states"),
     ([["g"]], {"n_points": "many"}, "grid settings must be numbers"),
+    ([["g"]], {"n_points": float("inf")}, "grid settings must be numbers"),
     ([["g"]], {"spacing": [1]}, "grid settings must be numbers"),
 ])
 def test_job_file_bad_states_or_grids_exit_1(states, grids, message, tmp_path, capsys):

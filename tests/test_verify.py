@@ -66,10 +66,14 @@ def test_mesh_plan_shared_by_threads():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
     states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
-    images = [plan.image(op) for op in transform.pt_classification(spec)]
+    images = [verify.image_plan(plan.plan, plan.grids, op)
+              for op in transform.pt_classification(spec)]
 
     def work(state):
-        return plan.residual(state), [plan.pt_eigenvalue(state, im) for im in images]
+        psi = plan.plan.psi(state)
+        return plan.residual(state, psi), [
+            verify.pt_fit(verify.pt_reference(psi), im.psi(state), verify.PT_FIT_TOLERANCE)
+            for im in images]
 
     want = [work(st) for st in states]
     arrays = [plan.potential, plan.keep, plan.plan.prefactor, *plan.plan.scaled]
