@@ -62,6 +62,14 @@ def test_residual_respects_pole_guard():
                              Eigenstate((None, None)), grids, pole_guard=50.0)
 
 
+@pytest.mark.parametrize("n_points", [(9,), (11, 13), (9, 10, 12)])
+def test_mesh_equals_meshgrid(n_points):
+    grids = [verify.Grid(0.5 - i, 2.0 + i, n) for i, n in enumerate(n_points)]
+    want = np.stack(np.meshgrid(*(g.points for g in grids), indexing="ij")).astype(complex)
+    got = verify._mesh(grids)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_mesh_plan_shared_by_threads():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
