@@ -347,40 +347,41 @@ def cmd_verify(args) -> int:
     report.pole_list = [{"axis": p.axis, "coordinate": p.coordinate}
                         for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
-    parities = transform.pt_classification(spec)
+    images = [verify.ParityImage(job_plan.plan, job_plan.grids, op)
+              for op in transform.pt_classification(spec)]
     states = job.states
 
-    def scan(state):
-        # psi on the mesh is evaluated once per state; the parity fits keep
-        # only its pt_reference
+    def check(state):
+        # one task per state: psi on the mesh once, its residual, then every
+        # parity fit against psi on the operator's image
         psi = job_plan.plan.psi(state)
-        return (job_plan.residual(state, psi),
-                verify.pt_reference(psi) if parities else None)
-
-    def fit(reference, state):
-        return verify.pt_fit(reference, image.psi(state), verify.PT_FIT_TOLERANCE)
+        residual = job_plan.residual(state, psi)
+        reference = verify.pt_reference(psi) if images else None
+        fits = []
+        for image in images:
+            try:
+                fits.append(verify.pt_fit(reference, image.psi(state, psi),
+                                          verify.PT_FIT_TOLERANCE))
+            except IndeterminateError as exc:
+                fits.append(exc)
+        return residual, fits
 
     with ThreadPoolExecutor(max_workers=min(workers, len(states))) as pool:
         each_state = pool.map if workers > 1 and len(states) > 1 else map
-        results, references = zip(*each_state(scan, states))
-        offsets = [off for _, off in results]
-        report.max_residual = max(res for res, _ in results)
-        report.fitted_offset = offsets[0]
-        spread = max(abs(a - offsets[0]) for a in offsets)
-        report.notes.append(f"offset spread across states: {spread:.3e}")
-
-        pt_values = {}
-        for op in parities:
-            image = verify.image_plan(job_plan.plan, grids, op)
-            try:
-                vals = list(each_state(fit, references, states))
-                pt_values[op.name] = [_complex_dict(v) for v in vals]
-            except IndeterminateError as exc:
-                pt_values[op.name] = str(exc)
-            del image  # one image plan at a time
-        report.pt_eigenvalue = pt_values
+        results, fits = zip(*each_state(check, states))
+    offsets = [off for _, off in results]
+    report.max_residual = max(res for res, _ in results)
+    report.fitted_offset = offsets[0]
+    spread = max(abs(a - offsets[0]) for a in offsets)
+    report.notes.append(f"offset spread across states: {spread:.3e}")
+    pt_values = {}
+    for image, vals in zip(images, zip(*fits)):
+        failed = [v for v in vals if isinstance(v, IndeterminateError)]
+        pt_values[image.parity.name] = (str(failed[0]) if failed else
+                                        [_complex_dict(v) for v in vals])
+    report.pt_eigenvalue = pt_values
     real = job_plan.plan.system.is_real
-    del job_plan, references
+    del job_plan, images
 
     if spec.is_hermitian and real:
         gram = verify.orthogonality_gram(spec, config, job.states)
@@ -411,7 +412,7 @@ def cmd_plotdata(args) -> int:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["x", "y", "re_V", "im_V", "re_psi", "im_psi"])
-    pts = np.stack(np.meshgrid(*(g.points for g in grids), indexing="ij")).astype(complex)
+    pts = verify._mesh(grids)
     plan = model.plan(spec, config, pts, validate=False)
     v = plan.potential(pts)
     p = plan.psi(state)

@@ -259,9 +259,11 @@ def decouple(spec: OscillatorSpec) -> DecoupledSystem:
 
 
 def base_potential(spec: OscillatorSpec, point):
-    """The perturbed quadratic potential, literally as written."""
-    p = np.asarray(point, dtype=complex)
-    if p.shape[0] != spec.dimension:
+    """The perturbed quadratic potential, literally as written, at a stack of
+    points (coordinate index first) or at per-axis arrays that broadcast
+    together, such as an open mesh."""
+    p = [np.asarray(x, dtype=complex) for x in point]
+    if len(p) != spec.dimension:
         raise ShapeError("point dimension mismatch")
     v = sum(0.25 * w**2 * p[i] ** 2 for i, w in enumerate(spec.frequencies))
     for term in CASES[spec.case].terms:
@@ -345,7 +347,7 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     """
     _check_axes(spec, config, validate)
     sys = decouple(spec)
-    t = sys.coordinate_map.forward(np.asarray(point, dtype=complex))
+    t = sys.coordinate_map.forward(point)
     freqs = sys.tilde_frequencies
     return _potential(spec, config, point, freqs,
                       [np.sqrt(complex(w) / 2) * ti for w, ti in zip(freqs, t)])
@@ -390,9 +392,12 @@ class Plan:
     """The state-independent part of the closed-form eigenfunctions at a
     fixed set of points; ``plan(spec, config, points)`` builds one.
 
-    The constructor takes the tilde coordinates of the points and keeps the
-    scaled parameters u_i = sqrt(omega_i/2)*t_i, written over ``tilde`` in
-    place, and the prefactor prod_i gauss_i/h_i. ``psi(state)`` then only
+    The constructor takes the tilde coordinates of the points, one array per
+    axis, and keeps the scaled parameters u_i = sqrt(omega_i/2)*t_i, written
+    over ``tilde`` in place, and the prefactor prod_i gauss_i/h_i. On an open
+    mesh each t_i, and so u_i, gauss_i/h_i, the numerators and the rational
+    terms, lives on the sub-mesh of the grid axes it depends on; only the
+    prefactor, psi and V take the full shape. ``psi(state)`` then only
     multiplies the prefactor by the ground phases and the numerators of the
     excited axes; ``potential(points)`` reuses the u_i for the rational
     terms. A built plan is never modified, so threads may share it.
@@ -408,8 +413,11 @@ class Plan:
             self.scaled.append(u)
             if self.prefactor is None:
                 self.prefactor = ratio
-            else:
+            elif self.prefactor.shape == np.broadcast_shapes(self.prefactor.shape,
+                                                              ratio.shape):
                 self.prefactor *= ratio
+            else:
+                self.prefactor = np.multiply(self.prefactor, ratio)
 
     def psi(self, state: Eigenstate):
         """Closed-form eigenfunction (unnormalized) of ``state`` at the points."""
@@ -431,12 +439,12 @@ class Plan:
 
 def plan(spec: OscillatorSpec, config: REConfig, points,
          validate: bool = True) -> Plan:
-    """The eigenfunction plan at ``points`` (coordinate index first): the
-    spec is decoupled and the points are mapped to the tilde axes once."""
+    """The eigenfunction plan at ``points`` (a stack, coordinate index first,
+    or an open mesh; see ``CoordinateMap.forward``): the spec is decoupled
+    and the points are mapped to the tilde axes once."""
     _check_axes(spec, config, validate)
     sys = decouple(spec)
-    return Plan(spec, config, sys,
-                sys.coordinate_map.forward(np.asarray(points, dtype=complex)))
+    return Plan(spec, config, sys, sys.coordinate_map.forward(points))
 
 
 def eigenfunction(spec: OscillatorSpec, config: REConfig, state: Eigenstate,

@@ -95,11 +95,23 @@ class CoordinateMap:
         return self.linear.shape[0]
 
     def forward(self, point):
-        """Old coordinates -> tilde coordinates (accepts trailing-axis stacks)."""
-        p = np.asarray(point, dtype=complex)
-        t = np.tensordot(self.linear, p, axes=(1, 0))
-        t += self.shift.reshape((-1,) + (1,) * (p.ndim - 1))
-        return t
+        """Old coordinates -> tilde coordinates, one array per tilde axis.
+
+        ``point`` is a stack with the coordinate index first, or a sequence of
+        per-axis arrays that broadcast together (an open mesh). Each
+        t_i = s_i + sum_j L_ij x_j sums only the nonzero L_ij, so t_i has the
+        broadcast shape of the coordinates it depends on.
+        """
+        x = point if isinstance(point, (list, tuple)) else np.asarray(point, dtype=complex)
+        tilde = []
+        for row, s in zip(self.linear, self.shift):
+            t = None
+            for lij, xj in zip(row, x):
+                if lij != 0:
+                    t = lij * xj if t is None else t + lij * xj
+            t += s
+            tilde.append(t)
+        return tilde
 
     def inverse(self, point):
         """Tilde coordinates -> old coordinates (transpose, not conjugate)."""

@@ -9,8 +9,10 @@ off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
 A verify job compiles its state-independent work once into a ``MeshPlan``
-(the eigenfunction plan, V and the pole mask on its mesh); the residual
-scan and the parity-time fits share each state's eigenfunction on it.
+(the eigenfunction plan, V and the pole mask on its open mesh); the residual
+scan and the parity-time fits share each state's eigenfunction on it. A
+parity operator that maps the grids onto themselves reads psi on its image
+off the mesh psi by reversing and permuting axes.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from . import model, numerics, poly
 from .errors import (
     DomainError,
     IndeterminateError,
+    NumericalFailureError,
     ShapeError,
     SingularityError,
 )
@@ -31,8 +34,8 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at roughly 250 B per point while
-# a verify job runs.
+# Largest mesh the CLI builds: 161^3 fits, at about 140-170 B per point while
+# a 3D verify job with two states runs (peak RSS above the interpreter's).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 
@@ -99,18 +102,51 @@ def _grid_list(grids) -> list:
 
 
 def _interior(f: np.ndarray) -> np.ndarray:
-    sl = tuple(slice(STENCIL_REACH, n - STENCIL_REACH) for n in f.shape)
+    """The stencil interior of ``f``; an axis of length 1 is a broadcast axis
+    and is kept whole (a grid has at least 9 points)."""
+    sl = tuple(slice(None) if n == 1 else slice(STENCIL_REACH, n - STENCIL_REACH)
+               for n in f.shape)
     return f[sl]
 
 
-def _mesh(grids) -> np.ndarray:
-    """The complex mesh, coordinate index first, filled axis by axis: no real
-    meshgrid copies, whose churn raised the peak RSS of a verify job."""
-    shape = tuple(g.n_points for g in grids)
-    mesh = np.empty((len(grids),) + shape, dtype=complex)
-    for axis, g in enumerate(grids):
-        mesh[axis] = g.points.reshape([-1 if a == axis else 1 for a in range(len(shape))])
-    return mesh
+def _mesh(grids) -> list:
+    """The open mesh: one array per axis holding that grid's points along its
+    own axis and length 1 along the others (the ``np.ix_`` shape), so that
+    the axes broadcast to the full mesh without it being built."""
+    dim = len(grids)
+    return [g.points.reshape([-1 if a == axis else 1 for a in range(dim)])
+            for axis, g in enumerate(grids)]
+
+
+def _signed_permutation(parity):
+    """(perm, signs) with (P x)_i = signs[i] * x[perm[i]]."""
+    mat = np.asarray(parity.matrix)
+    perm = np.argmax(np.abs(mat), axis=1)
+    signs = mat[np.arange(len(perm)), perm]
+    if (sorted(perm) != list(range(len(perm))) or not np.all(np.abs(signs) == 1)
+            or np.count_nonzero(mat) != len(perm)):
+        raise DomainError(f"parity {parity.name} is not a signed permutation")
+    return perm, signs
+
+
+def _index_map(grids, parity):
+    """How psi on the image P·mesh is read off psi on the mesh, or None.
+
+    When P maps the grids onto themselves (grid i equals grid perm[i], and a
+    flipped axis is centered on 0), the image of mesh point k is the mesh
+    point whose index along axis i is k[perm[i]], reversed where P flips;
+    the map is (flipped axes, axis order) for ``_on_image``."""
+    perm, signs = _signed_permutation(parity)
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        if grids[p] != grids[i] or (s < 0 and grids[i].center != 0):
+            return None
+    return tuple(np.flatnonzero(signs < 0)), tuple(np.argsort(perm))
+
+
+def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
+    """psi on the parity image of the mesh, as a view of ``psi``."""
+    flipped, order = index_map
+    return np.transpose(np.flip(psi, axis=flipped), order)
 
 
 def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
@@ -151,24 +187,54 @@ def _laplacian(psi: np.ndarray, grids) -> np.ndarray:
     return lap
 
 
+def _checked_plan(build, *args) -> model.Plan:
+    """``build(*args)``, a ``model.Plan``, refused when its prefactor is not
+    finite: an overflowing Gaussian would make psi NaN on the whole mesh."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = build(*args)
+    if not np.isfinite(plan.prefactor).all():
+        raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
+    return plan
+
+
 def image_plan(plan: model.Plan, grids, parity) -> model.Plan:
     """The eigenfunction plan of ``plan``'s job on the parity image P·mesh of
-    ``grids``, reusing its decoupling; a verify job builds one per parity
-    operator and shares it across its states."""
-    tilde = plan.system.coordinate_map.forward(
-        np.tensordot(np.asarray(parity.matrix, dtype=complex), _mesh(grids), axes=(1, 0)))
-    return model.Plan(plan.spec, plan.config, plan.system, tilde)
+    ``grids``, reusing its decoupling: P permutes and flips the open mesh."""
+    perm, signs = _signed_permutation(parity)
+    mesh = _mesh(grids)
+    tilde = plan.system.coordinate_map.forward([s * mesh[p] for p, s in zip(perm, signs)])
+    return _checked_plan(model.Plan, plan.spec, plan.config, plan.system, tilde)
+
+
+class ParityImage:
+    """psi on the image P·mesh of a job's mesh, for one parity operator P.
+
+    When P maps the grids onto themselves, psi there is psi on the mesh with
+    its axes reversed and permuted (a view); only otherwise is an
+    ``image_plan`` built, once, and shared by the job's states.
+    """
+
+    def __init__(self, plan: model.Plan, grids, parity):
+        self.parity = parity
+        self.index_map = _index_map(grids, parity)
+        self.plan = image_plan(plan, grids, parity) if self.index_map is None else None
+
+    def psi(self, state: Eigenstate, psi: np.ndarray) -> np.ndarray:
+        """psi of ``state`` on the image, given ``psi`` on the mesh."""
+        if self.plan is not None:
+            return self.plan.psi(state)
+        return _on_image(psi, self.index_map)
 
 
 class MeshPlan:
-    """A verify job compiled once for its mesh: the eigenfunction plan
+    """A verify job compiled once for its open mesh: the eigenfunction plan
     (``model.Plan``), V on the interior and the pole-guard mask, which is
-    built from the plan's scaled parameters. The mesh itself is not kept.
+    built from the plan's scaled parameters.
 
     Each state then costs one ``plan.psi``, which ``residual`` and the
-    parity-time fits share: a fit takes the state's ``pt_reference`` of psi
-    and psi on an ``image_plan``. Nothing here is modified after
-    construction, so threads may share a plan.
+    parity-time fits (through a ``ParityImage`` per operator) share.
+    Nothing here is modified after construction, so threads may share a
+    plan.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids,
@@ -177,9 +243,8 @@ class MeshPlan:
         if len(self.grids) != spec.dimension:
             raise ShapeError("one grid per axis required")
         mesh = _mesh(self.grids)
-        self.plan = model.plan(spec, config, mesh)
+        self.plan = _checked_plan(model.plan, spec, config, mesh)
         self.potential = _interior(self.plan.potential(mesh))
-        del mesh
         self.keep = ~_pole_mask(self.plan, pole_guard)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
@@ -283,15 +348,16 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     (broken symmetry or a parity the state does not respect).
     """
     grids = _grid_list(grids)
-    plan = model.plan(spec, config, _mesh(grids))
-    return pt_fit(pt_reference(plan.psi(state)),
-                  image_plan(plan, grids, parity).psi(state), fit_tolerance)
+    plan = _checked_plan(model.plan, spec, config, _mesh(grids))
+    psi = plan.psi(state)
+    image = ParityImage(plan, grids, parity)
+    return pt_fit(pt_reference(psi), image.psi(state, psi), fit_tolerance)
 
 
 def pt_reference(psi: np.ndarray):
     """What a parity-time fit keeps of psi on the mesh: the mask of points
     where |psi| exceeds 1e-8 of its maximum, psi there, and that maximum.
-    It is a small fraction of psi, so a job can hold one per state."""
+    The fits of one state under several operators share it."""
     magnitude = np.abs(psi)
     scale = np.max(magnitude)
     keep = magnitude > 1e-8 * scale

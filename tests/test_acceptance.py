@@ -5,6 +5,8 @@ lines and the measured values they certify.
 """
 import csv
 import io
+import itertools
+import json
 import time
 
 import numpy as np
@@ -226,6 +228,62 @@ def test_criterion_09_pt_sign_table():
     checked += 1
     _report(9, f"PT signs match the displayed rules in {checked} "
                "configurations for all n <= 3")
+
+
+# 3D frequencies and coupling magnitudes; each flavor below is tested when its
+# tilde frequencies are real and V is pointwise PT-invariant under each of
+# its parity operators
+_PT_3D = {"lq3d": ((1.0, 2.0, 1.5), {"lambda0": 0.5, "lam": 0.5}),
+          "q1_3d": ((1.4, 1.4, 1.0), {"lambda2": 0.2, "lambda3": 0.3}),
+          "q2_3d": ((1.0, 1.0, 2.0), {"lambda1": 0.5, "lam": 0.3})}
+
+
+def _pt_3d_jobs():
+    jobs = []
+    for case, (freqs, mags) in _PT_3D.items():
+        record = model.CASES[case]
+        free = [n for n in record.couplings if n not in record.real_couplings]
+        for k in range(len(free) + 1):
+            for imaginary in itertools.combinations(free, k):
+                couplings = {n: CouplingValue(mags[n], "imaginary" if n in imaginary
+                                              else "real") for n in record.couplings}
+                spec = OscillatorSpec(3, freqs, case, couplings)
+                ops = transform.pt_classification(spec)
+                if (ops and model.decouple(spec).is_real
+                        and all(verify.pt_pointwise_deviation(spec, op) == 0 for op in ops)):
+                    argv = ["verify", "--dim", "3", "--case", record.alias,
+                            "--omega", ",".join(map(repr, freqs))]
+                    for name, flag in zip(record.couplings, record.flags):
+                        argv += [f"--{flag}", f"{couplings[name].flavor}:{mags[name]!r}"]
+                    jobs.append(pytest.param(argv, [op.name for op in ops],
+                                             id=f"{case}-{'+'.join(imaginary) or 'real'}"))
+    return jobs
+
+
+@pytest.mark.parametrize("argv,names", _pt_3d_jobs())
+def test_pt_sign_table_3d(argv, names, capsys):
+    states = ["g,g,g", "0,g,1", "1,1,0"]
+    # m = 2 on the middle axis too leaves no point outside the pole guard of
+    # q2_3d with an imaginary coupling at 41 points per axis
+    argv = argv + ["--m", "2,0,2", "--points", "41"]
+    for st in states:
+        argv += ["--state", st]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    pt = json.loads(out)["pt_eigenvalues"]
+    assert sorted(pt) == sorted(names)
+    for name in names:
+        assert isinstance(pt[name], list) and len(pt[name]) == len(states)
+        for v in pt[name]:
+            s = complex(v["re"], v["im"])
+            assert min(abs(s - 1), abs(s + 1)) <= 1e-6
+
+
+def test_pt_sign_table_3d_covers_every_case():
+    ids = [job.id for job in _pt_3d_jobs()]
+    assert {i.split("-")[0] for i in ids} == set(_PT_3D)
+    assert len(ids) >= 8
 
 
 def test_criterion_10_grid_oracle():

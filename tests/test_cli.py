@@ -209,8 +209,9 @@ def test_threads_give_identical_reports(capsys, monkeypatch):
 
 
 def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
-    # four states and two parity operators: psi on the mesh once per state,
-    # then once per state on each image; the fits reuse the mesh psi
+    # four states and two parity operators that map the grids onto
+    # themselves: psi on the mesh once per state, and none on an image,
+    # which is read off the mesh psi by index reversal
     sizes = []
     psi = cli.model.Plan.psi
 
@@ -226,7 +227,7 @@ def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
                         "--points", "41"], capsys)
     assert code == 0
     assert sorted(json.loads(out)["pt_eigenvalues"]) == ["P1", "P2"]
-    assert sizes == [41 * 41] * 12
+    assert sizes == [41 * 41] * 4
 
 
 def test_threads_env_smoke(capsys, monkeypatch):
@@ -301,6 +302,19 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("validation error: ")
     assert message in err
+
+
+def test_overflowing_prefactor_exits_2_with_one_line(capsys):
+    # near the q1 exceptional point the coordinate map has entries of about
+    # 4e3 and the Gaussian overflows on the mesh
+    code, out, err = run(["verify", "--dim", "3", "--case", "q1", "--omega",
+                          "1.4142135623730951,1.4142135623730951,1", "--lambda2",
+                          "imaginary:0.3", "--lambda3", "imaginary:0.4", "--m", "2,2,2",
+                          "--points", "41"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+    assert "prefactor overflows" in err
 
 
 def test_missing_job_file_exits_1(tmp_path, capsys):

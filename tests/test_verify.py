@@ -65,9 +65,13 @@ def test_residual_respects_pole_guard():
 @pytest.mark.parametrize("n_points", [(9,), (11, 13), (9, 10, 12)])
 def test_mesh_equals_meshgrid(n_points):
     grids = [verify.Grid(0.5 - i, 2.0 + i, n) for i, n in enumerate(n_points)]
-    want = np.stack(np.meshgrid(*(g.points for g in grids), indexing="ij")).astype(complex)
-    got = verify._mesh(grids)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    want = np.meshgrid(*(g.points for g in grids), indexing="ij")
+    mesh = verify._mesh(grids)
+    assert [a.shape for a in mesh] == [a.shape for a in np.ix_(*(g.points for g in grids))]
+    got = np.broadcast_arrays(*mesh)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_mesh_plan_shared_by_threads():
@@ -97,6 +101,110 @@ def test_mesh_plan_shared_by_threads():
     assert got == want * 5
     for a, b in zip(before, arrays):
         np.testing.assert_array_equal(a, b)
+
+
+# Frequencies and coupling magnitudes per case, with a real spectrum under
+# every flavor the case names a parity operator for.
+_CASE_VALUES = {
+    "linear": ((2.0,), {"lambda0": 1.0}),
+    "quadratic2d": ((1.0, 3.0), {"lam": SQ7}),
+    "lq3d": ((1.0, 2.0, 1.5), {"lambda0": 0.5, "lam": 0.5}),
+    "q1_3d": ((1.4, 1.4, 1.0), {"lambda2": 0.2, "lambda3": 0.3}),
+    "q2_3d": ((1.0, 1.0, 2.0), {"lambda1": 0.5, "lam": 0.3}),
+}
+
+
+def _case_spec(case, imaginary):
+    freqs, mags = _CASE_VALUES[case]
+    couplings = {n: CouplingValue(mags[n], "imaginary" if n in imaginary else "real")
+                 for n in model.CASES[case].couplings}
+    return OscillatorSpec(len(freqs), freqs, case, couplings)
+
+
+# every case x flavor that names its parity operators
+_NAMED_PARITY_SPECS = [_case_spec(case, imaginary) for case in _CASE_VALUES
+                       for imaginary in model.CASES[case].parities]
+_POINTS = {1: 401, 2: 61, 3: 25}
+
+
+def _states(dim):
+    return [Eigenstate.ground(dim), Eigenstate((0,) * dim),
+            Eigenstate(tuple(None if a % 2 else 1 for a in range(dim)))]
+
+
+def _spec_id(spec):
+    return spec.case + "-" + ("+".join(spec.imaginary_couplings) or "real")
+
+
+def _fits_agree(spec, config, grids, op):
+    """The PT fit read off the mesh psi by index reversal against the fit on
+    an image plan, for a few states; the tolerance is lifted so that a broken
+    symmetry is compared too."""
+    plan = model.plan(spec, config, verify._mesh(grids))
+    index_map = verify._index_map(grids, op)
+    assert index_map is not None
+    image = verify.image_plan(plan, grids, op)
+    for state in _states(spec.dimension):
+        psi = plan.psi(state)
+        ref = verify.pt_reference(psi)
+        got = verify.pt_fit(ref, verify._on_image(psi, index_map), np.inf)
+        want = verify.pt_fit(ref, image.psi(state), np.inf)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("spec", _NAMED_PARITY_SPECS, ids=_spec_id)
+def test_index_map_fit_equals_image_plan_fit(spec):
+    grids = verify.suggest_grids(spec, n_points=_POINTS[spec.dimension])
+    config = REConfig((2,) * spec.dimension)
+    for op in transform.pt_classification(spec):
+        _fits_agree(spec, config, grids, op)
+
+
+def test_index_map_fit_equals_image_plan_fit_for_a_2d_swap():
+    # equal frequencies on one grid per axis, which the swaps map onto each other
+    spec = OscillatorSpec.quadratic_2d(1.0, 1.0, CouplingValue.real(0.6))
+    grids = verify.suggest_grids(spec, n_points=61)[:1] * 2
+    for op in transform.parity_operators(2)[2:]:
+        _fits_agree(spec, REConfig((2, 2)), grids, op)
+
+
+def test_index_map_needs_grids_mapped_onto_themselves():
+    grids = [verify.Grid(0.0, 5.0, 21), verify.Grid(0.0, 6.0, 21)]
+    p1, _, swap, _ = transform.parity_operators(2)
+    assert verify._index_map(grids, p1) is not None
+    assert verify._index_map(grids, swap) is None
+    shifted = [verify.Grid(0.5, 5.0, 21), grids[1]]
+    assert verify._index_map(shifted, p1) is None
+
+
+def test_on_image_reads_a_function_at_the_parity_image():
+    # a signed 3-cycle: (P x) = (-x2, x0, x1), on one grid centered on 0
+    grids = [verify.Grid(0.0, 2.0, 9)] * 3
+    op = transform.ParityOperator(np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0]]))
+    x = np.broadcast_arrays(*verify._mesh(grids))
+    f = x[0] + 10 * x[1] + 100 * x[2]
+    want = -x[2] + 10 * x[0] + 100 * x[1]
+    got = verify._on_image(f, verify._index_map(grids, op))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", _NAMED_PARITY_SPECS, ids=_spec_id)
+def test_open_mesh_plan_equals_stacked_mesh_plan(spec):
+    grids = verify.suggest_grids(spec, n_points=_POINTS[spec.dimension])
+    config = REConfig((2,) * spec.dimension)
+    mesh = verify._mesh(grids)
+    stacked = np.stack(np.broadcast_arrays(*mesh)).astype(complex)
+    open_plan = model.plan(spec, config, mesh)
+    stacked_plan = model.plan(spec, config, stacked)
+    for state in _states(spec.dimension):
+        want = stacked_plan.psi(state)
+        got = open_plan.psi(state)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = stacked_plan.potential(stacked)
+    got = open_plan.potential(mesh)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------------ Rayleigh
