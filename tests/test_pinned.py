@@ -1,12 +1,17 @@
-"""Pinned behaviour: CLI output, parity assignments and co-dimension rules.
+"""Pinned behaviour: CLI output, 1D residuals, parity assignments and
+co-dimension rules.
 
 ``tests/golden/cli.json`` holds the stdout, stderr and exit code of every
 invocation in ``INVOCATIONS``. ``transform``, ``degeneracy``, ``spectrum``,
 ``table`` and ``plotdata`` must match byte for byte; ``verify`` reports
 must match in structure, with every real number within 1e-12 relative and
 every complex number ({"re", "im"}) within 1e-12 of its modulus.
+``tests/golden/residuals_1d.json`` holds the exact ``repr`` of
+(max_residual, fitted_offset) of the 32 1D residual scans of acceptance
+criterion 5; at spacing 1e-3 they are rounding-dominated, so any reordering
+of the residual arithmetic shows there.
 
-Regenerate the golden file only for an intended output change:
+Regenerate the golden files only for an intended output change:
 
     PYTHONPATH=src python tests/test_pinned.py
 """
@@ -19,12 +24,13 @@ import pathlib
 
 import pytest
 
-from rexosc import cli, model, transform
+from rexosc import cli, model, transform, verify
 from rexosc.errors import DomainError
-from rexosc.model import OscillatorSpec
+from rexosc.model import Eigenstate, OscillatorSpec, REConfig
 from rexosc.transform import CouplingValue
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+RESIDUALS = pathlib.Path(__file__).parent / "golden" / "residuals_1d.json"
 SQ2 = repr(math.sqrt(2))
 SQ7 = repr(math.sqrt(7))
 
@@ -148,6 +154,32 @@ def test_cli_output_pinned(argv):
         assert got["stdout"] == want["stdout"]
 
 
+# ------------------------------------------------------------ 1D residuals
+
+def residual_suite() -> dict:
+    """label -> [repr(max_residual), repr(fitted_offset)] of the 32 residual
+    scans of acceptance criterion 5 (omega 2, spacing 1e-3)."""
+    out = {}
+    for name, l0 in (("osc", None), ("real", CouplingValue.real(1.0)),
+                     ("imag", CouplingValue.imaginary(1.0))):
+        spec = (OscillatorSpec.linear_1d(2.0, l0) if l0 is not None
+                else OscillatorSpec.oscillator(2.0))
+        grids = verify.suggest_grids(spec, spacing=1e-3)
+        for m in (0, 1, 2, 3):
+            if m % 2 == 1 and name != "imag":
+                continue
+            for lv in (None, 0, 1, 2):
+                res, off = verify.residual_scan(spec, REConfig((m,)), Eigenstate((lv,)), grids)
+                out[f"{name}.m{m}.{'g' if lv is None else lv}"] = [repr(res), repr(off)]
+    return out
+
+
+def test_residuals_1d_pinned():
+    want = json.loads(RESIDUALS.read_text())
+    assert len(want) == 32
+    assert residual_suite() == want
+
+
 # ------------------------------------------- parity and co-dimension tables
 
 _REAL, _IMAG = 0.4, 0.3
@@ -221,3 +253,4 @@ def test_unperturbed_parities_and_codimensions_pinned(freqs, want):
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run_cli(a) for a in INVOCATIONS], indent=1) + "\n")
+    RESIDUALS.write_text(json.dumps(residual_suite(), indent=1) + "\n")

@@ -1,11 +1,12 @@
 """Residuals, Rayleigh quotients, PT measurement, Gram, poles, grid oracle."""
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from rexosc import model, transform, verify
+from rexosc import _kernels, model, transform, verify
 from rexosc.errors import DomainError, IndeterminateError, SingularityError
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
 from rexosc.transform import CouplingValue
@@ -205,6 +206,88 @@ def test_open_mesh_plan_equals_stacked_mesh_plan(spec):
     got = open_plan.potential(mesh)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# The residual as first written: complex stencil passes over the whole mesh,
+# V on the whole mesh, boolean gathers and three IRLS passes. MeshPlan must
+# reproduce it bit for bit.
+
+def _unblocked_profile(f, spacing, axis):
+    n = f.shape[axis]
+    window = [slice(None)] * f.ndim
+    out = term = None
+    for j, c in enumerate(_kernels.STENCIL8):
+        window[axis] = slice(j, n - 8 + j)
+        if out is None:
+            out = c * f[tuple(window)]
+        else:
+            term = np.multiply(c, f[tuple(window)], out=term)
+            out += term
+    out /= spacing**2
+    return out
+
+
+def _unblocked_laplacian(psi, grids):
+    lap = None
+    for axis, grid in enumerate(grids):
+        d2 = _unblocked_profile(psi, grid.spacing, axis)
+        sl = tuple(slice(None) if a == axis else slice(4, psi.shape[a] - 4)
+                   for a in range(psi.ndim))
+        if lap is None:
+            lap = d2[sl]
+        else:
+            lap += d2[sl]
+    return lap
+
+
+def _unblocked_residual(job, state, psi):
+    potential = verify._interior(job.plan.potential(verify._mesh(job.grids)))
+    r = potential * verify._interior(psi)
+    r -= _unblocked_laplacian(psi, job.grids)
+    pk = verify._interior(psi)[job.keep]
+    rk = r[job.keep]
+    sys = job.plan.system
+    e_rel = model.relative_energy(job.plan.config, state, sys)
+    weights = np.ones(pk.shape[0])
+    for _ in range(3):
+        num = np.sum(weights * np.conj(pk) * (rk - e_rel * pk))
+        den = np.sum(weights * np.abs(pk) ** 2)
+        c = num / den
+        err = np.abs(rk - (e_rel + c) * pk)
+        weights = err + 1e-30
+    wmax = max(complex(w).real for w in sys.tilde_frequencies)
+    scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
+    return float(np.max(err) / scale), complex(c)
+
+
+def _every_flavor():
+    specs = []
+    for case in _CASE_VALUES:
+        names = model.CASES[case].couplings
+        for k in range(len(names) + 1):
+            for imaginary in itertools.combinations(names, k):
+                try:
+                    specs.append(_case_spec(case, imaginary))
+                except DomainError:
+                    pass  # q2 takes no imaginary lambda1
+    return specs
+
+
+@pytest.mark.parametrize("spec", _every_flavor(), ids=_spec_id)
+def test_residual_equals_the_unblocked_loop_bitwise(spec):
+    # m=2 masks the points near real denominator zeros (in every flavor with
+    # an imaginary coupling, q1_3d's included); m=0 keeps every point
+    points = {1: 201, 2: 41, 3: 49}[spec.dimension]
+    grids = verify.suggest_grids(spec, n_points=points)
+    for m in (0, 2):
+        job = verify.MeshPlan(spec, REConfig((m,) * spec.dimension), grids)
+        assert job.keep.any()
+        assert job.keep.all() == (m == 0 or not spec.imaginary_couplings)
+        for state in _states(spec.dimension):
+            psi = job.plan.psi(state)
+            got = job.residual(state, psi)
+            want = _unblocked_residual(job, state, psi)
+            assert repr(got) == repr(want)
 
 
 # ------------------------------------------------------------------ Rayleigh
