@@ -1,6 +1,6 @@
-"""Hot numerical kernels, in NumPy: the 8th-order stencil, Simpson
-quadrature, Horner evaluation and a multisection Sturm eigensolver for
-symmetric tridiagonal matrices.
+"""Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
+Laplacian built on it, Simpson quadrature, Horner evaluation and a
+multisection Sturm eigensolver for symmetric tridiagonal matrices.
 """
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 
 __all__ = [
     "horner",
+    "laplacian",
     "second_derivative_profile",
     "simpson",
     "tridiagonal_smallest",
@@ -20,24 +21,96 @@ STENCIL8 = np.array(
 )
 
 
+# Input bytes per slab of ``laplacian``: a few axis-0 planes of a 3D mesh, so
+# that the 9 shifted reads of each plane and the slab's buffers stay in cache.
+_SLAB_BYTES = 2**19
+
+
+def _real_view(f: np.ndarray) -> np.ndarray:
+    """A complex128 array as float64 with a trailing (re, im) axis, for any
+    strides of ``f``."""
+    return np.lib.stride_tricks.as_strided(f.real, f.shape + (2,), f.strides + (8,))
+
+
+def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
+             term: np.ndarray, complex_view: bool) -> None:
+    """The 9-tap loop: f'' along ``axis`` of the real array ``f`` into
+    ``out``, with ``term`` as scratch (both of the trimmed shape)."""
+    n = f.shape[axis]
+    window = [slice(None)] * f.ndim
+    for j, c in enumerate(STENCIL8):
+        window[axis] = slice(j, n - 8 + j)
+        if j == 0:
+            np.multiply(c, f[tuple(window)], out=out)
+        else:
+            np.multiply(c, f[tuple(window)], out=term)
+            out += term
+    if complex_view:
+        # numpy divides a complex number by a real one as a product with the
+        # reciprocal, so the (re, im) view is scaled the same way
+        out *= 1.0 / spacing**2
+    else:
+        out /= spacing**2
+
+
+def _as_real(f: np.ndarray):
+    """(f or its real view, whether f is complex), complex as complex128."""
+    if np.iscomplexobj(f):
+        return _real_view(f.astype(complex, copy=False)), True
+    return f, False
+
+
 def second_derivative_profile(samples: np.ndarray, spacing: float,
                               axis: int = 0) -> np.ndarray:
     """Second derivative along ``axis`` at all interior points of that axis
-    (4 trimmed per side; the other axes keep their length)."""
+    (4 trimmed per side; the other axes keep their length). Complex samples
+    run the stencil on their real view."""
     f = np.asarray(samples)
-    n = f.shape[axis]
-    if n < 9:
+    axis = range(f.ndim)[axis]
+    if f.shape[axis] < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    window = [slice(None)] * f.ndim
-    out = term = None
-    for j, c in enumerate(STENCIL8):
-        window[axis] = slice(j, n - 8 + j)
-        if out is None:
-            out = c * f[tuple(window)]
-        else:
-            term = np.multiply(c, f[tuple(window)], out=term)
-            out += term
-    out /= spacing**2
+    src, complex_view = _as_real(f)
+    shape = list(f.shape)
+    shape[axis] -= 8
+    out = np.empty(shape, complex if complex_view else np.result_type(f, float))
+    dst = _real_view(out) if complex_view else out
+    _stencil(src, spacing, axis, dst, np.empty_like(dst), complex_view)
+    return out
+
+
+def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
+    """Sum over the axes of ``second_derivative_profile`` on the common
+    interior (4 trimmed per side of every axis), bit for bit.
+
+    The sum is built slab by slab along axis 0, each slab about
+    ``_SLAB_BYTES`` of input; every axis's stencil reads only the interior
+    of the other axes.
+    """
+    f = np.asarray(samples)
+    if len(spacings) != f.ndim:
+        raise ValueError("one spacing per axis required")
+    if min(f.shape) < 9:
+        raise ValueError("need at least 9 samples for the 8th-order stencil")
+    src, complex_view = _as_real(f)
+    out = np.empty([n - 8 for n in f.shape],
+                   complex if complex_view else np.result_type(f, float))
+    dst = _real_view(out) if complex_view else out
+    interior = [slice(4, n - 4) for n in f.shape]
+    rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
+    profile = np.empty((rows,) + dst.shape[1:])
+    term = np.empty_like(profile)
+    for start in range(0, out.shape[0], rows):
+        stop = min(start + rows, out.shape[0])
+        block = dst[start:stop]
+        k = stop - start
+        _stencil(src[(slice(start, stop + 8), *interior[1:])], spacings[0], 0,
+                 block, term[:k], complex_view)
+        for axis in range(1, f.ndim):
+            window = [slice(start + 4, stop + 4), *interior[1:]]
+            window[axis] = slice(None)
+            _stencil(src[tuple(window)], spacings[axis], axis, profile[:k], term[:k],
+                     complex_view)
+            block += profile[:k]
     return out
 
 

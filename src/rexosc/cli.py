@@ -343,9 +343,8 @@ def cmd_verify(args) -> int:
     workers = _threads()
     model.validate_config(spec, config)
     grids = _job_grids(job)
-    report = verify.VerificationReport()
-    report.pole_list = [{"axis": p.axis, "coordinate": p.coordinate}
-                        for p in verify.pole_scan(spec, config)]
+    poles = [{"axis": p.axis, "coordinate": p.coordinate}
+             for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
     images = [verify.ParityImage(job_plan.plan, job_plan.grids, op)
               for op in transform.pt_classification(spec)]
@@ -370,30 +369,27 @@ def cmd_verify(args) -> int:
         each_state = pool.map if workers > 1 and len(states) > 1 else map
         results, fits = zip(*each_state(check, states))
     offsets = [off for _, off in results]
-    report.max_residual = max(res for res, _ in results)
-    report.fitted_offset = offsets[0]
     spread = max(abs(a - offsets[0]) for a in offsets)
-    report.notes.append(f"offset spread across states: {spread:.3e}")
     pt_values = {}
     for image, vals in zip(images, zip(*fits)):
         failed = [v for v in vals if isinstance(v, IndeterminateError)]
         pt_values[image.parity.name] = (str(failed[0]) if failed else
                                         [_complex_dict(v) for v in vals])
-    report.pt_eigenvalue = pt_values
     real = job_plan.plan.system.is_real
     del job_plan, images
 
+    gram = None
     if spec.is_hermitian and real:
-        gram = verify.orthogonality_gram(spec, config, job.states)
-        report.gram = [[_complex_dict(z) for z in row] for row in gram]
+        gram = [[_complex_dict(z) for z in row]
+                for row in verify.orthogonality_gram(spec, config, job.states)]
 
     out = {
-        "max_residual": report.max_residual,
-        "fitted_offset": _complex_dict(report.fitted_offset),
-        "poles": report.pole_list,
-        "pt_eigenvalues": report.pt_eigenvalue,
-        "gram": report.gram,
-        "notes": report.notes,
+        "max_residual": max(res for res, _ in results),
+        "fitted_offset": _complex_dict(offsets[0]),
+        "poles": poles,
+        "pt_eigenvalues": pt_values,
+        "gram": gram,
+        "notes": [f"offset spread across states: {spread:.3e}"],
         "states": [st.label() for st in job.states],
     }
     _emit(args, json.dumps(out, sort_keys=True, indent=2) + "\n")

@@ -17,11 +17,11 @@ off the mesh psi by reversing and permuting axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, numerics, poly
+from . import _kernels, model, numerics, poly
 from .errors import (
     DomainError,
     IndeterminateError,
@@ -48,25 +48,7 @@ class PoleHit:
     coordinate: float
 
 
-@dataclass
-class VerificationReport:
-    """Aggregated verification output for one (spec, config, state)."""
-
-    max_residual: float = float("nan")
-    fitted_offset: complex = complex("nan")
-    pole_list: list = field(default_factory=list)
-    pt_eigenvalue: object = None
-    gram: object = None
-    notes: list = field(default_factory=list)
-
-
 # -------------------------------------------------------------- grid helpers
-
-def decay_quadratic_form(spec: OscillatorSpec) -> np.ndarray:
-    """Diagonal of the real quadratic form governing |psi|^2 decay in the
-    original coordinates (reduces to the tilde frequency on a plain axis)."""
-    return _decay_diagonal(model.decouple(spec))
-
 
 def _decay_diagonal(sys) -> np.ndarray:
     lin = sys.coordinate_map.linear
@@ -171,22 +153,6 @@ def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
     return bad
 
 
-def _laplacian(psi: np.ndarray, grids) -> np.ndarray:
-    """The stencil Laplacian of ``psi`` on the interior of the mesh."""
-    lap = None
-    for axis, grid in enumerate(grids):
-        d2 = numerics.second_derivative_profile(psi, grid.spacing, axis)
-        # trim the remaining axes to the common interior
-        sl = tuple(slice(None) if a == axis else
-                   slice(STENCIL_REACH, psi.shape[a] - STENCIL_REACH)
-                   for a in range(psi.ndim))
-        if lap is None:
-            lap = d2[sl]
-        else:
-            lap += d2[sl]
-    return lap
-
-
 def _checked_plan(build, *args) -> model.Plan:
     """``build(*args)``, a ``model.Plan``, refused when its prefactor is not
     finite: an overflowing Gaussian would make psi NaN on the whole mesh."""
@@ -244,7 +210,11 @@ class MeshPlan:
             raise ShapeError("one grid per axis required")
         mesh = _mesh(self.grids)
         self.plan = _checked_plan(model.plan, spec, config, mesh)
-        self.potential = _interior(self.plan.potential(mesh))
+        # V on the interior only: the same per-point arithmetic as V on the
+        # mesh, trimmed, without building it on the mesh
+        self.potential = model._potential(
+            spec, config, [_interior(x) for x in mesh], self.plan.system.tilde_frequencies,
+            [_interior(u) for u in self.plan.scaled])
         self.keep = ~_pole_mask(self.plan, pole_guard)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
@@ -252,21 +222,38 @@ class MeshPlan:
         the mesh is ``psi``; see ``residual_scan``."""
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
-        r = self.potential * _interior(psi)
-        r -= _laplacian(psi, self.grids)
-        pk = _interior(psi)[self.keep]
-        rk = r[self.keep]
+        r = _kernels.laplacian(psi, [g.spacing for g in self.grids])
+        r = np.subtract(self.potential * _interior(psi), r, out=r)
+        if self.keep.all():
+            pk = _interior(psi).reshape(-1)
+            rk = r.reshape(-1)
+        else:
+            pk = _interior(psi)[self.keep]
+            rk = r[self.keep]
         del r  # only the kept points are needed from here on
         sys = self.plan.system
         e_rel = model.relative_energy(self.plan.config, state, sys)
 
+        # three reweighted least-squares passes; every product keeps its
+        # operand order, so c and the residual round as written out per pass:
+        # num = sum(w * conj(pk) * (rk - e_rel * pk)), den = sum(w * |pk|**2),
+        # err = |rk - (e_rel + c) * pk|, w = err + 1e-30
+        d = rk - e_rel * pk
+        a = np.abs(pk)
+        a **= 2
+        buf = np.empty_like(pk)
         weights = np.ones(pk.shape[0])
-        for _ in range(3):
-            num = np.sum(weights * np.conj(pk) * (rk - e_rel * pk))
-            den = np.sum(weights * np.abs(pk) ** 2)
+        err = np.empty(pk.shape[0])
+        for last in (False, False, True):
+            np.conj(pk, out=buf)
+            np.multiply(weights, buf, out=buf)
+            num = np.sum(np.multiply(buf, d, out=buf))
+            den = np.sum(weights * a)
             c = num / den
-            err = np.abs(rk - (e_rel + c) * pk)
-            weights = err + 1e-30
+            np.multiply(e_rel + c, pk, out=buf)
+            np.abs(np.subtract(rk, buf, out=buf), out=err)
+            if not last:
+                np.add(err, 1e-30, out=weights)
         wmax = max(complex(w).real for w in sys.tilde_frequencies)
         scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
         return float(np.max(err) / scale), complex(c)

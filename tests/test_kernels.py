@@ -1,4 +1,4 @@
-"""NumPy kernels: quadrature, stencil, Horner, and the multisection
+"""NumPy kernels: quadrature, stencil, slab Laplacian, Horner, and the multisection
 eigensolver against dense ``eigvalsh`` on adversarial matrices."""
 import numpy as np
 import pytest
@@ -49,6 +49,48 @@ def test_in_place_kernels_equal_their_out_of_place_loops():
                 ref = term if ref is None else ref + term
             np.testing.assert_array_equal(
                 _kernels.second_derivative_profile(z, 0.3, axis), ref / 0.3**2)
+
+
+def _profile_sum(f, spacings):
+    """The Laplacian as per-axis profiles trimmed to the common interior."""
+    lap = None
+    for axis, h in enumerate(spacings):
+        d2 = _kernels.second_derivative_profile(f, h, axis)
+        trim = tuple(slice(None) if a == axis else slice(4, n - 4)
+                     for a, n in enumerate(f.shape))
+        lap = d2[trim] if lap is None else lap + d2[trim]
+    return lap
+
+
+@pytest.mark.parametrize("shape", [(41,), (23, 17), (19, 12, 14)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("slab_rows", [1, 4, None])
+def test_laplacian_equals_the_sum_of_axis_profiles_bitwise(monkeypatch, shape, dtype,
+                                                           slab_rows):
+    # slabs of 4 rows leave a partial last slab on every interior length here
+    rng = np.random.default_rng(sum(shape))
+    f = rng.normal(size=shape)
+    if dtype is complex:
+        f = f + 1j * rng.normal(size=shape)
+    if slab_rows is not None:
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_rows * f[0].nbytes)
+    spacings = [0.1 * (a + 1) for a in range(f.ndim)]
+    got = _kernels.laplacian(f, spacings)
+    want = _profile_sum(f, spacings)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a non-contiguous view: reversed and transposed
+    g = np.flip(f, axis=0).T
+    assert not g.flags.c_contiguous
+    assert _kernels.laplacian(g, spacings[::-1]).tobytes() == \
+        _profile_sum(np.ascontiguousarray(g), spacings[::-1]).tobytes()
+
+
+def test_laplacian_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        _kernels.laplacian(np.zeros((9, 9)), [0.1])
+    with pytest.raises(ValueError):
+        _kernels.laplacian(np.zeros((9, 8)), [0.1, 0.1])
 
 
 def test_eigenvalues_match_dense():
