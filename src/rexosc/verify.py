@@ -60,11 +60,19 @@ def _decay_diagonal(sys) -> np.ndarray:
 def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
                   spacing: float | None = None) -> list:
     """Per-axis grids covering the eigenfunction support (tails < 1e-30 in
-    probability), centered on the real part of any coordinate shift."""
+    probability), centered on the real part of any coordinate shift. Axes
+    whose decay values agree within 1e-12 relative get equal half-widths."""
     if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
         raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
     sys = model.decouple(spec)
     q = _decay_diagonal(sys)
+    # decay values equal but for rounding take the first such axis's value,
+    # so that those axes get equal grids
+    for i in range(len(q)):
+        for j in range(i):
+            if abs(q[i] - q[j]) <= 1e-12 * abs(q[j]):
+                q[i] = q[j]
+                break
     grids = []
     for i in range(spec.dimension):
         hw = 12.0 / np.sqrt(q[i])

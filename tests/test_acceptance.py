@@ -322,7 +322,7 @@ def test_plotdata_schema_and_parity(tmp_path, capsys):
                      "--points", "301", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == ["x", "y", "re_V", "im_V", "re_psi", "im_psi"]
     data = np.array([[float(v) for v in r] for r in rows[1:]])
     np.testing.assert_allclose(data[:, 3], -data[::-1, 3], atol=1e-9)

@@ -100,7 +100,7 @@ def test_plotdata_schema_and_symmetry(tmp_path, capsys):
                       "--linear", "imaginary:1", "--m", "2", "--state", "g",
                       "--points", "201", "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.reader(out_path.open()))
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
     assert rows[0] == ["x", "y", "re_V", "im_V", "re_psi", "im_psi"]
     data = np.array([[float(v) for v in r] for r in rows[1:]])
     xs, im_v, re_v = data[:, 0], data[:, 3], data[:, 2]
@@ -125,7 +125,7 @@ def test_plotdata_2d_runs(tmp_path, capsys):
                       "--m", "2,2", "--state", "g,g", "--points", "41",
                       "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.reader(out_path.open()))
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
     assert len(rows) == 1 + 41 * 41
 
 

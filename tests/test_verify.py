@@ -162,11 +162,29 @@ def test_index_map_fit_equals_image_plan_fit(spec):
 
 
 def test_index_map_fit_equals_image_plan_fit_for_a_2d_swap():
-    # equal frequencies on one grid per axis, which the swaps map onto each other
+    # equal frequencies: the suggested grids are equal, so the swaps map them
+    # onto each other
     spec = OscillatorSpec.quadratic_2d(1.0, 1.0, CouplingValue.real(0.6))
-    grids = verify.suggest_grids(spec, n_points=61)[:1] * 2
+    grids = verify.suggest_grids(spec, n_points=61)
     for op in transform.parity_operators(2)[2:]:
         _fits_agree(spec, REConfig((2, 2)), grids, op)
+
+
+def test_equal_decay_values_give_equal_grids():
+    # their decay values differ in the last bit (12.320281152964093 against
+    # 12.32028115296409 as half-widths before they were snapped)
+    spec = OscillatorSpec.quadratic_2d(1.0, 1.0, CouplingValue.real(0.6))
+    q = verify._decay_diagonal(model.decouple(spec))
+    assert q[0] != q[1] and abs(q[0] - q[1]) <= 1e-12 * q[0]
+    grids = verify.suggest_grids(spec, n_points=61)
+    assert grids[0] == grids[1]
+    job = verify.MeshPlan(spec, REConfig((2, 2)), grids)
+    for op in transform.parity_operators(2)[2:]:
+        assert verify.ParityImage(job.plan, grids, op).plan is None
+    # equal frequencies alone do not snap: q1_3d's x and y decay differently
+    spec = _case_spec("q1_3d", ())
+    half_widths = [g.half_width for g in verify.suggest_grids(spec, n_points=41)]
+    assert abs(half_widths[0] - half_widths[1]) > 1e-3
 
 
 def test_index_map_needs_grids_mapped_onto_themselves():
