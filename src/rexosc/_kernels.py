@@ -53,11 +53,15 @@ def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
         out /= spacing**2
 
 
-def _as_real(f: np.ndarray):
-    """(f or its real view, whether f is complex), complex as complex128."""
+def _operands(f: np.ndarray, shape):
+    """What the stencil reads and writes: (input, output array of ``shape``,
+    the output as written, whether complex). Complex arrays are read and
+    written through their float64 (re, im) view."""
     if np.iscomplexobj(f):
-        return _real_view(f.astype(complex, copy=False)), True
-    return f, False
+        out = np.empty(shape, complex)
+        return _real_view(f.astype(complex, copy=False)), out, _real_view(out), True
+    out = np.empty(shape, np.result_type(f, float))
+    return f, out, out, False
 
 
 def second_derivative_profile(samples: np.ndarray, spacing: float,
@@ -69,11 +73,9 @@ def second_derivative_profile(samples: np.ndarray, spacing: float,
     axis = range(f.ndim)[axis]
     if f.shape[axis] < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    src, complex_view = _as_real(f)
     shape = list(f.shape)
     shape[axis] -= 8
-    out = np.empty(shape, complex if complex_view else np.result_type(f, float))
-    dst = _real_view(out) if complex_view else out
+    src, out, dst, complex_view = _operands(f, shape)
     _stencil(src, spacing, axis, dst, np.empty_like(dst), complex_view)
     return out
 
@@ -91,10 +93,7 @@ def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
         raise ValueError("one spacing per axis required")
     if min(f.shape) < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    src, complex_view = _as_real(f)
-    out = np.empty([n - 8 for n in f.shape],
-                   complex if complex_view else np.result_type(f, float))
-    dst = _real_view(out) if complex_view else out
+    src, out, dst, complex_view = _operands(f, [n - 8 for n in f.shape])
     interior = [slice(4, n - 4) for n in f.shape]
     rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
     profile = np.empty((rows,) + dst.shape[1:])

@@ -94,7 +94,8 @@ def second_derivative(samples, grid: Grid, index: int) -> complex:
 
 
 def second_derivative_profile(samples, spacing: float, axis: int = 0) -> np.ndarray:
-    """f'' along ``axis`` on its interior (4 points trimmed per side)."""
+    """f'' along ``axis`` on its interior (4 points trimmed per side), as
+    complex values; the stencil runs on their float64 (re, im) view."""
     return _kernels.second_derivative_profile(
         np.ascontiguousarray(samples, dtype=complex), float(spacing), axis)
 

@@ -9,8 +9,9 @@ off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
 A verify job compiles its state-independent work once into a ``MeshPlan``
-(the eigenfunction plan, V and the pole mask on its open mesh); the residual
-scan and the parity-time fits share each state's eigenfunction on it. A
+(the eigenfunction plan on its open mesh, V and the pole mask on the stencil
+interior); the residual scan and the parity-time fits share each state's
+eigenfunction on it. A
 parity operator that maps the grids onto themselves reads psi on its image
 off the mesh psi by reversing and permuting axes.
 """
@@ -34,7 +35,7 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at about 140-170 B per point while
+# Largest mesh the CLI builds: 161^3 fits, at about 120-160 B per point while
 # a 3D verify job with two states runs (peak RSS above the interpreter's).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
@@ -256,14 +257,14 @@ class MeshPlan:
             np.conj(pk, out=buf)
             np.multiply(weights, buf, out=buf)
             num = np.sum(np.multiply(buf, d, out=buf))
-            den = np.sum(weights * a)
+            den = np.sum(np.multiply(weights, a, out=err))
             c = num / den
             np.multiply(e_rel + c, pk, out=buf)
             np.abs(np.subtract(rk, buf, out=buf), out=err)
             if not last:
                 np.add(err, 1e-30, out=weights)
         wmax = max(complex(w).real for w in sys.tilde_frequencies)
-        scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
+        scale = np.max(np.abs(pk, out=a)) * (abs(e_rel) + wmax)
         return float(np.max(err) / scale), complex(c)
 
 
