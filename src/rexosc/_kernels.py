@@ -35,7 +35,7 @@ def _real_view(f: np.ndarray) -> np.ndarray:
 def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
              term: np.ndarray, complex_view: bool) -> None:
     """The 9-tap loop: f'' along ``axis`` of the real array ``f`` into
-    ``out``, with ``term`` as scratch (both of the trimmed shape)."""
+    ``out``, with ``term`` as a work buffer (both of the trimmed shape)."""
     n = f.shape[axis]
     window = [slice(None)] * f.ndim
     for j, c in enumerate(STENCIL8):
