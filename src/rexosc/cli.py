@@ -190,7 +190,7 @@ def _ratio_string(freqs) -> str | None:
 
 def cmd_transform(args) -> int:
     spec = _build_spec(args)
-    sys_ = model.decouple(spec)
+    sys_ = spec.system
     out = {
         "case": spec.case,
         "tilde_frequencies": [_complex_dict(w) for w in sys_.tilde_frequencies],
@@ -375,11 +375,10 @@ def cmd_verify(args) -> int:
         failed = [v for v in vals if isinstance(v, IndeterminateError)]
         pt_values[image.parity.name] = (str(failed[0]) if failed else
                                         [_complex_dict(v) for v in vals])
-    real = job_plan.plan.system.is_real
     del job_plan, images
 
     gram = None
-    if spec.is_hermitian and real:
+    if spec.is_hermitian and spec.system.is_real:
         gram = [[_complex_dict(z) for z in row]
                 for row in verify.orthogonality_gram(spec, config, job.states)]
 

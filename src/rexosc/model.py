@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -201,6 +202,12 @@ class OscillatorSpec:
     def is_hermitian(self) -> bool:
         return not self.imaginary_couplings
 
+    @cached_property
+    def system(self) -> DecoupledSystem:
+        """Coordinate map and tilde frequencies, computed on first access and
+        kept for everything built from this spec; a degenerate map raises."""
+        return CASES[self.case].decouple(self.frequencies, self.couplings)
+
 
 @dataclass(frozen=True)
 class REConfig:
@@ -255,7 +262,7 @@ class SpectrumTable:
 
 def decouple(spec: OscillatorSpec) -> DecoupledSystem:
     """Coordinate map and tilde frequencies for any supported spec."""
-    return CASES[spec.case].decouple(spec.frequencies, spec.couplings)
+    return spec.system
 
 
 def base_potential(spec: OscillatorSpec, point):
@@ -346,9 +353,8 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     singular configuration can still be sampled off its poles.
     """
     _check_axes(spec, config, validate)
-    sys = decouple(spec)
-    t = sys.coordinate_map.forward(point)
-    freqs = sys.tilde_frequencies
+    t = spec.system.coordinate_map.forward(point)
+    freqs = spec.system.tilde_frequencies
     return _potential(spec, config, point, freqs,
                       [np.sqrt(complex(w) / 2) * ti for w, ti in zip(freqs, t)])
 
@@ -392,23 +398,23 @@ class Plan:
     """The state-independent part of the closed-form eigenfunctions at a
     fixed set of points; ``plan(spec, config, points)`` builds one.
 
-    The constructor takes the tilde coordinates of the points, one array per
-    axis, and keeps the scaled parameters u_i = sqrt(omega_i/2)*t_i, written
-    over ``tilde`` in place, and the prefactor prod_i gauss_i/h_i. On an open
-    mesh each t_i, and so u_i, gauss_i/h_i, the numerators and the rational
-    terms, lives on the sub-mesh of the grid axes it depends on; only the
-    prefactor, psi and V take the full shape. ``psi(state)`` then only
-    multiplies the prefactor by the ground phases and the numerators of the
-    excited axes; ``potential(points)`` reuses the u_i for the rational
-    terms. A built plan is never modified, so threads may share it.
+    The constructor takes the tilde coordinates of the points under the
+    spec's decoupling ``spec.system``, one array per axis, and keeps the
+    scaled parameters u_i = sqrt(omega_i/2)*t_i, written over ``tilde`` in
+    place, and the prefactor prod_i gauss_i/h_i. On an open mesh each t_i,
+    and so u_i, gauss_i/h_i, the numerators and the rational terms, lives on
+    the sub-mesh of the grid axes it depends on; only the prefactor, psi and
+    V take the full shape. ``psi(state)`` then only multiplies the prefactor
+    by the ground phases and the numerators of the excited axes;
+    ``potential(points)`` reuses the u_i for the rational terms. A built
+    plan is never modified, so threads may share it.
     """
 
-    def __init__(self, spec: OscillatorSpec, config: REConfig,
-                 system: DecoupledSystem, tilde: np.ndarray):
-        self.spec, self.config, self.system = spec, config, system
+    def __init__(self, spec: OscillatorSpec, config: REConfig, tilde: np.ndarray):
+        self.spec, self.config = spec, config
         self.scaled = []
         self.prefactor = None
-        for w, m, t in zip(system.tilde_frequencies, config.codimensions, tilde):
+        for w, m, t in zip(spec.system.tilde_frequencies, config.codimensions, tilde):
             u, ratio = _axis_factor(w, m, t, in_place=True)
             self.scaled.append(u)
             if self.prefactor is None:
@@ -434,17 +440,16 @@ class Plan:
     def potential(self, points):
         """V at the plan's points, given again in the original coordinates."""
         return _potential(self.spec, self.config, points,
-                          self.system.tilde_frequencies, self.scaled)
+                          self.spec.system.tilde_frequencies, self.scaled)
 
 
 def plan(spec: OscillatorSpec, config: REConfig, points,
          validate: bool = True) -> Plan:
     """The eigenfunction plan at ``points`` (a stack, coordinate index first,
-    or an open mesh; see ``CoordinateMap.forward``): the spec is decoupled
-    and the points are mapped to the tilde axes once."""
+    or an open mesh; see ``CoordinateMap.forward``), mapped to the tilde
+    axes once."""
     _check_axes(spec, config, validate)
-    sys = decouple(spec)
-    return Plan(spec, config, sys, sys.coordinate_map.forward(points))
+    return Plan(spec, config, spec.system.coordinate_map.forward(points))
 
 
 def eigenfunction(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
@@ -474,7 +479,7 @@ def unextended_energy(spec: OscillatorSpec, state) -> complex:
         raise DomainError("one quantum number per axis required")
     if any(n is None for n in ns):
         raise DomainError("unextended states use plain quantum numbers")
-    sys = decouple(spec)
+    sys = spec.system
     return sum((n + 0.5) * complex(w)
                for n, w in zip(ns, sys.tilde_frequencies)) + sys.potential_constant
 
@@ -505,7 +510,7 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
     if not math.isfinite(energy_cutoff):
         raise DomainError("the energy cutoff must be finite")
     validate_config(spec, config)
-    sys = decouple(spec)
+    sys = spec.system
     freqs = [complex(w) for w in sys.tilde_frequencies]
     real = all(abs(w.imag) <= 1e-12 * max(1.0, abs(w)) for w in freqs)
     axis_levels = []

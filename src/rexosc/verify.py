@@ -8,12 +8,12 @@ fitted from pointwise residuals, computed as quadrature quotients, or read
 off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
-A verify job compiles its state-independent work once into a ``MeshPlan``
-(the eigenfunction plan on its open mesh, V and the pole mask on the stencil
+Every check reads the spec's one decoupling, ``spec.system``. A verify job
+compiles its state-independent work once into a ``MeshPlan`` (the
+eigenfunction plan on its open mesh, V and the pole mask on the stencil
 interior); the residual scan and the parity-time fits share each state's
-eigenfunction on it. A
-parity operator that maps the grids onto themselves reads psi on its image
-off the mesh psi by reversing and permuting axes.
+eigenfunction on it. A parity operator that maps the grids onto themselves
+reads psi on its image off the mesh psi by reversing and permuting axes.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     whose decay values agree within 1e-12 relative get equal half-widths."""
     if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
         raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
-    sys = model.decouple(spec)
+    sys = spec.system
     q = _decay_diagonal(sys)
     # decay values equal but for rounding take the first such axis's value,
     # so that those axes get equal grids
@@ -76,7 +76,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
                 break
     grids = []
     for i in range(spec.dimension):
-        hw = 12.0 / np.sqrt(q[i])
+        hw = numerics.default_half_width(q[i])
         center = -float(np.real(sys.coordinate_map.shift[i]))
         n = n_points
         if spacing is not None:
@@ -174,11 +174,11 @@ def _checked_plan(build, *args) -> model.Plan:
 
 def image_plan(plan: model.Plan, grids, parity) -> model.Plan:
     """The eigenfunction plan of ``plan``'s job on the parity image P·mesh of
-    ``grids``, reusing its decoupling: P permutes and flips the open mesh."""
+    ``grids``: P permutes and flips the open mesh."""
     perm, signs = _signed_permutation(parity)
-    mesh = _mesh(grids)
-    tilde = plan.system.coordinate_map.forward([s * mesh[p] for p, s in zip(perm, signs)])
-    return _checked_plan(model.Plan, plan.spec, plan.config, plan.system, tilde)
+    cmap, mesh = plan.spec.system.coordinate_map, _mesh(grids)
+    tilde = cmap.forward([s * mesh[p] for p, s in zip(perm, signs)])
+    return _checked_plan(model.Plan, plan.spec, plan.config, tilde)
 
 
 class ParityImage:
@@ -222,7 +222,7 @@ class MeshPlan:
         # V on the interior only: the same per-point arithmetic as V on the
         # mesh, trimmed, without building it on the mesh
         self.potential = model._potential(
-            spec, config, [_interior(x) for x in mesh], self.plan.system.tilde_frequencies,
+            spec, config, [_interior(x) for x in mesh], spec.system.tilde_frequencies,
             [_interior(u) for u in self.plan.scaled])
         self.keep = ~_pole_mask(self.plan, pole_guard)
 
@@ -240,7 +240,7 @@ class MeshPlan:
             pk = _interior(psi)[self.keep]
             rk = r[self.keep]
         del r  # only the kept points are needed from here on
-        sys = self.plan.system
+        sys = self.plan.spec.system
         e_rel = model.relative_energy(self.plan.config, state, sys)
 
         # three reweighted least-squares passes; every product keeps its
@@ -285,6 +285,13 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
 
 # ------------------------------------------------------- Rayleigh quotients
 
+def _tilde_axis(omega, n_points: int, im_shift: float = 0.0):
+    """The quadrature grid of one tilde axis, centered on 0 and as wide as
+    its decay needs, and its contour t = grid point + i*im_shift."""
+    g = Grid(0.0, numerics.default_half_width(complex(omega).real), n_points | 1)
+    return g, g.points.astype(complex) + 1j * im_shift
+
+
 def _axis_quadrature(omega, m: int, level, n_points: int, im_shift: float = 0.0):
     """1D ingredients (f, -f'' + V f, spacing) along one axis contour.
 
@@ -292,9 +299,7 @@ def _axis_quadrature(omega, m: int, level, n_points: int, im_shift: float = 0.0)
     line for rotated axes, the displaced line of an imaginary coordinate
     shift (which keeps odd co-dimension denominators nodeless).
     """
-    hw = 12.0 / np.sqrt(complex(omega).real)
-    g = Grid(0.0, hw, n_points | 1)
-    t = g.points.astype(complex) + 1j * im_shift
+    g, t = _tilde_axis(omega, n_points, im_shift)
     f = model.axis_eigenfunction(omega, m, level, t)
     h = numerics.second_derivative_profile(f, g.spacing)
     vt = 0.25 * complex(omega) ** 2 * t**2 + model.rational_term_1d(omega, m, t)
@@ -311,7 +316,7 @@ def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     integral deforms to the real tilde line, where all factors decay).
     """
     model.validate_config(spec, config)
-    sys = model.decouple(spec)
+    sys = spec.system
     if not sys.is_real:
         raise DomainError("broken spectral reality: Rayleigh quotient undefined")
     conjugate = spec.is_hermitian
@@ -382,19 +387,10 @@ def orthogonality_gram(spec: OscillatorSpec, config: REConfig, states,
         raise DomainError("Gram matrix needs a Hermitian spec; "
                           "use the bilinear pairing for PT cases")
     model.validate_config(spec, config)
-    sys = model.decouple(spec)
-    axis_values = []
-    for w, m in zip(sys.tilde_frequencies, config.codimensions):
-        hw = 12.0 / np.sqrt(complex(w).real)
-        g = Grid(0.0, hw, n_points | 1)
-        t = g.points.astype(complex)
-        axis_values.append((g, t, w, m))
-    fs = []
-    for st in states:
-        per_axis = []
-        for (g, t, w, m), lv in zip(axis_values, st.levels):
-            per_axis.append((model.axis_eigenfunction(w, m, lv, t), g.spacing))
-        fs.append(per_axis)
+    axes = [(*_tilde_axis(w, n_points), w, m)
+            for w, m in zip(spec.system.tilde_frequencies, config.codimensions)]
+    fs = [[(model.axis_eigenfunction(w, m, lv, t), g.spacing)
+           for (g, t, w, m), lv in zip(axes, st.levels)] for st in states]
     n = len(states)
     gram = np.zeros((n, n), dtype=complex)
     for a in range(n):
@@ -420,10 +416,10 @@ def pole_scan(spec: OscillatorSpec, config: REConfig, box=None) -> list:
     """
     if len(config.codimensions) != spec.dimension:
         raise DomainError("one co-dimension per axis required")
-    sys = model.decouple(spec)
+    sys = spec.system
     if box is None:
-        q = _decay_diagonal(sys)
-        box = [(-12.0 / np.sqrt(qi) - 1.0, 12.0 / np.sqrt(qi) + 1.0) for qi in q]
+        box = [(-hw - 1.0, hw + 1.0)
+               for hw in map(numerics.default_half_width, _decay_diagonal(sys))]
     hits = []
     for i, (w, m) in enumerate(zip(sys.tilde_frequencies, config.codimensions)):
         if m == 0:

@@ -1,5 +1,6 @@
 """CLI subcommands, job round-trip, schemas, exit codes."""
 import csv
+import dataclasses
 import io
 import json
 
@@ -228,6 +229,26 @@ def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
     assert code == 0
     assert sorted(json.loads(out)["pt_eigenvalues"]) == ["P1", "P2"]
     assert sizes == [41 * 41] * 4
+
+
+def test_verify_decouples_once(capsys, monkeypatch):
+    # a Hermitian 3D job builds its grids, pole scan, mesh plan, parity fit
+    # and Gram matrix from the spec's one decoupling
+    calls = []
+    case = cli.model.CASES["q2_3d"]
+
+    def counted(w, c):
+        calls.append(w)
+        return case.decouple(w, c)
+
+    monkeypatch.setitem(cli.model.CASES, "q2_3d",
+                        dataclasses.replace(case, decouple=counted))
+    code, out, _ = run(["verify", "--dim", "3", "--case", "q2", "--omega", "1,1,1",
+                        "--lambda1", "real:0.5", "--coupling", "real:0.6846531968814576",
+                        "--m", "2,2,2", "--state", "g,0,g", "--points", "21"], capsys)
+    assert code == 0
+    assert json.loads(out)["gram"] is not None
+    assert len(calls) == 1
 
 
 def test_threads_env_smoke(capsys, monkeypatch):

@@ -264,7 +264,7 @@ def _unblocked_residual(job, state, psi):
     r -= _unblocked_laplacian(psi, job.grids)
     pk = verify._interior(psi)[job.keep]
     rk = r[job.keep]
-    sys = job.plan.system
+    sys = job.plan.spec.system
     e_rel = model.relative_energy(job.plan.config, state, sys)
     weights = np.ones(pk.shape[0])
     for _ in range(3):
