@@ -142,7 +142,8 @@ def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
 
 def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
     """Boolean mask of interior points too close to a denominator zero,
-    dilated by the stencil footprint plus a guard band."""
+    dilated by the stencil footprint plus a guard band (clipped at the mesh
+    faces: it does not wrap round to the opposite face)."""
     bad = np.zeros(_interior(plan.prefactor).shape, dtype=bool)
     for u, m in zip(plan.scaled, plan.config.codimensions):
         if m == 0:
@@ -154,11 +155,12 @@ def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
         return bad
     reach = STENCIL_REACH + _GUARD_POINTS
     for axis in range(bad.ndim):
-        acc = bad.copy()
+        src = np.moveaxis(bad, axis, 0)
+        acc = src.copy()
         for shift in range(1, reach + 1):
-            acc |= np.roll(bad, shift, axis=axis)
-            acc |= np.roll(bad, -shift, axis=axis)
-        bad = acc
+            acc[shift:] |= src[:-shift]
+            acc[:-shift] |= src[shift:]
+        bad = np.moveaxis(acc, 0, axis)
     return bad
 
 

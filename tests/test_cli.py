@@ -251,6 +251,16 @@ def test_verify_decouples_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
+    # q2's poles sit near the mesh faces here; a guard band wrapping round
+    # to the opposite faces used to mask every point (exit 3)
+    code, out, err = run(["verify", "--dim", "3", "--case", "q2", "--omega", "1,1,2",
+                          "--lambda1", "real:0.5", "--coupling", "imaginary:0.3",
+                          "--m", "2,2,2", "--points", "41"], capsys)
+    assert code == 0 and err == ""
+    assert np.isfinite(json.loads(out)["max_residual"])
+
+
 def test_threads_env_smoke(capsys, monkeypatch):
     monkeypatch.setenv("REXOSC_THREADS", "2")
     code, out, _ = run(["verify", "--dim", "1", "--omega", "2",

@@ -63,6 +63,19 @@ def test_residual_respects_pole_guard():
                              Eigenstate((None, None)), grids, pole_guard=50.0)
 
 
+def test_pole_mask_stops_at_the_mesh_faces():
+    # the m=1 denominator of the plain oscillator vanishes at x = 0, inside
+    # the guard radius of the first interior column only; its guard band
+    # must end at the near face, not reappear at the far one
+    spec = OscillatorSpec.oscillator(2.0, 2.0)
+    grids = [verify.Grid(5.0, 5.1, 101), verify.Grid(0.0, 5.0, 21)]
+    plan = model.plan(spec, REConfig((1, 0)), verify._mesh(grids), validate=False)
+    mask = verify._pole_mask(plan, verify._POLE_GUARD)
+    reach = verify.STENCIL_REACH + verify._GUARD_POINTS
+    assert mask.shape == (93, 13)
+    assert mask[:reach + 1].all() and not mask[reach + 1:].any()
+
+
 @pytest.mark.parametrize("n_points", [(9,), (11, 13), (9, 10, 12)])
 def test_mesh_equals_meshgrid(n_points):
     grids = [verify.Grid(0.5 - i, 2.0 + i, n) for i, n in enumerate(n_points)]
