@@ -175,6 +175,8 @@ def _emit(args, text: str) -> None:
 def _ratio_string(freqs) -> str | None:
     vals = [complex(w).real for w in freqs]
     base = min(vals)
+    if not base > 0:  # a zero frequency has no ratio
+        return None
     fracs = []
     for v in vals:
         fr = Fraction(v / base).limit_denominator(64)

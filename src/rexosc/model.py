@@ -487,6 +487,8 @@ def unextended_energy(spec: OscillatorSpec, state) -> complex:
 def _rational_weights(freqs, tol: float = 1e-9):
     """Integer weights W_i with omega_i proportional to W_i, or None."""
     base = min(f.real for f in freqs)
+    if not base > 0:  # a zero frequency has no ratio
+        return None
     fracs = []
     for f in freqs:
         if abs(f.imag) > tol * abs(f):

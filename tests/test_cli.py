@@ -326,6 +326,10 @@ def test_threads_env_smoke(capsys, monkeypatch):
     (["plotdata", "--omega", "2", "--spacing", "nan"], "spacing must be finite and positive"),
     (["plotdata", "--omega", "2", "--points", "11", "--half-width", "0"],
      "half_width must be positive"),
+    (["verify", "--dim", "2", "--omega", "1,2", "--coupling", "real:2", "--points", "21"],
+     "needs a positive frequency, got 0"),
+    (["verify", "--dim", "3", "--case", "q1", "--omega", "1,1,2", "--lambda2", "real:1.2",
+      "--lambda3", "real:1.6", "--points", "21"], "needs a positive frequency, got 0"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -333,6 +337,23 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("validation error: ")
     assert message in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [
+    ["--dim", "2", "--omega", "1,2", "--coupling", "real:2"],
+    ["--dim", "3", "--case", "q1", "--omega", "1,1,2", "--lambda2", "real:1.2",
+     "--lambda3", "real:1.6"],
+], ids=" ".join)
+def test_zero_tilde_frequency_has_no_ratio(spec, capsys):
+    # on the non-strict reality boundary one tilde frequency is exactly zero
+    code, out, err = run(["transform", *spec], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert {"re": 0.0, "im": 0.0} in doc["tilde_frequencies"]
+    assert doc["tilde_ratio"] is None
+    code, out, err = run(["spectrum", *spec, "--cutoff", "-1"], capsys)
+    assert code == 0 and err == "" and json.loads(out)["entries"] == []
 
 
 def test_overflowing_prefactor_exits_2_with_one_line(capsys):
