@@ -379,10 +379,9 @@ def cmd_verify(args) -> int:
                                         [_complex_dict(v) for v in vals])
     del job_plan, images
 
-    gram = None
-    if spec.is_hermitian and spec.system.is_real:
-        gram = [[_complex_dict(z) for z in row]
-                for row in verify.orthogonality_gram(spec, config, job.states)]
+    gram = ([[_complex_dict(z) for z in row]
+             for row in verify.orthogonality_gram(spec, config, job.states)]
+            if spec.is_hermitian and spec.system.is_real else None)
 
     out = {
         "max_residual": max(res for res, _ in results),

@@ -334,11 +334,11 @@ def _check_axes(spec: OscillatorSpec, config: REConfig, validate: bool) -> None:
         raise DomainError("one co-dimension per axis required")
 
 
-def _potential(spec: OscillatorSpec, config: REConfig, points, frequencies, scaled):
+def _potential(spec: OscillatorSpec, config: REConfig, points, scaled):
     """V literally: the base potential on the original points plus, per tilde
     axis, the rational term at the scaled parameter u_i."""
     v = base_potential(spec, points)
-    for w, m, u in zip(frequencies, config.codimensions, scaled):
+    for w, m, u in zip(spec.system.tilde_frequencies, config.codimensions, scaled):
         # summed into the term's fresh buffer, not into v: the same sum, but
         # a 1D residual scan then takes about half as many page faults
         v = _rational_term(w, m, u) + v
@@ -354,9 +354,8 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     """
     _check_axes(spec, config, validate)
     t = spec.system.coordinate_map.forward(point)
-    freqs = spec.system.tilde_frequencies
-    return _potential(spec, config, point, freqs,
-                      [np.sqrt(complex(w) / 2) * ti for w, ti in zip(freqs, t)])
+    return _potential(spec, config, point, [np.sqrt(complex(w) / 2) * ti for w, ti
+                                            in zip(spec.system.tilde_frequencies, t)])
 
 
 def _axis_factor(omega, m: int, t, in_place: bool = False):
@@ -439,8 +438,7 @@ class Plan:
 
     def potential(self, points):
         """V at the plan's points, given again in the original coordinates."""
-        return _potential(self.spec, self.config, points,
-                          self.spec.system.tilde_frequencies, self.scaled)
+        return _potential(self.spec, self.config, points, self.scaled)
 
 
 def plan(spec: OscillatorSpec, config: REConfig, points,

@@ -129,5 +129,5 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
 def default_half_width(omega_min: float) -> float:
     """Box size placing Gaussian eigenfunction tails below 1e-30."""
     if not omega_min > 0:
-        raise DomainError(f"a box width needs a positive frequency, got {float(omega_min):g}")
+        raise DomainError(f"the box needs a positive frequency, got {float(omega_min):g}")
     return 12.0 / np.sqrt(omega_min)

@@ -142,8 +142,7 @@ def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
 
 def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
     """Boolean mask of interior points too close to a denominator zero,
-    dilated by the stencil footprint plus a guard band (clipped at the mesh
-    faces: it does not wrap round to the opposite face)."""
+    dilated by the stencil footprint plus a guard band, up to the mesh faces."""
     bad = np.zeros(_interior(plan.prefactor).shape, dtype=bool)
     for u, m in zip(plan.scaled, plan.config.codimensions):
         if m == 0:
@@ -223,9 +222,8 @@ class MeshPlan:
         self.plan = _checked_plan(model.plan, spec, config, mesh)
         # V on the interior only: the same per-point arithmetic as V on the
         # mesh, trimmed, without building it on the mesh
-        self.potential = model._potential(
-            spec, config, [_interior(x) for x in mesh], spec.system.tilde_frequencies,
-            [_interior(u) for u in self.plan.scaled])
+        self.potential = model._potential(spec, config, [_interior(x) for x in mesh],
+                                          [_interior(u) for u in self.plan.scaled])
         self.keep = ~_pole_mask(self.plan, pole_guard)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
@@ -322,12 +320,10 @@ def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     if not sys.is_real:
         raise DomainError("broken spectral reality: Rayleigh quotient undefined")
     conjugate = spec.is_hermitian
-    shifts = np.imag(sys.coordinate_map.shift)
-    norms = []
-    cross = []
-    for i, (w, m, lv) in enumerate(zip(sys.tilde_frequencies,
-                                       config.codimensions, state.levels)):
-        f, hf, h = _axis_quadrature(w, m, lv, n_points, im_shift=shifts[i])
+    norms, cross = [], []
+    for w, m, lv, shift in zip(sys.tilde_frequencies, config.codimensions, state.levels,
+                               np.imag(sys.coordinate_map.shift)):
+        f, hf, h = _axis_quadrature(w, m, lv, n_points, im_shift=shift)
         left = np.conj(f) if conjugate else f
         norms.append(numerics.integrate_samples(left * f, h))
         cross.append(numerics.integrate_samples(left * hf, h))
