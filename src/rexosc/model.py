@@ -204,8 +204,7 @@ class OscillatorSpec:
 
     @cached_property
     def system(self) -> DecoupledSystem:
-        """Coordinate map and tilde frequencies, computed on first access and
-        kept for everything built from this spec; a degenerate map raises."""
+        """Coordinate map and tilde frequencies, decoupled once, on first access."""
         return CASES[self.case].decouple(self.frequencies, self.couplings)
 
 
@@ -510,8 +509,7 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
     if not math.isfinite(energy_cutoff):
         raise DomainError("the energy cutoff must be finite")
     validate_config(spec, config)
-    sys = spec.system
-    freqs = [complex(w) for w in sys.tilde_frequencies]
+    freqs = [complex(w) for w in spec.system.tilde_frequencies]
     real = all(abs(w.imag) <= 1e-12 * max(1.0, abs(w)) for w in freqs)
     axis_levels = []
     count = 1
@@ -530,7 +528,7 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
     groups: dict = {}
     for combo in itertools.product(*axis_levels):
         state = Eigenstate(combo)
-        e = relative_energy(config, state, sys).real
+        e = relative_energy(config, state, spec.system).real
         if e > energy_cutoff + 1e-12:
             continue
         if weights is not None:

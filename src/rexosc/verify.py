@@ -65,8 +65,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     whose decay values agree within 1e-12 relative get equal half-widths."""
     if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
         raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
-    sys = spec.system
-    q = _decay_diagonal(sys)
+    q = _decay_diagonal(spec.system)
     # decay values equal but for rounding take the first such axis's value,
     # so that those axes get equal grids
     for i in range(len(q)):
@@ -77,7 +76,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     grids = []
     for i in range(spec.dimension):
         hw = numerics.default_half_width(q[i])
-        center = -float(np.real(sys.coordinate_map.shift[i]))
+        center = -float(np.real(spec.system.coordinate_map.shift[i]))
         n = n_points
         if spacing is not None:
             span = 2 * float(hw) / spacing
@@ -154,8 +153,7 @@ def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
         return bad
     reach = STENCIL_REACH + _GUARD_POINTS
     for axis in range(bad.ndim):
-        # contiguous along the shifted axis: the ORs on a strided view are
-        # several times slower
+        # contiguous along the shifted axis: ORs on a strided view run slower
         src = np.ascontiguousarray(np.moveaxis(bad, axis, 0))
         acc = src.copy()
         for shift in range(1, reach + 1):
