@@ -253,7 +253,7 @@ def test_verify_decouples_once(capsys, monkeypatch):
 
 def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
     # q2's poles sit near the mesh faces here; a guard band wrapping round
-    # to the opposite faces used to mask every point (exit 3)
+    # to the opposite faces would mask every point (exit 3)
     code, out, err = run(["verify", "--dim", "3", "--case", "q2", "--omega", "1,1,2",
                           "--lambda1", "real:0.5", "--coupling", "imaginary:0.3",
                           "--m", "2,2,2", "--points", "41"], capsys)
