@@ -173,19 +173,8 @@ def _emit(args, text: str) -> None:
 
 
 def _ratio_string(freqs) -> str | None:
-    vals = [complex(w).real for w in freqs]
-    base = min(vals)
-    if not base > 0:  # a zero frequency has no ratio
-        return None
-    fracs = []
-    for v in vals:
-        fr = Fraction(v / base).limit_denominator(64)
-        if abs(v / base - float(fr)) > 1e-9:
-            return None
-        fracs.append(fr)
-    den = np.lcm.reduce([fr.denominator for fr in fracs])
-    ints = [fr.numerator * (den // fr.denominator) for fr in fracs]
-    return ":".join(str(i) for i in ints)
+    weights = model._rational_weights(freqs)
+    return None if weights is None else ":".join(map(str, weights[0]))
 
 
 # ------------------------------------------------------------- subcommands
@@ -344,6 +333,7 @@ def cmd_verify(args) -> int:
     spec, config = job.spec, job.config
     workers = _threads()
     model.validate_config(spec, config)
+    spec.system.require_bound_states()
     grids = _job_grids(job)
     poles = [{"axis": p.axis, "coordinate": p.coordinate}
              for p in verify.pole_scan(spec, config)]

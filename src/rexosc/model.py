@@ -45,7 +45,8 @@ class Case:
     terms: tuple = ()
     odd_axis: int | None = None         # axis where an imaginary lambda0 allows odd m
     # nonzero imaginary couplings (in ``couplings`` order) -> parity operators
-    # paired with time reversal; an unlisted set is classified by sampling
+    # paired with time reversal; an unlisted set keeps the listed operators
+    # whose ``transform.pt_deviation`` vanishes
     parities: dict = field(default_factory=dict)
     reality: Callable | None = None     # None: read off the tilde frequencies
     mixing: Callable | None = None      # the 2D mixing factor k
@@ -509,8 +510,10 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
     if not math.isfinite(energy_cutoff):
         raise DomainError("the energy cutoff must be finite")
     validate_config(spec, config)
+    if energy_cutoff + 1e-12 >= 0:  # a ladder of zero spacing would never end
+        spec.system.require_bound_states()
     freqs = [complex(w) for w in spec.system.tilde_frequencies]
-    real = all(abs(w.imag) <= 1e-12 * max(1.0, abs(w)) for w in freqs)
+    real = spec.system.is_real
     axis_levels = []
     count = 1
     for w, m in zip(freqs, config.codimensions):

@@ -17,6 +17,7 @@ from .errors import (
     DegenerateTransformError,
     DomainError,
     FlavorError,
+    ShapeError,
 )
 
 REAL = "real"
@@ -141,6 +142,17 @@ class DecoupledSystem:
     def is_real(self) -> bool:
         return all(abs(complex(w).imag) <= 1e-12 * max(1.0, abs(w))
                    for w in self.tilde_frequencies)
+
+    def require_bound_states(self) -> None:
+        """Raise DomainError naming the first tilde axis whose frequency has
+        no positive real part: its eigenfunctions do not decay and its ladder
+        of states never ends."""
+        for axis, w in enumerate(self.tilde_frequencies):
+            w = complex(w)
+            if not w.real > 0:
+                text = f"{w.real:g}" + (f"{w.imag:+g}i" if w.imag else "")
+                raise DomainError(f"tilde axis {axis} needs a positive frequency, "
+                                  f"got {text}: it has no bound states")
 
 
 @dataclass(frozen=True)
@@ -514,7 +526,8 @@ def pt_classification(spec) -> list:
 
     A non-Hermitian flavor combination that the spec's case lists returns
     its assigned operators; any other spec, purely real couplings included,
-    falls back to sampling plain parity invariance of the potential.
+    keeps the listed operators under which the potential is PT-invariant
+    (``pt_deviation`` at most 1e-10).
     """
     from . import model  # local import to avoid a module cycle
 
@@ -522,26 +535,30 @@ def pt_classification(spec) -> list:
     ops = parity_operators(dim) if dim > 1 else [space_inversion(1)]
     names = model.CASES[spec.case].parities.get(spec.imaginary_couplings)
     if names is None:
-        return _sample_parity_invariance(spec, ops)
+        return [op for op in ops if pt_deviation(spec, op) <= 1e-10]
     named = {op.name: op for op in ops}
     return [named[n] for n in names]
 
 
-def _sample_parity_invariance(spec, candidates, n_samples: int = 100,
-                              tol: float = 1e-10) -> list:
+def pt_deviation(spec, operator) -> float:
+    """max |conj V(M p) - V(p)| / (1 + |V(p)|) over p in {0, +-e_i, e_i + e_j
+    (i < j)}, V being the base potential and M the matrix of ``operator`` (a
+    ``ParityOperator``, an ``EtaMetric`` or a d x d array).
+
+    V has degree <= 2, so conj V(M p) - V(p) is a quadratic in real p, and
+    these 1 + d + d(d+1)/2 points fix every coefficient of a quadratic; one
+    that vanishes on them vanishes everywhere. The check is exact, not
+    sampled: 0 means V is invariant under M combined with complex
+    conjugation at every real point.
+    """
     from . import model  # local import to avoid a module cycle
 
-    rng = np.random.default_rng(17)
-    pts = rng.normal(size=(n_samples, spec.dimension))
-    kept = []
-    for op in candidates:
-        ok = True
-        for p in pts:
-            v = model.base_potential(spec, p)
-            w = model.base_potential(spec, op.apply(p))
-            if abs(np.conj(w) - v) > tol * (1 + abs(v)):
-                ok = False
-                break
-        if ok:
-            kept.append(op)
-    return kept
+    mat = np.asarray(getattr(operator, "matrix", operator), dtype=complex)
+    dim = spec.dimension
+    if mat.shape != (dim, dim):
+        raise ShapeError(f"the operator must be a {dim}x{dim} matrix")
+    eye = np.eye(dim)
+    pts = np.column_stack([np.zeros(dim), *eye, *-eye,
+                           *(eye[i] + eye[j] for i in range(dim) for j in range(i + 1, dim))])
+    v, w = np.split(model.base_potential(spec, np.hstack([pts, mat @ pts])), 2)
+    return float(np.max(np.abs(np.conj(w) - v) / (1 + np.abs(v))))

@@ -1,7 +1,8 @@
 """Independent numerical verification of the closed-form constructions:
 Schrodinger residuals, Rayleigh quotients, parity-time eigenvalue
-measurement, orthogonality Gram matrices, real-pole scans, a
-grid-diagonalization oracle, and pseudo-hermiticity sampling.
+measurement, orthogonality Gram matrices, real-pole scans and a
+grid-diagonalization oracle. Which parity operators a spec's potential is
+PT-invariant under is decided exactly in ``transform.pt_deviation``.
 
 Everything here avoids the closed-form energy formulas: energies are either
 fitted from pointwise residuals, computed as quadrature quotients, or read
@@ -459,37 +460,3 @@ def grid_spectrum(spec: OscillatorSpec, config: REConfig, box, n_points: int,
     mat = TridiagonalMatrix(2.0 / h**2 + v, np.full(grid.n_points - 1, -1.0 / h**2))
     return numerics.lowest_eigenvalues(mat, k)
 
-
-# ----------------------------------------------------- sampled metric checks
-
-def pseudo_hermiticity_check(spec: OscillatorSpec, eta, sample_count: int = 100,
-                             seed: int = 5) -> float:
-    """max over samples of |V(eta p)* - V(p)| / (1 + |V(p)|).
-
-    A pointwise reading of the metric condition; reported, not asserted,
-    since the operator statement need not hold coordinate-pointwise.
-    """
-    if spec.dimension != 2:
-        raise DomainError("the metric check is two-dimensional")
-    mat = np.asarray(eta.matrix if hasattr(eta, "matrix") else eta, dtype=complex)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(sample_count):
-        p = rng.normal(size=2)
-        v = model.base_potential(spec, p)
-        w = model.base_potential(spec, mat @ p)
-        worst = max(worst, abs(np.conj(w) - v) / (1 + abs(v)))
-    return worst
-
-
-def pt_pointwise_deviation(spec: OscillatorSpec, parity, sample_count: int = 100,
-                           seed: int = 11) -> float:
-    """max over samples of |V(P p)* - V(p)| / (1 + |V(p)|)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(sample_count):
-        p = rng.normal(size=spec.dimension)
-        v = model.base_potential(spec, p)
-        w = model.base_potential(spec, parity.apply(p))
-        worst = max(worst, abs(np.conj(w) - v) / (1 + abs(v)))
-    return worst

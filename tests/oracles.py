@@ -141,6 +141,22 @@ def generic_2d_row(m_pair, a, b, w1, w2, lam, om1, om2, x, y):
     return out
 
 
+# -- sampled parity-time invariance -------------------------------------------
+
+def sampled_pt_deviation(potential, matrix, dimension, samples=200, seed=17):
+    """max |conj V(M p) - V(p)| / (1 + |V(p)|) over seeded normal points p,
+    ``potential`` being V at one point: the sampled reading of PT invariance
+    that the exact check at fixed points replaced."""
+    rng = np.random.default_rng(seed)
+    mat = np.asarray(matrix)
+    worst = 0.0
+    for p in rng.normal(size=(samples, dimension)):
+        v = potential(p)
+        w = potential(mat @ p)
+        worst = max(worst, abs(np.conj(w) - v) / (1 + abs(v)))
+    return worst
+
+
 # -- counting oracles ---------------------------------------------------------
 
 def brute_force_multiplicities(weights, offsets, cutoff_key):

@@ -250,7 +250,7 @@ def _pt_3d_jobs():
                 spec = OscillatorSpec(3, freqs, case, couplings)
                 ops = transform.pt_classification(spec)
                 if (ops and model.decouple(spec).is_real
-                        and all(verify.pt_pointwise_deviation(spec, op) == 0 for op in ops)):
+                        and all(transform.pt_deviation(spec, op) == 0 for op in ops)):
                     argv = ["verify", "--dim", "3", "--case", record.alias,
                             "--omega", ",".join(map(repr, freqs))]
                     for name, flag in zip(record.couplings, record.flags):

@@ -330,6 +330,8 @@ def test_threads_env_smoke(capsys, monkeypatch):
      "needs a positive frequency, got 0"),
     (["verify", "--dim", "3", "--case", "q1", "--omega", "1,1,2", "--lambda2", "real:1.2",
       "--lambda3", "real:1.6", "--points", "21"], "needs a positive frequency, got 0"),
+    (["verify", "--dim", "2", "--omega", "1,2", "--coupling", "real:5", "--points", "21"],
+     "tilde axis 0 needs a positive frequency, got 0+1.64929i"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -354,6 +356,23 @@ def test_zero_tilde_frequency_has_no_ratio(spec, capsys):
     assert doc["tilde_ratio"] is None
     code, out, err = run(["spectrum", *spec, "--cutoff", "-1"], capsys)
     assert code == 0 and err == "" and json.loads(out)["entries"] == []
+
+
+def test_verify_refuses_unbound_spec_before_building_grids(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_job_grids", lambda job: pytest.fail("grids were built"))
+    code, out, err = run(["verify", "--dim", "2", "--omega", "1,2", "--coupling", "real:2"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert "tilde axis 0 needs a positive frequency, got 0:" in err
+
+
+def test_verify_runs_pt_broken_spec(capsys):
+    # broken PT symmetry: the tilde frequencies are complex with positive
+    # real parts, so the eigenfunctions still decay
+    code, out, err = run(["verify", "--dim", "2", "--omega", "1,3", "--coupling",
+                          "imaginary:9", "--points", "21"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["gram"] is None
 
 
 def test_overflowing_prefactor_exits_2_with_one_line(capsys):

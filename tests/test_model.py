@@ -333,6 +333,17 @@ def test_spectrum_refuses_too_many_states():
         model.spectrum(spec, REConfig((0, 0, 0)), 5.0)
 
 
+def test_spectrum_names_the_axis_whose_ladder_never_ends():
+    # on the reality boundary one tilde frequency is exactly zero
+    spec = OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.real(2.0))
+    with pytest.raises(DomainError, match="tilde axis 0 needs a positive frequency, got 0:"):
+        model.spectrum(spec, REConfig((0, 0)), 0.0)
+    assert model.spectrum(spec, REConfig((0, 0)), -1.0).entries == ()
+    spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(2.0), CouplingValue.real(0.1))
+    with pytest.raises(DomainError, match=r"tilde axis 0 needs a positive frequency, got 0\+1i"):
+        model.spectrum(spec, REConfig((0, 0, 0)), 5.0)
+
+
 # ---------------------------------------------------------- evaluation plan
 
 _R, _I = CouplingValue.real, CouplingValue.imaginary

@@ -21,8 +21,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+import oracles
 from rexosc import cli, model, transform, verify
 from rexosc.errors import DomainError
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
@@ -219,6 +221,63 @@ def test_unperturbed_parities_and_codimensions_pinned(freqs, want):
     spec = OscillatorSpec.oscillator(*freqs)
     assert [op.name for op in transform.pt_classification(spec)] == want
     assert model.admissible_codimensions(spec) == ("even_only",) * len(freqs)
+
+
+def _pinned_spec(case, imag):
+    freqs, names = _SPECS[case]
+    return OscillatorSpec(len(freqs), freqs, case,
+                          {n: CouplingValue.imaginary(_IMAG) if n in imag
+                           else CouplingValue.real(_REAL) for n in names})
+
+
+def _listed_operators(spec):
+    return (transform.parity_operators(spec.dimension) if spec.dimension > 1
+            else [transform.space_inversion(1)])
+
+
+def test_pt_deviation_agrees_with_sampled_reference():
+    # every spec of the parity table, the unperturbed oscillators, and
+    # quadratic2d at equal frequencies, where the swaps P3 and P4 act
+    specs = [_pinned_spec(case, imag) for case, imag in sorted(_EXPECTED)
+             if _EXPECTED[(case, imag)] is not None]
+    specs += [OscillatorSpec.oscillator(*w) for w in ((2.0,), (1.0, 2.0), (1.0, 2.0, 3.0))]
+    specs += [OscillatorSpec.quadratic_2d(1.0, 1.0, c)
+              for c in (CouplingValue.real(_REAL), CouplingValue.imaginary(_IMAG))]
+    for spec in specs:
+        for op in _listed_operators(spec):
+            exact = transform.pt_deviation(spec, op)
+            ref = oracles.sampled_pt_deviation(
+                lambda p: model.base_potential(spec, p), op.matrix, spec.dimension)
+            label = (spec.case, spec.frequencies, spec.imaginary_couplings, op.name)
+            assert (exact == 0) == (ref <= 1e-12), label
+            assert exact == 0 or ref > 1e-6, label
+
+
+def test_assigned_parities_are_pt_symmetries():
+    for case, record in model.CASES.items():
+        for imag, names in record.parities.items():
+            if (case, imag) == ("lq3d", ("lambda0", "lam")):
+                continue  # see the next test
+            spec = _pinned_spec(case, imag)
+            named = {op.name: op for op in _listed_operators(spec)}
+            for name in names:
+                assert transform.pt_deviation(spec, named[name]) == 0, (case, imag, name)
+
+
+def test_lq3d_with_both_couplings_imaginary_is_pt_symmetric_under_rotations():
+    # V = ... + i*lambda0*z + i*lam/2*xy: the assigned P4 = -I restores the
+    # sign of xy; only the rotations by pi about x and y are PT symmetries
+    spec = _pinned_spec("lq3d", ("lambda0", "lam"))
+    p4 = {op.name: op for op in transform.parity_operators(3)}["P4"]
+    assert transform.pt_deviation(spec, p4) > 0.1
+    symmetric = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            mat = np.diag(signs) @ np.eye(3)[list(perm)]
+            if transform.pt_deviation(spec, mat) == 0:
+                symmetric.append(mat.tolist())
+    assert sorted(symmetric) == sorted([np.diag([1, -1, -1]).tolist(),
+                                        np.diag([-1, 1, -1]).tolist()])
 
 
 if __name__ == "__main__":

@@ -512,7 +512,7 @@ def test_grid_spectrum_rejects_poles():
 
 def test_pseudo_hermiticity_identity_for_real_spec():
     spec = OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(0.5))
-    dev = verify.pseudo_hermiticity_check(spec, np.eye(2))
+    dev = transform.pt_deviation(spec, np.eye(2))
     assert dev == pytest.approx(0.0, abs=1e-14)
 
 
@@ -520,15 +520,15 @@ def test_pseudo_hermiticity_reports_finite_deviation():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     k = transform.mixing_factor_2d(1, 3, CouplingValue.imaginary(SQ7))
     eta = transform.eta_metric_2d(k)
-    dev = verify.pseudo_hermiticity_check(spec, eta)
+    dev = transform.pt_deviation(spec, eta)
     assert np.isfinite(dev)  # pointwise reading need not vanish; see report
 
 
 def test_pseudo_hermiticity_negative_identity_edge():
     spec = OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(0.5))
     eta = transform.eta_metric_2d(1.0)  # -identity
-    ref = verify.pt_pointwise_deviation(spec, transform.ParityOperator(-np.eye(2)))
-    dev = verify.pseudo_hermiticity_check(spec, eta)
+    ref = transform.pt_deviation(spec, transform.ParityOperator(-np.eye(2)))
+    dev = transform.pt_deviation(spec, eta)
     assert dev == pytest.approx(ref, abs=1e-12)
 
 
@@ -536,11 +536,11 @@ def test_pt_pointwise_assignments_hold_where_applicable():
     # single-axis flips are pointwise identities for their assigned cases
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     for op in transform.pt_classification(spec):
-        assert verify.pt_pointwise_deviation(spec, op) < 1e-12
+        assert transform.pt_deviation(spec, op) < 1e-12
     spec = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
                                 CouplingValue.imaginary(0.3))
     for op in transform.pt_classification(spec):
-        assert verify.pt_pointwise_deviation(spec, op) < 1e-12
+        assert transform.pt_deviation(spec, op) < 1e-12
 
 
 def test_reality_boundary_scan_2d():
