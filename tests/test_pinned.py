@@ -9,6 +9,10 @@ its arithmetic does).
 (max_residual, fitted_offset) of the 32 1D residual scans of acceptance
 criterion 5; at spacing 1e-3 they are rounding-dominated, so any reordering
 of the residual arithmetic shows there.
+``tests/golden/kernels.json`` holds, as ``float.hex``, what the Sturm code
+returns: the lowest eigenvalues of the box, oracle and adversarial
+tridiagonal matrices, the real roots of H_1 .. H_12 and the poles of 40
+seeded ``lq3d`` pole scans (their inputs stored beside them).
 
 Regenerate the golden files only for an intended output change:
 
@@ -25,13 +29,16 @@ import numpy as np
 import pytest
 
 import oracles
-from rexosc import cli, model, transform, verify
+from rexosc import _kernels, cli, model, numerics, poly, transform, verify
 from rexosc.errors import DomainError
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
+from rexosc.numerics import TridiagonalMatrix
 from rexosc.transform import CouplingValue
+from test_kernels import ADVERSARIAL
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
 RESIDUALS = pathlib.Path(__file__).parent / "golden" / "residuals_1d.json"
+KERNELS = pathlib.Path(__file__).parent / "golden" / "kernels.json"
 SQ2 = repr(math.sqrt(2))
 SQ7 = repr(math.sqrt(7))
 
@@ -280,7 +287,72 @@ def test_lq3d_with_both_couplings_imaginary_is_pt_symmetric_under_rotations():
                                         np.diag([-1, 1, -1]).tolist()])
 
 
+# ------------------------------------------------------------ Sturm kernels
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _pole_draws(count: int = 40, seed: int = 23) -> list:
+    """lq3d pole-scan inputs drawn as in acceptance criterion 7, as JSON
+    (frequencies and coupling magnitudes in ``float.hex``)."""
+    rng = np.random.default_rng(seed)
+    flavors = ("real", "imaginary")
+    draws = []
+    for draw in range(count):
+        f0, fl = flavors[draw % 2], flavors[(draw // 2) % 2]
+        while True:
+            w1, w2 = rng.uniform(0.5, 2.5, size=2)
+            if abs(w1**2 - w2**2) > 0.4:
+                break
+        w3 = rng.uniform(0.5, 2.5)
+        mag_l = (rng.uniform(0.05, 0.3) * abs(w1**2 - w2**2)
+                 if fl == "imaginary" else rng.uniform(0.1, w1 * w2))
+        draws.append({"omega": _hex((w1, w2, w3)),
+                      "lambda0": [float(rng.uniform(0.1, 1.5)).hex(), f0],
+                      "lam": [float(mag_l).hex(), fl],
+                      "m": [int(m) for m in rng.integers(0, 6, size=3)]})
+    return draws
+
+
+def _pole_scan(draw: dict) -> list:
+    spec = OscillatorSpec.lq_3d(*(float.fromhex(w) for w in draw["omega"]),
+                                CouplingValue(float.fromhex(draw["lambda0"][0]),
+                                              draw["lambda0"][1]),
+                                CouplingValue(float.fromhex(draw["lam"][0]), draw["lam"][1]))
+    return [[hit.axis, hit.coordinate.hex()]
+            for hit in verify.pole_scan(spec, REConfig(tuple(draw["m"])))]
+
+
+def _eigenvalues() -> dict:
+    n = 2000
+    h = 24.0 / (n + 1)
+    box = TridiagonalMatrix(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
+    out = {"box": _hex(numerics.lowest_eigenvalues(box, 3)),
+           "oracle": _hex(verify.grid_spectrum(OscillatorSpec.oscillator(2.0), REConfig((2,)),
+                                               (-12, 12), 2000, 5))}
+    for name, (d, e) in sorted(ADVERSARIAL.items()):
+        out[name] = _hex(_kernels.tridiagonal_smallest(d, e, min(len(d), 5)))
+    return out
+
+
+def kernel_outputs(draws: list) -> dict:
+    """Eigenvalues, Hermite roots and pole-scan hits, each in ``float.hex``."""
+    return {"eigenvalues": _eigenvalues(),
+            "hermite_real_roots": {str(m): _hex(poly.hermite_real_roots(m))
+                                   for m in range(1, 13)},
+            "pole_scans": [dict(d, poles=_pole_scan(d)) for d in draws]}
+
+
+def test_kernel_outputs_pinned():
+    want = json.loads(KERNELS.read_text())
+    draws = [{k: v for k, v in d.items() if k != "poles"} for d in want["pole_scans"]]
+    assert len(draws) == 40 and any(d["poles"] for d in want["pole_scans"])
+    assert kernel_outputs(draws) == want
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run_cli(a) for a in INVOCATIONS], indent=1) + "\n")
     RESIDUALS.write_text(json.dumps(residual_suite(), indent=1) + "\n")
+    KERNELS.write_text(json.dumps(kernel_outputs(_pole_draws()), indent=1) + "\n")
