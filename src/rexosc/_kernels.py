@@ -1,6 +1,7 @@
 """Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
 Laplacian built on it, Simpson quadrature, Horner evaluation and a
-multisection Sturm eigensolver for symmetric tridiagonal matrices.
+multisection Sturm eigensolver for symmetric tridiagonal matrices, whose
+pivots are counted in blocks of rows.
 """
 from __future__ import annotations
 
@@ -149,30 +150,66 @@ def horner(coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
 # (PROBES + 1)-fold, so about 10 sweeps replace about 70 bisection steps.
 PROBES = 63
 _MAX_SWEEPS = 200  # covers any finite Gershgorin span down to 4 eps
-_ROW_BLOCK = 256   # matrix rows whose pivot signs are held before counting
+_ROW_BLOCK = 256   # matrix rows whose pivots are held before counting
 
 
-def _sturm_count(diag: list, off2: list, pivmin: float, probes: np.ndarray) -> np.ndarray:
+def _guarded_rows(rows, q: np.ndarray, pivmin: float, probes: np.ndarray,
+                  negative: np.ndarray) -> np.ndarray:
+    """LAPACK ``dlaebz`` pivot loop over ``rows`` (d_i, e_{i-1}^2), starting
+    from the pivot ``q`` of the row above: each row's sign goes into
+    ``negative`` and the last pivot is returned.
+
+    A pivot no larger in magnitude than pivmin is replaced by -pivmin before
+    it is counted and propagated, so a probe that lands exactly on a pivot
+    counts as negative and e^2/pivot stays finite.
+    """
+    small = np.empty(probes.shape, dtype=bool)
+    for (d_i, e2_i), neg in zip(rows, negative):
+        q = d_i - e2_i / q - probes
+        np.less_equal(np.abs(q), pivmin, out=small)
+        np.copyto(q, -pivmin, where=small)
+        np.less(q, 0.0, out=neg)
+    return q
+
+
+def _sturm_count(diag, off2, pivmin: float, probes: np.ndarray) -> np.ndarray:
     """Number of negative LDL^T pivots of T - x at each probe x: the number
     of eigenvalues below x (one that x hits exactly may count too).
 
-    LAPACK ``dlaebz`` pivot rule: a pivot no larger in magnitude than pivmin is
-    replaced by -pivmin before it is counted and propagated, so a probe that
-    lands exactly on a pivot counts as negative and e^2/pivot stays finite.
+    Pivots are counted in blocks of ``_ROW_BLOCK`` rows, as in LAPACK
+    ``dlaneg`` (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28(5), 2006):
+    a block runs without the pivot guard and is checked once at its end. A
+    block holding a pivot no larger in magnitude than pivmin is redone by
+    ``_guarded_rows``. Up to the first such pivot the unguarded pivots equal
+    the guarded ones, and a pivot larger than pivmin cannot make e^2/pivot
+    overflow, so the counts are ``dlaebz``'s exactly.
     """
     count = np.zeros(probes.shape, dtype=np.int64)
-    neg = np.empty((_ROW_BLOCK,) + probes.shape, dtype=bool)
-    small = np.empty(probes.shape, dtype=bool)
+    pivots = np.empty((_ROW_BLOCK,) + probes.shape)
+    negative = np.empty(pivots.shape, dtype=bool)
     q = np.ones(probes.shape)
-    rows = list(zip(diag, [0.0] + list(off2)))  # row 0 has no coupling above
+    # row 0 has no coupling above; NumPy scalars enter a ufunc faster than floats
+    rows = list(zip(np.asarray(diag, dtype=float),
+                    np.concatenate(([0.0], np.asarray(off2, dtype=float)))))
     for start in range(0, len(rows), _ROW_BLOCK):
-        block = neg[:len(rows) - start]
-        for (d_i, e2_i), negative in zip(rows[start:start + _ROW_BLOCK], block):
-            q = d_i - e2_i / q - probes
-            np.less_equal(np.abs(q), pivmin, out=small)
-            np.copyto(q, -pivmin, where=small)
-            np.less(q, 0.0, out=negative)
-        count += np.count_nonzero(block, axis=0)
+        block = rows[start:start + _ROW_BLOCK]
+        piv, neg = pivots[:len(block)], negative[:len(block)]
+        prev = q
+        # d_i - e2_i / q - probes, the guarded loop's operations in its order;
+        # a zero pivot divides by zero, and its block is redone below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (d_i, e2_i), p in zip(block, piv):
+                np.divide(e2_i, prev, out=p)
+                np.subtract(d_i, p, out=p)
+                np.subtract(p, probes, out=p)
+                prev = p
+            redo = (np.abs(piv) <= pivmin).any()
+        if redo:
+            q = _guarded_rows(block, q, pivmin, probes, neg)
+        else:
+            q = piv[-1].copy()  # the next block writes over ``pivots``
+            np.less(piv, 0.0, out=neg)
+        count += np.count_nonzero(neg, axis=0)
     return count
 
 
@@ -182,7 +219,10 @@ def tridiagonal_smallest(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarra
     Multisection on Sturm counts (Lo, Philippe & Sameh 1987): every sweep
     probes each distinct open bracket at PROBES interior points in one
     vectorized recurrence, starting from the Gershgorin interval. A bracket
-    is done at width 4 eps max(1, |lambda|).
+    is done at width 4 eps max(1, |lambda|). The recurrence runs in blocks of
+    rows without the pivot guard, and a block is redone with the guard only
+    when it meets a tiny pivot (``_sturm_count``), so the eigenvalues are
+    those of the guarded recurrence bit for bit.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -203,7 +243,6 @@ def tridiagonal_smallest(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarra
     hi = np.full(k, ghi)
     targets = np.arange(k)
     frac = np.arange(1, PROBES + 1) / (PROBES + 1)
-    dl, e2l = d.tolist(), off2.tolist()
     eps = np.finfo(float).eps
     for _ in range(_MAX_SWEEPS):
         open_ = hi - lo > 4.0 * eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
@@ -215,7 +254,7 @@ def tridiagonal_smallest(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarra
         which = which.ravel()
         a, b = brackets[:, :1], brackets[:, 1:]
         probes = a + (b - a) * frac
-        counts = _sturm_count(dl, e2l, pivmin, probes)[which]
+        counts = _sturm_count(d, off2, pivmin, probes)[which]
         edges = np.concatenate([a, probes, b], axis=1)[which]
         # new bracket: from the last probe counting <= t to the first above t
         above = counts > targets[open_, None]

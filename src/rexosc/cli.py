@@ -392,6 +392,7 @@ def cmd_plotdata(args) -> int:
     state = job.states[0]
     if spec.dimension not in (1, 2):
         raise DomainError("plot grids are emitted for dimensions 1 and 2")
+    spec.system.require_bound_states()
     grids = _job_grids(job)
     if args.half_width is not None:
         grids = [verify.Grid(g.center, args.half_width, g.n_points) for g in grids]

@@ -5,9 +5,16 @@ obtained by the imaginary-argument substitution (even index), and the
 composite polynomials that appear in the numerators of extended-oscillator
 eigenfunctions.  Also supplies Sturm-sequence real-root counting used by
 regularity scans.
+
+The integer-exact constructions and the zeros of the pseudo companions are
+cached: a ``Polynomial`` is frozen and the zeros are returned read-only, so
+no caller can change a cached value. Sturm chains are built on Python
+floats (a pole scan's chain members have at most 11 coefficients, too few for
+array calls to pay), and root isolation evaluates its probes on arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +32,8 @@ _REAL_TOL = 1e-12
 # A multisection sweep of root isolation splits each interval into at most
 # 2**_SPLIT_BITS parts, that is at most 63 interior probes.
 _SPLIT_BITS = 6
+# interior probes of a split into 2**bits parts, as fractions of the interval
+_FRACTIONS = [np.arange(1, 2**bits) / 2**bits for bits in range(_SPLIT_BITS + 1)]
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,26 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(out))
 
 
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """Ascending coefficients without trailing zeros, as ``Polynomial`` keeps
+    them (one coefficient at least)."""
+    k = c.shape[0]
+    while k > 1 and c[k - 1] == 0:
+        k -= 1
+    return c[:k]
+
+
 def compose_linear(p: Polynomial, alpha: complex, beta: complex) -> Polynomial:
-    """Coefficients of p(alpha*t + beta) as a polynomial in t."""
-    result = Polynomial((0j,))
-    lin = Polynomial((beta, alpha))
+    """Coefficients of p(alpha*t + beta) as a polynomial in t, by Horner's
+    rule on coefficient arrays."""
+    lin = _trimmed(np.array([beta, alpha], dtype=complex))
+    out = np.zeros(1, dtype=complex)
     for c in reversed(p.coefficients):
-        result = add(multiply(result, lin), Polynomial((c,)))
-    return result
+        # 0j + ...: the sum ``add`` forms, which turns a zero part -0.0 into 0.0
+        out = _trimmed(np.convolve(out, lin)) + 0j
+        out[0] += c
+        out = _trimmed(out)
+    return Polynomial(tuple(out.tolist()))
 
 
 def conjugate_coefficients(p: Polynomial) -> Polynomial:
@@ -142,11 +164,16 @@ def _int_add(a: list, b: list) -> list:
     return out
 
 
+# The constructions below are cached. An index above _MAX_INDEX raises and
+# is not cached, so hermite and pseudo_hermite hold at most 65 entries each;
+# exceptional_hermite's bound covers every valid (m, j).
+@functools.lru_cache(maxsize=None)
 def hermite(n: int) -> Polynomial:
     """Physicists' Hermite polynomial H_n via the three-term recurrence."""
     return Polynomial(tuple(_int_hermite(n)))
 
 
+@functools.lru_cache(maxsize=None)
 def pseudo_hermite(m: int) -> Polynomial:
     """Nodeless Hermite companion: substitute an imaginary argument into H_m
     and strip the overall phase.  Real coefficients; strictly positive on the
@@ -154,6 +181,7 @@ def pseudo_hermite(m: int) -> Polynomial:
     return Polynomial(tuple(_int_pseudo_hermite(m)))
 
 
+@functools.lru_cache(maxsize=(_MAX_INDEX + 1) ** 2)
 def exceptional_hermite(m: int, j: int) -> Polynomial:
     """Numerator polynomial of the extended-oscillator eigenfunctions.
 
@@ -171,8 +199,18 @@ def exceptional_hermite(m: int, j: int) -> Polynomial:
 
 
 def pseudo_hermite_zeros(m: int) -> np.ndarray:
-    """Complex zeros of the index-m pseudo companion (all purely imaginary)."""
-    return -1j * hermite_real_roots(m)
+    """Complex zeros of the index-m pseudo companion (all purely imaginary),
+    computed once per m and returned read-only."""
+    return _pseudo_hermite_zeros(m)
+
+
+# the cache sits behind the public function, which stays a plain function so
+# that the benchmark's span recorder still counts its calls
+@functools.lru_cache(maxsize=None)
+def _pseudo_hermite_zeros(m: int) -> np.ndarray:
+    zeros = -1j * hermite_real_roots(m)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def hermite_real_roots(m: int) -> np.ndarray:
@@ -185,56 +223,55 @@ def hermite_real_roots(m: int) -> np.ndarray:
 
 # -- Sturm sequences ---------------------------------------------------------
 
-def _real_coeffs(p: Polynomial) -> np.ndarray:
-    c = np.array(p.coefficients)
-    scale = np.max(np.abs(c)) or 1.0
-    if np.max(np.abs(c.imag)) > _REAL_TOL * scale:
+def _real_coeffs(p: Polynomial) -> list:
+    c = p.coefficients
+    scale = max(abs(x) for x in c) or 1.0
+    if max(abs(x.imag) for x in c) > _REAL_TOL * scale:
         raise DomainError("polynomial coefficients are not real")
-    return c.real.copy()
+    return [x.real for x in c]
 
 
-def _trim(c: np.ndarray, tol: float) -> np.ndarray:
-    scale = np.max(np.abs(c)) if c.size else 0.0
+def _trim(c: list, tol: float) -> list:
+    scale = max(map(abs, c), default=0.0)
     if scale == 0.0:
-        return np.zeros(1)
-    k = c.size
+        return [0.0]
+    k = len(c)
     while k > 1 and abs(c[k - 1]) <= tol * scale:
         k -= 1
     return c[:k]
 
 
-def _poly_rem(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _poly_rem(a: list, b: list, tol: float) -> list:
     """Remainder of a / b on float coefficients with degree truncation."""
-    r = a.copy()
-    db = b.size - 1
+    r = a
+    db = len(b) - 1
     lead = b[-1]
-    while r.size - 1 >= db and r.size > 1:
-        k = r.size - 1 - db
+    while len(r) - 1 >= db and len(r) > 1:
+        k = len(r) - 1 - db
         q = r[-1] / lead
-        r = r[:-1].copy()
+        r = r[:-1]
         if q != 0.0:
-            r[k:k + db] -= q * b[:-1]
+            r[k:k + db] = [x - q * y for x, y in zip(r[k:k + db], b)]
         r = _trim(r, tol)
-        if r.size == 1 and r[0] == 0.0:
+        if r == [0.0]:
             break
     return r
 
 
-def _sturm_chain(c: np.ndarray, tol: float) -> list:
+def _sturm_chain(c: list, tol: float) -> list:
     chain = [_trim(c, tol)]
-    if chain[0].size > 1:
-        d = np.array([k * c[k] for k in range(1, c.size)])
-        chain.append(_trim(d, tol))
-    while chain[-1].size > 1:
+    if len(chain[0]) > 1:
+        chain.append(_trim([k * c[k] for k in range(1, len(c))], tol))
+    while len(chain[-1]) > 1:
         r = _poly_rem(chain[-2], chain[-1], tol)
-        if r.size == 1 and r[0] == 0.0:
+        if r == [0.0]:
             break
-        chain.append(-r)
-    if chain[-1].size > 1:
+        chain.append([-x for x in r])
+    if len(chain[-1]) > 1:
         # p has a repeated root: every member shares the factor chain[-1] and
         # would vanish at that root, so divide the factor out of the chain
-        g = chain[-1][::-1]
-        chain = [np.polydiv(c[::-1], g)[0][::-1] for c in chain]
+        g = np.array(chain[-1][::-1])
+        chain = [np.polydiv(np.array(c[::-1]), g)[0][::-1].tolist() for c in chain]
     return chain
 
 
@@ -244,13 +281,12 @@ def _sturm_table(p: Polynomial):
     each member's degree and coefficient scale as (L, 1) arrays. None when p
     is constant."""
     chain = _sturm_chain(_real_coeffs(p), _REAL_TOL)
-    if chain[0].size == 1:
+    if len(chain[0]) == 1:
         return None
-    coeffs = np.zeros((len(chain), max(c.size for c in chain)))
-    for row, c in zip(coeffs, chain):
-        row[:c.size] = c
-    degree = np.array([[c.size - 1] for c in chain])
-    scale = np.array([[np.max(np.abs(c))] for c in chain])
+    width = max(map(len, chain))
+    coeffs = np.array([c + [0.0] * (width - len(c)) for c in chain])
+    degree = np.array([[len(c) - 1] for c in chain])
+    scale = np.array([[max(map(abs, c))] for c in chain])
     return list(coeffs.T[:, :, None]), degree, scale
 
 
@@ -261,15 +297,19 @@ def _variations(table, x: np.ndarray) -> np.ndarray:
     and are skipped, so a root of p at a probe is counted as left of it.
     """
     columns, degree, scale = table
-    vals = columns[-1] + 0.0 * x
+    vals = np.empty((degree.shape[0], x.size))
+    vals[:] = columns[-1]
     for c in columns[-2::-1]:
-        vals = vals * x + c
+        vals *= x
+        vals += c
     kept = np.abs(vals) > 1e-14 * (scale * np.maximum(1.0, np.abs(x)) ** degree)
+    if kept.all():
+        negative = vals < 0.0
+        return (negative[1:] != negative[:-1]).sum(axis=0)
+    # a skipped member takes the sign of the last kept one above it
     sign = np.sign(vals) * kept
-    if not kept.all():
-        # a skipped member takes the sign of the last kept one above it
-        rows = np.where(kept, np.arange(sign.shape[0])[:, None], 0)
-        sign = sign[np.maximum.accumulate(rows, axis=0), np.arange(x.size)]
+    rows = np.where(kept, np.arange(sign.shape[0])[:, None], 0)
+    sign = sign[np.maximum.accumulate(rows, axis=0), np.arange(x.size)]
     return np.count_nonzero(sign[1:] * sign[:-1] < 0.0, axis=0)
 
 
@@ -305,30 +345,31 @@ def isolate_real_roots(p: Polynomial, lo: float, hi: float,
     table = _sturm_table(p)
     if table is None:
         return []
-    # one column per interval: a, b, V(a), V(b)
-    state = np.array([[lo], [hi], *_variations(table, np.array([lo, hi]))[:, None]])
-    state = state[:, state[2] > state[3]]
+    v_lo, v_hi = _variations(table, np.array([lo, hi])).tolist()
+    # intervals (a, b] holding roots, with the variation counts V(a) > V(b)
+    intervals = [(lo, hi, v_lo, v_hi)] if v_lo > v_hi else []
     roots = []
-    while state.shape[1]:
-        a, b, v_a, v_b = state
-        room = tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        done = b - a <= room
-        if done.any():
-            roots.extend((0.5 * (a[done] + b[done])).tolist())
-            state, room = state[:, ~done], room[~done]
-            if not state.shape[1]:
-                break
-            a, b, v_a, v_b = state
-        ratio = float(np.min((b - a) / room))
-        parts = 2 ** min(max(math.ceil(math.log2(ratio) - 1e-9), 1), _SPLIT_BITS)
-        probes = a[:, None] + (b - a)[:, None] * (np.arange(1, parts) / parts)
+    while intervals:
+        split, ratio = [], math.inf
+        for a, b, v_a, v_b in intervals:
+            room = tol * max(1.0, abs(a), abs(b))
+            if b - a <= room:
+                roots.append(0.5 * (a + b))
+            else:
+                split.append((a, b, v_a, v_b))
+                ratio = min(ratio, (b - a) / room)
+        if not split:
+            break
+        bits = min(max(math.ceil(math.log2(ratio) - 1e-9), 1), _SPLIT_BITS)
+        a, b, v_a, v_b = np.array(split).T[:, :, None]
+        probes = a + (b - a) * _FRACTIONS[bits]
         v_x = _variations(table, probes.ravel()).reshape(probes.shape)
-        edges = np.concatenate([a[:, None], probes, b[:, None]], axis=1)
-        counts = np.concatenate([v_a[:, None], v_x, v_b[:, None]], axis=1)
+        edges = np.concatenate([a, probes, b], axis=1)
+        counts = np.concatenate([v_a, v_x, v_b], axis=1)
         # zero-filtered counts can wobble near a repeated root; keep them
         # non-increasing so no part holds a negative number of roots
-        counts = np.maximum(np.minimum.accumulate(counts, axis=1), v_b[:, None])
-        state = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel(),
-                          counts[:, :-1].ravel(), counts[:, 1:].ravel()])
-        state = state[:, state[2] > state[3]]
+        counts = np.maximum(np.minimum.accumulate(counts, axis=1), v_b)
+        row, col = np.nonzero(counts[:, :-1] > counts[:, 1:])
+        intervals = list(zip(edges[row, col].tolist(), edges[row, col + 1].tolist(),
+                             counts[row, col].tolist(), counts[row, col + 1].tolist()))
     return sorted(roots)

@@ -2,10 +2,16 @@
 
 Everything here is computed independently of the package internals: printed
 closed-form rows are transcribed literally, Hermite values come from
-numpy.polynomial, and counting oracles use brute-force enumeration.
+numpy.polynomial, and counting oracles use brute-force enumeration. The
+reference kernels at the end are the plain loops that the package's faster
+Sturm code must reproduce bit for bit.
 """
+import math
+
 import numpy as np
 from numpy.polynomial.hermite import hermval
+
+from rexosc.poly import Polynomial, add, multiply
 
 
 def hermite_ref(n, x):
@@ -184,3 +190,126 @@ def brute_force_multiplicities(weights, offsets, cutoff_key):
 
     rec(0, 0)
     return counts
+
+
+# -- reference Sturm kernels ----------------------------------------------------
+
+def sturm_count_ref(diag, off2, pivmin, probes):
+    """Negative LDL^T pivots of T - x at each probe x, row by row with the
+    LAPACK ``dlaebz`` guard: a pivot no larger in magnitude than pivmin is
+    replaced by -pivmin before it is counted and propagated."""
+    count = np.zeros(probes.shape, dtype=np.int64)
+    q = np.ones(probes.shape)
+    for d_i, e2_i in zip(diag, [0.0] + list(off2)):
+        q = d_i - e2_i / q - probes
+        q = np.where(np.abs(q) <= pivmin, -pivmin, q)
+        count += q < 0.0
+    return count
+
+
+def compose_linear_ref(p, alpha, beta):
+    """p(alpha*t + beta) by Horner's rule on ``Polynomial`` objects."""
+    result = Polynomial((0j,))
+    lin = Polynomial((beta, alpha))
+    for c in reversed(p.coefficients):
+        result = add(multiply(result, lin), Polynomial((c,)))
+    return result
+
+
+_REF_TOL = 1e-12
+
+
+def _trim_ref(c, tol):
+    scale = np.max(np.abs(c)) if c.size else 0.0
+    if scale == 0.0:
+        return np.zeros(1)
+    k = c.size
+    while k > 1 and abs(c[k - 1]) <= tol * scale:
+        k -= 1
+    return c[:k]
+
+
+def _poly_rem_ref(a, b, tol):
+    r = a.copy()
+    db = b.size - 1
+    while r.size - 1 >= db and r.size > 1:
+        k = r.size - 1 - db
+        q = r[-1] / b[-1]
+        r = r[:-1].copy()
+        if q != 0.0:
+            r[k:k + db] -= q * b[:-1]
+        r = _trim_ref(r, tol)
+        if r.size == 1 and r[0] == 0.0:
+            break
+    return r
+
+
+def _sturm_chain_ref(c, tol):
+    chain = [_trim_ref(c, tol)]
+    if chain[0].size > 1:
+        chain.append(_trim_ref(np.array([k * c[k] for k in range(1, c.size)]), tol))
+    while chain[-1].size > 1:
+        r = _poly_rem_ref(chain[-2], chain[-1], tol)
+        if r.size == 1 and r[0] == 0.0:
+            break
+        chain.append(-r)
+    if chain[-1].size > 1:
+        g = chain[-1][::-1]
+        chain = [np.polydiv(c[::-1], g)[0][::-1] for c in chain]
+    return chain
+
+
+def _variations_ref(chain, x):
+    """Sign variations of the chain at each probe; a member with |value| <=
+    1e-14 * scale * max(1, |x|)^degree takes the sign of the last kept one
+    above it."""
+    coeffs = np.zeros((len(chain), max(c.size for c in chain)))
+    for row, c in zip(coeffs, chain):
+        row[:c.size] = c
+    degree = np.array([[c.size - 1] for c in chain])
+    scale = np.array([[np.max(np.abs(c))] for c in chain])
+    columns = list(coeffs.T[:, :, None])
+    vals = columns[-1] + 0.0 * x
+    for c in columns[-2::-1]:
+        vals = vals * x + c
+    kept = np.abs(vals) > 1e-14 * (scale * np.maximum(1.0, np.abs(x)) ** degree)
+    sign = np.sign(vals) * kept
+    rows = np.where(kept, np.arange(sign.shape[0])[:, None], 0)
+    sign = sign[np.maximum.accumulate(rows, axis=0), np.arange(x.size)]
+    return np.count_nonzero(sign[1:] * sign[:-1] < 0.0, axis=0)
+
+
+def isolate_real_roots_ref(p, lo, hi, tol=1e-12):
+    """Distinct real roots of p in (lo, hi] by Sturm multisection on NumPy
+    arrays: every sweep splits each interval holding a root into up to 64
+    equal parts, fewer when a part could get narrower than the tolerance."""
+    c = np.array(p.coefficients)
+    if np.max(np.abs(c.imag)) > _REF_TOL * (np.max(np.abs(c)) or 1.0):
+        raise ValueError("polynomial coefficients are not real")
+    chain = _sturm_chain_ref(c.real.copy(), _REF_TOL)
+    if chain[0].size == 1:
+        return []
+    state = np.array([[lo], [hi], *_variations_ref(chain, np.array([lo, hi]))[:, None]])
+    state = state[:, state[2] > state[3]]
+    roots = []
+    while state.shape[1]:
+        a, b, v_a, v_b = state
+        room = tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        done = b - a <= room
+        if done.any():
+            roots.extend((0.5 * (a[done] + b[done])).tolist())
+            state, room = state[:, ~done], room[~done]
+            if not state.shape[1]:
+                break
+            a, b, v_a, v_b = state
+        ratio = float(np.min((b - a) / room))
+        parts = 2 ** min(max(math.ceil(math.log2(ratio) - 1e-9), 1), 6)
+        probes = a[:, None] + (b - a)[:, None] * (np.arange(1, parts) / parts)
+        v_x = _variations_ref(chain, probes.ravel()).reshape(probes.shape)
+        edges = np.concatenate([a[:, None], probes, b[:, None]], axis=1)
+        counts = np.concatenate([v_a[:, None], v_x, v_b[:, None]], axis=1)
+        counts = np.maximum(np.minimum.accumulate(counts, axis=1), v_b[:, None])
+        state = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                          counts[:, :-1].ravel(), counts[:, 1:].ravel()])
+        state = state[:, state[2] > state[3]]
+    return sorted(roots)

@@ -332,6 +332,10 @@ def test_threads_env_smoke(capsys, monkeypatch):
       "--lambda3", "real:1.6", "--points", "21"], "needs a positive frequency, got 0"),
     (["verify", "--dim", "2", "--omega", "1,2", "--coupling", "real:5", "--points", "21"],
      "tilde axis 0 needs a positive frequency, got 0+1.64929i"),
+    (["plotdata", "--dim", "2", "--omega", "1,2", "--coupling", "real:5", "--points", "11",
+      "--state", "g,g"], "tilde axis 0 needs a positive frequency, got 0+1.64929i"),
+    (["plotdata", "--dim", "2", "--omega", "1,2", "--coupling", "real:2", "--points", "11",
+      "--state", "g,g"], "needs a positive frequency, got 0"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)

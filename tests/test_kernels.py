@@ -1,8 +1,10 @@
 """NumPy kernels: quadrature, stencil, slab Laplacian, Horner, and the multisection
-eigensolver against dense ``eigvalsh`` on adversarial matrices."""
+eigensolver against dense ``eigvalsh`` on adversarial matrices; the blocked
+Sturm count against its row-by-row reference, zero pivots included."""
 import numpy as np
 import pytest
 
+import oracles
 from rexosc import _kernels
 
 EPS = np.finfo(float).eps
@@ -164,3 +166,72 @@ def test_eigensolver_rejects_bad_arguments():
         _kernels.tridiagonal_smallest(np.ones(3), np.ones(2), 4)
     with pytest.raises(RuntimeError):
         _kernels.tridiagonal_smallest(np.array([1.0, np.nan]), np.ones(1), 1)
+
+
+def _pivmin(off2):
+    return np.finfo(float).tiny * max(1.0, float(np.max(off2, initial=0.0)))
+
+
+def test_blocked_sturm_count_equals_row_by_row_reference():
+    rng = np.random.default_rng(19)
+    block = _kernels._ROW_BLOCK
+    for n in (1, 2, 17, block - 1, block, block + 1, 2 * block + 37):
+        d = rng.normal(size=n) * 10.0
+        off2 = rng.normal(size=n - 1) ** 2
+        probes = rng.uniform(d.min() - 5.0, d.max() + 5.0, size=(3, 63))
+        np.testing.assert_array_equal(
+            _kernels._sturm_count(d, off2, _pivmin(off2), probes),
+            oracles.sturm_count_ref(d, off2, _pivmin(off2), probes))
+
+
+# rows whose pivot the tests drive to exactly zero: the first row, one in
+# mid-block, the last row of a block, the first row of the next, and one in
+# the third block, which the recurrence enters through a coupled row
+_ZERO_ROWS = (0, 100, _kernels._ROW_BLOCK - 1, _kernels._ROW_BLOCK,
+              2 * _kernels._ROW_BLOCK + 30)
+
+
+def test_zero_pivots_on_decoupled_rows_count_as_negative():
+    # zero couplings make row i's pivot d_i - x, so a probe on the diagonal
+    # is an exact zero pivot, and the count at x is #{j: d_j <= x}
+    rng = np.random.default_rng(23)
+    d = rng.normal(size=600)
+    off2 = np.zeros(599)
+    probes = np.concatenate([d[list(_ZERO_ROWS)], rng.normal(size=11)])
+    got = _kernels._sturm_count(d, off2, _pivmin(off2), probes)
+    np.testing.assert_array_equal(got, oracles.sturm_count_ref(d, off2, _pivmin(off2), probes))
+    np.testing.assert_array_equal(got, [np.count_nonzero(d <= x) for x in probes])
+
+
+def test_zero_pivots_between_coupled_rows_equal_reference():
+    # the coupling above each zero row is cut, so its pivot is d_i - x = 0;
+    # the coupled row below then divides by it and needs the guard. The third
+    # block is full, so its redo must start from the pivot carried into it
+    rng = np.random.default_rng(29)
+    d = rng.normal(size=3 * _kernels._ROW_BLOCK + 32)
+    off2 = rng.uniform(0.1, 1.0, size=d.size - 1) ** 2
+    for row in _ZERO_ROWS[1:]:
+        off2[row - 1] = 0.0
+    probes = np.stack([d[list(_ZERO_ROWS)], rng.normal(size=len(_ZERO_ROWS))])
+    np.testing.assert_array_equal(
+        _kernels._sturm_count(d, off2, _pivmin(off2), probes),
+        oracles.sturm_count_ref(d, off2, _pivmin(off2), probes))
+
+
+def test_redone_block_starts_from_the_pivot_carried_into_it():
+    # decoupled rows, all pivots 5 - x > 0, except: row 2B-1 ends the second
+    # block with pivot +1; row 2B, coupled to it alone, has pivot
+    # -e^2/(+1) < 0, which a redo from any negative pivot would flip; row
+    # 2B+30 is a zero pivot, so the third block is redone; row 3B-1 ends that
+    # block with pivot -1
+    block = _kernels._ROW_BLOCK
+    x = 0.25
+    d = np.full(3 * block + 8, 5.0)
+    off2 = np.zeros(d.size - 1)
+    d[2 * block - 1], d[2 * block], off2[2 * block - 1] = x + 1.0, x, 0.5
+    d[2 * block + 30] = x
+    d[3 * block - 1] = x - 1.0
+    probes = np.array([x])
+    got = _kernels._sturm_count(d, off2, _pivmin(off2), probes)
+    np.testing.assert_array_equal(got, oracles.sturm_count_ref(d, off2, _pivmin(off2), probes))
+    assert got.tolist() == [3]  # eigenvalues x - 0.366, x and x - 1

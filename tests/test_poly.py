@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import hermite_ref
 from rexosc import poly
 from rexosc.errors import DomainError
@@ -167,7 +168,7 @@ def _roots_poly(*roots):
 def _variations_loop(chain, x):
     """Scalar reference for the vectorized sign-variation count."""
     vals = []
-    for c in chain:
+    for c in map(np.asarray, chain):
         v = 0.0
         for ck in c[::-1]:
             v = v * x + ck
@@ -275,3 +276,57 @@ def test_root_interval_must_be_finite_and_ordered():
             poly.isolate_real_roots(poly.hermite(2), lo, hi)
         with pytest.raises(DomainError):
             poly.count_real_roots(poly.hermite(2), lo, hi)
+
+
+def _bits(p):
+    return [(c.real.hex(), c.imag.hex()) for c in p.coefficients]
+
+
+def test_compose_linear_equals_polynomial_reference():
+    rng = np.random.default_rng(31)
+    polys = ([poly.hermite(n) for n in range(7)] + [poly.pseudo_hermite(m) for m in range(7)]
+             + [Polynomial(tuple(rng.normal(size=k) + 1j * rng.normal(size=k)))
+                for k in (1, 3, 6)]
+             + [Polynomial((0j,)), Polynomial((-0.0, complex(-0.0, -0.0), 1.0))])
+    args = [(0.8, 0.8 * (0.3 + 0.2j)), (1.3, 0.0), (0.5j, -0.25), (0.0, 2.0), (0.0, 0.0),
+            (-0.0, complex(-0.0, -0.0)), (1.0, complex(0.0, -0.0))]
+    args += [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(5)]
+    for p in polys:
+        for alpha, beta in args:
+            assert (_bits(poly.compose_linear(p, alpha, beta))
+                    == _bits(oracles.compose_linear_ref(p, alpha, beta))), (p, alpha, beta)
+
+
+def test_isolate_real_roots_equals_array_reference():
+    rng = np.random.default_rng(37)
+    cases = [(poly.hermite(n), -6.0, 6.0) for n in range(1, 13)]
+    cases += [(poly.exceptional_hermite(2, 3), -4, 4.5), (_roots_poly(1, 3), 0, 64),
+              (_roots_poly(1, 1, -2), -5, 5), (_roots_poly(0.0, 1e-9), -1, 1),
+              (poly.pseudo_hermite(3), -10, 10)]
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        s = complex(np.sqrt(complex(rng.uniform(0.5, 2.5), rng.choice([0.0, 0.3])) / 2))
+        shift = complex(rng.normal(), rng.choice([0.0, rng.normal()]))
+        p1 = poly.compose_linear(poly.pseudo_hermite(m), s, s * shift)
+        scan = p1 if s.imag == 0 and shift.imag == 0 else poly.multiply(
+            p1, poly.conjugate_coefficients(p1))
+        cases.append((scan, -8.0, 8.0))
+    # shifts that put a zero of p1 on the real axis: double roots of the scan
+    for m in (2, 3, 4):
+        for s in (0.7, 0.9 * np.exp(0.3j)):
+            for z in poly.pseudo_hermite_zeros(m):
+                p1 = poly.compose_linear(poly.pseudo_hermite(m), s, s * complex(-z / s + 0.2))
+                cases.append((poly.multiply(p1, poly.conjugate_coefficients(p1)), -8.0, 8.0))
+    for p, lo, hi in cases:
+        assert (poly.isolate_real_roots(p, lo, hi)
+                == oracles.isolate_real_roots_ref(p, lo, hi)), (p, lo, hi)
+
+
+def test_pseudo_hermite_zeros_are_cached_and_read_only():
+    assert poly.pseudo_hermite_zeros(0).size == 0
+    for m in (1, 3, 6):
+        zeros = poly.pseudo_hermite_zeros(m)
+        np.testing.assert_array_equal(poly.pseudo_hermite_zeros(m), zeros)
+        np.testing.assert_array_equal(zeros, -1j * poly.hermite_real_roots(m))
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
