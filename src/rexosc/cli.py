@@ -15,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,13 +57,12 @@ def _coupling_from(d) -> CouplingValue:
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One CLI job: spec, extension config, states, grid and output options."""
+    """One CLI job: spec, extension config, states and grid options."""
 
     spec: OscillatorSpec
     config: REConfig
     states: tuple
     grids: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +77,6 @@ class JobConfig:
             "states": [["g" if lv is None else lv for lv in st.levels]
                        for st in self.states],
             "grids": dict(sorted(self.grids.items())),
-            "outputs": dict(sorted(self.outputs.items())),
         }
 
     def to_json(self) -> str:
@@ -94,8 +90,7 @@ class JobConfig:
         config = REConfig(tuple(d["config"]["codimensions"]))
         states = tuple(Eigenstate(tuple(None if x == "g" else int(x) for x in st))
                        for st in d["states"])
-        return cls(spec, config, states, dict(d.get("grids", {})),
-                   dict(d.get("outputs", {})))
+        return cls(spec, config, states, dict(d.get("grids", {})))
 
     @classmethod
     def from_json(cls, text: str) -> "JobConfig":
@@ -170,6 +165,12 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _require_finite(*samples) -> None:
+    """Refuse samples that overflowed: a row of inf or nan is not a result."""
+    if not all(np.isfinite(a).all() for a in samples):
+        raise NumericalFailureError("V or psi overflows on the requested points")
 
 
 def _ratio_string(freqs) -> str | None:
@@ -254,16 +255,20 @@ def cmd_spectrum(args) -> int:
 def cmd_table(args) -> int:
     spec = _build_spec(args)
     xs = _numbers(args.xs, "--xs")
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"--xs must be finite, got {args.xs!r}")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["m", "x", "re_V", "im_V", "re_psi0", "im_psi0",
                 "re_psi1", "im_psi1"])
     pts = np.array([xs], dtype=complex)
     for m in range(args.max_m + 1):
-        plan = model.plan(spec, REConfig((m,)), pts, validate=False)
-        v = plan.potential(pts)
-        p0 = plan.psi(Eigenstate((None,)))
-        p1 = plan.psi(Eigenstate((0,)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan = model.plan(spec, REConfig((m,)), pts, validate=False)
+            v = plan.potential(pts)
+            p0 = plan.psi(Eigenstate((None,)))
+            p1 = plan.psi(Eigenstate((0,)))
+        _require_finite(v, p0, p1)
         for i, x in enumerate(xs):
             w.writerow([m, f"{x:.12g}", f"{v[i].real:.12g}", f"{v[i].imag:.12g}",
                         f"{p0[i].real:.12g}", f"{p0[i].imag:.12g}",
@@ -294,20 +299,11 @@ def _job_from_args(args) -> JobConfig:
     grids = {"n_points": args.points}
     if getattr(args, "spacing", None) is not None:
         grids["spacing"] = args.spacing
-    job = JobConfig(spec, config, states, grids, {"format": args.format})
+    job = JobConfig(spec, config, states, grids)
     if getattr(args, "emit_job", None):
         with open(args.emit_job, "w") as fh:
             fh.write(job.to_json())
     return job
-
-
-def _threads() -> int:
-    """Worker threads from REXOSC_THREADS (default 1)."""
-    text = os.environ.get("REXOSC_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise DomainError(f"REXOSC_THREADS must be an integer, got {text!r}") from None
 
 
 def _job_grids(job: JobConfig) -> list:
@@ -331,7 +327,6 @@ def _job_grids(job: JobConfig) -> list:
 def cmd_verify(args) -> int:
     job = _job_from_args(args)
     spec, config = job.spec, job.config
-    workers = _threads()
     model.validate_config(spec, config)
     spec.system.require_bound_states()
     grids = _job_grids(job)
@@ -340,10 +335,9 @@ def cmd_verify(args) -> int:
     job_plan = verify.MeshPlan(spec, config, grids)
     images = [verify.ParityImage(job_plan.plan, job_plan.grids, op)
               for op in transform.pt_classification(spec)]
-    states = job.states
 
     def check(state):
-        # one task per state: psi on the mesh once, its residual, then every
+        # one pass per state: psi on the mesh once, its residual, then every
         # parity fit against psi on the operator's image
         psi = job_plan.plan.psi(state)
         residual = job_plan.residual(state, psi)
@@ -351,15 +345,12 @@ def cmd_verify(args) -> int:
         fits = []
         for image in images:
             try:
-                fits.append(verify.pt_fit(reference, image.psi(state, psi),
-                                          verify.PT_FIT_TOLERANCE))
+                fits.append(verify.pt_fit(reference, image.psi(state, psi)))
             except IndeterminateError as exc:
                 fits.append(exc)
         return residual, fits
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(states))) as pool:
-        each_state = pool.map if workers > 1 and len(states) > 1 else map
-        results, fits = zip(*each_state(check, states))
+    results, fits = zip(*map(check, job.states))
     offsets = [off for _, off in results]
     spread = max(abs(a - offsets[0]) for a in offsets)
     pt_values = {}
@@ -399,10 +390,12 @@ def cmd_plotdata(args) -> int:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["x", "y", "re_V", "im_V", "re_psi", "im_psi"])
-    pts = verify._mesh(grids)
-    plan = model.plan(spec, config, pts, validate=False)
-    v = plan.potential(pts)
-    p = plan.psi(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = verify._mesh(grids)
+        plan = model.plan(spec, config, pts, validate=False)
+        v = plan.potential(pts)
+        p = plan.psi(state)
+    _require_finite(v, p)
     if spec.dimension == 1:
         for i, x in enumerate(grids[0].points):
             w.writerow([f"{x:.12g}", "0", f"{v[i].real:.12g}", f"{v[i].imag:.12g}",
@@ -441,14 +434,20 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
                    help="per-axis levels, 'g' for ground (repeatable)")
     p.add_argument("--points", type=int, default=4001)
     p.add_argument("--spacing", type=float, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--job", type=str, default=None, help="load a JSON job file")
     p.add_argument("--emit-job", type=str, default=None,
                    help="write the canonical JSON job file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError: one line and exit 1, like bad values."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rexosc",
         description="Rationally extended oscillators: transforms, spectra, "
                     "and verification")
@@ -468,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     _add_job_flags(p)
     p.add_argument("--cutoff", type=float, required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("table", help="closed-form 1D potential/eigenfunction samples")
@@ -493,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _VALIDATION as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -504,6 +504,10 @@ def main(argv=None) -> int:
         return 3
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # Python float arithmetic raises where NumPy would return inf
+        print("numerical failure: a value overflows the float range", file=sys.stderr)
         return 2
     except RexoscError as exc:
         print(f"error: {exc}", file=sys.stderr)

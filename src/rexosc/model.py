@@ -144,8 +144,8 @@ class OscillatorSpec:
         freqs = tuple(float(w) for w in self.frequencies)
         if len(freqs) != self.dimension or any(w <= 0 for w in freqs):
             raise DomainError("need one positive frequency per axis")
-        if not all(math.isfinite(w) for w in freqs):
-            raise DomainError("frequencies must be finite")
+        if not all(math.isfinite(w * w) for w in freqs):  # V holds omega**2 / 4
+            raise DomainError("frequencies must be finite, and so must their squares")
         object.__setattr__(self, "frequencies", freqs)
         if self.case not in CASES:
             raise DomainError(f"unknown perturbation case {self.case!r}")
@@ -405,8 +405,7 @@ class Plan:
     the sub-mesh of the grid axes it depends on; only the prefactor, psi and
     V take the full shape. ``psi(state)`` then only multiplies the prefactor
     by the ground phases and the numerators of the excited axes;
-    ``potential(points)`` reuses the u_i for the rational terms. A built
-    plan is never modified, so threads may share it.
+    ``potential(points)`` reuses the u_i for the rational terms.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, tilde: np.ndarray):
@@ -482,17 +481,17 @@ def unextended_energy(spec: OscillatorSpec, state) -> complex:
                for n, w in zip(ns, sys.tilde_frequencies)) + sys.potential_constant
 
 
-def _rational_weights(freqs, tol: float = 1e-9):
+def _rational_weights(freqs):
     """Integer weights W_i with omega_i proportional to W_i, or None."""
     base = min(f.real for f in freqs)
     if not base > 0:  # a zero frequency has no ratio
         return None
     fracs = []
     for f in freqs:
-        if abs(f.imag) > tol * abs(f):
+        if abs(f.imag) > 1e-9 * abs(f):
             return None
         frac = Fraction(f.real / base).limit_denominator(64)
-        if abs(f.real / base - float(frac)) > tol * max(1.0, f.real / base):
+        if abs(f.real / base - float(frac)) > 1e-9 * max(1.0, f.real / base):
             return None
         fracs.append(frac)
     den = math.lcm(*(fr.denominator for fr in fracs))
@@ -500,12 +499,12 @@ def _rational_weights(freqs, tol: float = 1e-9):
 
 
 def spectrum(spec: OscillatorSpec, config: REConfig,
-             energy_cutoff: float, tolerance: float = 1e-9) -> SpectrumTable:
+             energy_cutoff: float) -> SpectrumTable:
     """All states with relative energy <= cutoff, grouped into degenerate
     levels.
 
     Rational tilde-frequency ratios are detected and grouped with exact
-    integer arithmetic; otherwise levels closer than ``tolerance`` merge.
+    integer arithmetic; otherwise levels closer than 1e-9 relative merge.
     """
     if not math.isfinite(energy_cutoff):
         raise DomainError("the energy cutoff must be finite")
@@ -541,7 +540,7 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
             groups.setdefault(key, []).append((e, state))
         else:
             for key in groups:
-                if abs(key - e) <= tolerance * max(1.0, abs(key)):
+                if abs(key - e) <= 1e-9 * max(1.0, abs(key)):
                     groups[key].append((e, state))
                     break
             else:

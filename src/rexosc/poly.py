@@ -57,9 +57,6 @@ class Polynomial:
     def __call__(self, z):
         return evaluate(self, z)
 
-    def is_zero(self) -> bool:
-        return self.coefficients == (0j,)
-
 
 def evaluate(p: Polynomial, z):
     """Horner evaluation at a scalar or array argument."""
@@ -330,15 +327,14 @@ def count_real_roots(p: Polynomial, lo: float, hi: float) -> int:
     return int(v_lo - v_hi)
 
 
-def isolate_real_roots(p: Polynomial, lo: float, hi: float,
-                       tol: float = 1e-12) -> list:
+def isolate_real_roots(p: Polynomial, lo: float, hi: float) -> list:
     """Locate the distinct real roots of p in (lo, hi] by Sturm multisection.
 
     Each sweep splits every interval that still holds a root into up to 64
     equal parts, whose end points are counted in one vectorized call. An
-    interval narrower than tol * max(1, |a|, |b|) yields one root at its
+    interval narrower than 1e-12 * max(1, |a|, |b|) yields one root at its
     midpoint. A sweep never splits past the first level at which a part
-    could be that narrow, so roots closer than tol merge as under plain
+    could be that narrow, so roots closer than that merge as under plain
     bisection.
     """
     lo, hi = _finite_interval(lo, hi)
@@ -352,7 +348,7 @@ def isolate_real_roots(p: Polynomial, lo: float, hi: float,
     while intervals:
         split, ratio = [], math.inf
         for a, b, v_a, v_b in intervals:
-            room = tol * max(1.0, abs(a), abs(b))
+            room = 1e-12 * max(1.0, abs(a), abs(b))
             if b - a <= room:
                 roots.append(0.5 * (a + b))
             else:

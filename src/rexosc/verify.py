@@ -40,6 +40,7 @@ _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reac
 # a 3D verify job with two states runs (peak RSS above the interpreter's).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
+_QUADRATURE_POINTS = 4001  # points per tilde axis of the Rayleigh and Gram integrals
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
     return np.transpose(np.flip(psi, axis=flipped), order)
 
 
-def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
+def _pole_mask(plan: model.Plan) -> np.ndarray:
     """Boolean mask of interior points too close to a denominator zero,
     dilated by the stencil footprint plus a guard band, up to the mesh faces."""
     bad = np.zeros(_interior(plan.prefactor).shape, dtype=bool)
@@ -149,7 +150,7 @@ def _pole_mask(plan: model.Plan, pole_guard: float) -> np.ndarray:
             continue
         u = _interior(u)
         for z in poly.pseudo_hermite_zeros(m):
-            bad |= np.abs(u - z) < pole_guard
+            bad |= np.abs(u - z) < _POLE_GUARD
     if not bad.any():
         return bad
     reach = STENCIL_REACH + _GUARD_POINTS
@@ -210,12 +211,9 @@ class MeshPlan:
 
     Each state then costs one ``plan.psi``, which ``residual`` and the
     parity-time fits (through a ``ParityImage`` per operator) share.
-    Nothing here is modified after construction, so threads may share a
-    plan.
     """
 
-    def __init__(self, spec: OscillatorSpec, config: REConfig, grids,
-                 pole_guard: float = _POLE_GUARD):
+    def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
         self.grids = _grid_list(grids)
         if len(self.grids) != spec.dimension:
             raise ShapeError("one grid per axis required")
@@ -225,7 +223,7 @@ class MeshPlan:
         # mesh, trimmed, without building it on the mesh
         self.potential = model._potential(spec, config, [_interior(x) for x in mesh],
                                           [_interior(u) for u in self.plan.scaled])
-        self.keep = ~_pole_mask(self.plan, pole_guard)
+        self.keep = ~_pole_mask(self.plan)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, fitted_offset) of ``state``, whose eigenfunction on
@@ -271,8 +269,7 @@ class MeshPlan:
 
 # ---------------------------------------------------------------- residuals
 
-def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
-                  grids, pole_guard: float = _POLE_GUARD):
+def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate, grids):
     """Pointwise Schrodinger residual of the closed-form eigenfunction.
 
     Computes r = -lap(psi) + V*psi on the grid interior, fits the constant
@@ -280,27 +277,27 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     passes), and returns (max_residual, fitted_offset) with the residual
     normalized by max|psi| * (|E_rel| + max tilde frequency).
     """
-    job = MeshPlan(spec, config, grids, pole_guard)
+    job = MeshPlan(spec, config, grids)
     return job.residual(state, job.plan.psi(state))
 
 
 # ------------------------------------------------------- Rayleigh quotients
 
-def _tilde_axis(omega, n_points: int, im_shift: float = 0.0):
+def _tilde_axis(omega, im_shift: float = 0.0):
     """The quadrature grid of one tilde axis, centered on 0 and as wide as
     its decay needs, and its contour t = grid point + i*im_shift."""
-    g = Grid(0.0, numerics.default_half_width(complex(omega).real), n_points | 1)
+    g = Grid(0.0, numerics.default_half_width(complex(omega).real), _QUADRATURE_POINTS)
     return g, g.points.astype(complex) + 1j * im_shift
 
 
-def _axis_quadrature(omega, m: int, level, n_points: int, im_shift: float = 0.0):
+def _axis_quadrature(omega, m: int, level, im_shift: float = 0.0):
     """1D ingredients (f, -f'' + V f, spacing) along one axis contour.
 
     The contour is the axis's natural line Im t = im_shift: the real tilde
     line for rotated axes, the displaced line of an imaginary coordinate
     shift (which keeps odd co-dimension denominators nodeless).
     """
-    g, t = _tilde_axis(omega, n_points, im_shift)
+    g, t = _tilde_axis(omega, im_shift)
     f = model.axis_eigenfunction(omega, m, level, t)
     h = numerics.second_derivative_profile(f, g.spacing)
     vt = 0.25 * complex(omega) ** 2 * t**2 + model.rational_term_1d(omega, m, t)
@@ -308,8 +305,7 @@ def _axis_quadrature(omega, m: int, level, n_points: int, im_shift: float = 0.0)
     return f[core], (-h + (vt * f)[core]), g.spacing
 
 
-def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
-                    n_points: int = 4001) -> complex:
+def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate) -> complex:
     """Quadrature energy <psi|H|psi>/<psi|psi> on the decoupled axes.
 
     Hermitian specs use the conjugated inner product; parity-time symmetric
@@ -324,7 +320,7 @@ def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
     norms, cross = [], []
     for w, m, lv, shift in zip(sys.tilde_frequencies, config.codimensions, state.levels,
                                np.imag(sys.coordinate_map.shift)):
-        f, hf, h = _axis_quadrature(w, m, lv, n_points, im_shift=shift)
+        f, hf, h = _axis_quadrature(w, m, lv, im_shift=shift)
         left = np.conj(f) if conjugate else f
         norms.append(numerics.integrate_samples(left * f, h))
         cross.append(numerics.integrate_samples(left * hf, h))
@@ -340,18 +336,17 @@ def rayleigh_energy(spec: OscillatorSpec, config: REConfig, state: Eigenstate,
 # ------------------------------------------------------------- PT eigenvalue
 
 def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
-                         state: Eigenstate, parity, grids,
-                         fit_tolerance: float = PT_FIT_TOLERANCE) -> complex:
+                         state: Eigenstate, parity, grids) -> complex:
     """Least-squares scalar s with conj(psi(P p)) = s * psi(p) on the grid.
 
-    Raises IndeterminateError when the fit residual exceeds the tolerance
+    Raises IndeterminateError when the fit residual exceeds PT_FIT_TOLERANCE
     (broken symmetry or a parity the state does not respect).
     """
     grids = _grid_list(grids)
     plan = _checked_plan(model.plan, spec, config, _mesh(grids))
     psi = plan.psi(state)
     image = ParityImage(plan, grids, parity)
-    return pt_fit(pt_reference(psi), image.psi(state, psi), fit_tolerance)
+    return pt_fit(pt_reference(psi), image.psi(state, psi))
 
 
 def pt_reference(psi: np.ndarray):
@@ -364,29 +359,28 @@ def pt_reference(psi: np.ndarray):
     return keep, psi[keep], scale
 
 
-def pt_fit(reference, psi_p: np.ndarray, fit_tolerance: float) -> complex:
+def pt_fit(reference, psi_p: np.ndarray) -> complex:
     """The fit of ``pt_parity_eigenvalue`` from the ``pt_reference`` of psi
     and psi on the parity image of the mesh."""
     keep, pk, scale = reference
     w = np.conj(psi_p[keep])
     s = np.sum(np.conj(pk) * w) / np.sum(np.abs(pk) ** 2)
     resid = float(np.max(np.abs(w - s * pk)) / scale)
-    if resid > fit_tolerance:
+    if resid > PT_FIT_TOLERANCE:
         raise IndeterminateError(
-            f"parity-time fit residual {resid:.3e} exceeds {fit_tolerance:.0e}")
+            f"parity-time fit residual {resid:.3e} exceeds {PT_FIT_TOLERANCE:.0e}")
     return complex(s)
 
 
 # ------------------------------------------------------------------- Gram
 
-def orthogonality_gram(spec: OscillatorSpec, config: REConfig, states,
-                       n_points: int = 4001) -> np.ndarray:
+def orthogonality_gram(spec: OscillatorSpec, config: REConfig, states) -> np.ndarray:
     """Gram matrix of normalized eigenfunctions (Hermitian specs only)."""
     if not spec.is_hermitian:
         raise DomainError("Gram matrix needs a Hermitian spec; "
                           "use the bilinear pairing for PT cases")
     model.validate_config(spec, config)
-    axes = [(*_tilde_axis(w, n_points), w, m)
+    axes = [(*_tilde_axis(w), w, m)
             for w, m in zip(spec.system.tilde_frequencies, config.codimensions)]
     fs = [[(model.axis_eigenfunction(w, m, lv, t), g.spacing)
            for (g, t, w, m), lv in zip(axes, st.levels)] for st in states]

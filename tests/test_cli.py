@@ -134,7 +134,7 @@ def test_job_roundtrip_byte_stable(tmp_path):
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     job = JobConfig(spec, REConfig((2, 2)),
                     (Eigenstate((None, 0)), Eigenstate((1, None))),
-                    {"n_points": 801}, {"format": "json"})
+                    {"n_points": 801})
     text = job.to_json()
     again = JobConfig.from_json(text)
     assert again == job
@@ -143,13 +143,29 @@ def test_job_roundtrip_byte_stable(tmp_path):
 
 def test_job_file_drives_verify(tmp_path, capsys):
     spec = OscillatorSpec.linear_1d(2.0, CouplingValue.imaginary(1.0))
-    job = JobConfig(spec, REConfig((2,)), (Eigenstate((None,)),),
-                    {"n_points": 2001}, {"format": "json"})
+    job = JobConfig(spec, REConfig((2,)), (Eigenstate((None,)),), {"n_points": 2001})
     path = tmp_path / "job.json"
     path.write_text(job.to_json())
     code, out, _ = run(["verify", "--job", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["max_residual"] <= 1e-6
+
+
+def test_job_file_with_outputs_key_drives_verify(tmp_path, capsys):
+    # job files once carried an "outputs" block; one that still does runs
+    # as if it did not, and emitted jobs no longer write it
+    argv = ["verify", "--omega", "2", "--linear", "imaginary:1", "--m", "2",
+            "--state", "g", "--state", "1", "--points", "401"]
+    path = tmp_path / "job.json"
+    code, want, _ = run([*argv, "--emit-job", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert "outputs" not in doc
+    doc["outputs"] = {"format": "csv"}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", "--job", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert out == want
 
 
 def test_emit_job_matches_flags(tmp_path, capsys):
@@ -186,27 +202,6 @@ def test_oversized_mesh_refused_before_allocation(capsys, monkeypatch):
     code, _, err = run(["verify", "--dim", "3", "--omega", "1,2,3"], capsys)
     assert code == 1
     assert "exceeds the limit" in err and "--points" in err
-
-
-def test_threads_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("REXOSC_THREADS", "abc")
-    code, out, err = run(["verify", "--omega", "2", "--points", "101"], capsys)
-    assert code == 1
-    assert out == "" and err.count("\n") == 1 and "REXOSC_THREADS" in err
-
-
-def test_threads_give_identical_reports(capsys, monkeypatch):
-    argv = ["verify", "--dim", "2", "--omega", "1,3", "--coupling",
-            f"imaginary:{float(SQ7)!r}", "--m", "2,2", "--state", "g,g", "--state", "0,g",
-            "--state", "g,0", "--state", "1,1", "--points", "41"]
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("REXOSC_THREADS", threads)
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        reports.append(out)
-    assert reports[0] == reports[1]
-    assert sorted(json.loads(reports[0])["pt_eigenvalues"]) == ["P1", "P2"]
 
 
 def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
@@ -259,16 +254,6 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
                           "--m", "2,2,2", "--points", "41"], capsys)
     assert code == 0 and err == ""
     assert np.isfinite(json.loads(out)["max_residual"])
-
-
-def test_threads_env_smoke(capsys, monkeypatch):
-    monkeypatch.setenv("REXOSC_THREADS", "2")
-    code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
-                        "--linear", "imaginary:1", "--m", "1",
-                        "--state", "g", "--state", "0",
-                        "--points", "2001"], capsys)
-    assert code == 0
-    assert json.loads(out)["max_residual"] <= 1e-6
 
 
 # ------------------------------------------------------------ input boundary
@@ -336,6 +321,19 @@ def test_threads_env_smoke(capsys, monkeypatch):
       "--state", "g,g"], "tilde axis 0 needs a positive frequency, got 0+1.64929i"),
     (["plotdata", "--dim", "2", "--omega", "1,2", "--coupling", "real:2", "--points", "11",
       "--state", "g,g"], "needs a positive frequency, got 0"),
+    # usage errors
+    (["verify", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+    (["spectrum", "--omega", "2", "--cutoff", "4", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    (["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "-1/2"],
+     "argument --ratio: expected one argument"),
+    (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["plotdata", "--format", "csv"], "unrecognized arguments: --format csv"),
+    ([], "the following arguments are required: command"),
+    # values past the float range, and non-finite sample points
+    (["verify", "--omega", "1e308", "--points", "101"], "so must their squares"),
+    (["table", "--xs", "nan"], "--xs must be finite"),
+    (["table", "--xs", "0,inf"], "--xs must be finite"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -343,6 +341,30 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("validation error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--xs", "1e308"],
+    ["plotdata", "--omega", "2", "--points", "9", "--half-width", "1e308"],
+    ["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "1e400"],
+    ["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "1e100"],
+    ["transform", "--dim", "2", "--omega", "1e154,1e154", "--coupling", "real:1e300"],
+], ids=" ".join)
+def test_overflow_exits_2_with_one_line(argv, capsys):
+    # inf or nan samples are refused, and a Python float overflow is a
+    # numerical failure, not a traceback
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--points" in usage and "--format" not in usage
 
 
 @pytest.mark.filterwarnings("error")
@@ -415,7 +437,7 @@ def test_malformed_job_file_exits_1(text, tmp_path, capsys):
 ])
 def test_job_file_bad_states_or_grids_exit_1(states, grids, message, tmp_path, capsys):
     job = JobConfig(OscillatorSpec.oscillator(2.0), REConfig((0,)),
-                    (Eigenstate((None,)),), {}, {}).to_dict()
+                    (Eigenstate((None,)),)).to_dict()
     job.update(states=states, grids=grids)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))

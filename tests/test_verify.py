@@ -1,7 +1,5 @@
 """Residuals, Rayleigh quotients, PT measurement, Gram, poles, grid oracle."""
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -56,11 +54,14 @@ def test_residual_2d_imaginary_ground():
 
 
 def test_residual_respects_pole_guard():
-    spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
-    grids = verify.suggest_grids(spec, n_points=801)
+    # the m=1 denominator vanishes 0.005 off the real line; every interior
+    # point of a grid of half-width 0.2 lies inside the guard radius
+    spec = OscillatorSpec.linear_1d(OM, CouplingValue.imaginary(0.01))
+    cfg, ground = REConfig((1,)), Eigenstate((None,))
     with pytest.raises(SingularityError):
-        verify.residual_scan(spec, REConfig((2, 2)),
-                             Eigenstate((None, None)), grids, pole_guard=50.0)
+        verify.residual_scan(spec, cfg, ground, verify.Grid(0.0, 0.2, 41))
+    res, _ = verify.residual_scan(spec, cfg, ground, verify.Grid(0.0, 2.0, 41))
+    assert res <= 1e-6
 
 
 def test_pole_mask_stops_at_the_mesh_faces():
@@ -70,7 +71,7 @@ def test_pole_mask_stops_at_the_mesh_faces():
     spec = OscillatorSpec.oscillator(2.0, 2.0)
     grids = [verify.Grid(5.0, 5.1, 101), verify.Grid(0.0, 5.0, 21)]
     plan = model.plan(spec, REConfig((1, 0)), verify._mesh(grids), validate=False)
-    mask = verify._pole_mask(plan, verify._POLE_GUARD)
+    mask = verify._pole_mask(plan)
     reach = verify.STENCIL_REACH + verify._GUARD_POINTS
     assert mask.shape == (93, 13)
     assert mask[:reach + 1].all() and not mask[reach + 1:].any()
@@ -88,7 +89,9 @@ def test_mesh_equals_meshgrid(n_points):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def test_mesh_plan_shared_by_threads():
+def test_mesh_plan_unchanged_by_its_states():
+    # every state reads the plan's arrays and writes none of them, so running
+    # the states again gives the same results
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
     states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
@@ -98,21 +101,12 @@ def test_mesh_plan_shared_by_threads():
     def work(state):
         psi = plan.plan.psi(state)
         return plan.residual(state, psi), [
-            verify.pt_fit(verify.pt_reference(psi), im.psi(state), verify.PT_FIT_TOLERANCE)
-            for im in images]
+            verify.pt_fit(verify.pt_reference(psi), im.psi(state)) for im in images]
 
-    want = [work(st) for st in states]
     arrays = [plan.potential, plan.keep, plan.plan.prefactor, *plan.plan.scaled]
     before = [a.copy() for a in arrays]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(work, st) for _ in range(5) for st in states]
-            got = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want * 5
+    first = [work(st) for st in states]
+    assert [work(st) for st in states] == first
     for a, b in zip(before, arrays):
         np.testing.assert_array_equal(a, b)
 
@@ -151,19 +145,19 @@ def _spec_id(spec):
 
 
 def _fits_agree(spec, config, grids, op):
-    """The PT fit read off the mesh psi by index reversal against the fit on
-    an image plan, for a few states; the tolerance is lifted so that a broken
-    symmetry is compared too."""
+    """psi on the parity image read off the mesh psi by index reversal against
+    psi from an image plan, for a few states, whether or not the state
+    respects the symmetry."""
     plan = model.plan(spec, config, verify._mesh(grids))
     index_map = verify._index_map(grids, op)
     assert index_map is not None
     image = verify.image_plan(plan, grids, op)
     for state in _states(spec.dimension):
         psi = plan.psi(state)
-        ref = verify.pt_reference(psi)
-        got = verify.pt_fit(ref, verify._on_image(psi, index_map), np.inf)
-        want = verify.pt_fit(ref, image.psi(state), np.inf)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        want = image.psi(state)
+        got = verify._on_image(psi, index_map)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spec", _NAMED_PARITY_SPECS, ids=_spec_id)
