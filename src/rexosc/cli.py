@@ -173,9 +173,26 @@ def _require_finite(*samples) -> None:
         raise NumericalFailureError("V or psi overflows on the requested points")
 
 
+def _rational_weights(freqs) -> list | None:
+    """Integer weights W_i with omega_i proportional to W_i, or None."""
+    base = min(f.real for f in freqs)
+    if not base > 0:  # a zero frequency has no ratio
+        return None
+    fracs = []
+    for f in freqs:
+        if abs(f.imag) > 1e-9 * abs(f):
+            return None
+        frac = Fraction(f.real / base).limit_denominator(64)
+        if abs(f.real / base - float(frac)) > 1e-9 * max(1.0, f.real / base):
+            return None
+        fracs.append(frac)
+    den = math.lcm(*(fr.denominator for fr in fracs))
+    return [fr.numerator * (den // fr.denominator) for fr in fracs]
+
+
 def _ratio_string(freqs) -> str | None:
-    weights = model._rational_weights(freqs)
-    return None if weights is None else ":".join(map(str, weights[0]))
+    weights = _rational_weights(freqs)
+    return None if weights is None else ":".join(map(str, weights))
 
 
 # ------------------------------------------------------------- subcommands

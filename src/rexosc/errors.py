@@ -1,7 +1,14 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 1, numerical
-failures exit 2, singular/degenerate configurations exit 3.
+The CLI maps these onto exit codes:
+- exit 1, validation problems: ``DomainError``, ``ShapeError``,
+  ``FlavorError`` (and any other ``RexoscError``);
+- exit 2, numerical failures: ``NumericalFailureError`` (including a
+  coupled pair's discriminant past the float range) and
+  ``IndeterminateError``;
+- exit 3, singular or degenerate configurations: ``SingularityError``,
+  ``DegenerateTransformError`` (an exceptional point) and
+  ``DegenerateDirectionError``.
 """
 
 
@@ -15,10 +22,6 @@ class DomainError(RexoscError, ValueError):
 
 class ShapeError(RexoscError, ValueError):
     """Array/sequence dimensions inconsistent."""
-
-
-class BoundaryError(RexoscError, IndexError):
-    """Stencil index too close to a grid boundary."""
 
 
 class FlavorError(RexoscError, ValueError):
@@ -38,7 +41,8 @@ class DegenerateDirectionError(RexoscError, ValueError):
 
 
 class NumericalFailureError(RexoscError, RuntimeError):
-    """Iterative numerical routine failed to converge."""
+    """A numerical routine failed: no convergence, or a value past the float
+    range."""
 
 
 class IndeterminateError(RexoscError, RuntimeError):

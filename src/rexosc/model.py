@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -144,8 +143,10 @@ class OscillatorSpec:
         freqs = tuple(float(w) for w in self.frequencies)
         if len(freqs) != self.dimension or any(w <= 0 for w in freqs):
             raise DomainError("need one positive frequency per axis")
-        if not all(math.isfinite(w * w) for w in freqs):  # V holds omega**2 / 4
-            raise DomainError("frequencies must be finite, and so must their squares")
+        # V holds omega**2 / 4, and a linear shift divides by omega**2
+        if not all(0 < w * w < math.inf for w in freqs):
+            raise DomainError("frequencies must be finite, and so must their squares, "
+                              "which must not underflow to 0")
         object.__setattr__(self, "frequencies", freqs)
         if self.case not in CASES:
             raise DomainError(f"unknown perturbation case {self.case!r}")
@@ -468,10 +469,11 @@ def relative_energy(config: REConfig, state: Eigenstate,
     return total
 
 
-def unextended_energy(spec: OscillatorSpec, state) -> complex:
-    """Eigenvalue of the unextended perturbed oscillator: sum of
+def unextended_energy(spec: OscillatorSpec, state: tuple) -> complex:
+    """Eigenvalue of the unextended perturbed oscillator in the state with
+    quantum numbers ``state`` (a tuple, one per axis): sum of
     (n + 1/2) * omega_tilde plus the completing-the-square constant."""
-    ns = state.levels if isinstance(state, Eigenstate) else tuple(state)
+    ns = tuple(state)
     if len(ns) != spec.dimension:
         raise DomainError("one quantum number per axis required")
     if any(n is None for n in ns):
@@ -481,30 +483,15 @@ def unextended_energy(spec: OscillatorSpec, state) -> complex:
                for n, w in zip(ns, sys.tilde_frequencies)) + sys.potential_constant
 
 
-def _rational_weights(freqs):
-    """Integer weights W_i with omega_i proportional to W_i, or None."""
-    base = min(f.real for f in freqs)
-    if not base > 0:  # a zero frequency has no ratio
-        return None
-    fracs = []
-    for f in freqs:
-        if abs(f.imag) > 1e-9 * abs(f):
-            return None
-        frac = Fraction(f.real / base).limit_denominator(64)
-        if abs(f.real / base - float(frac)) > 1e-9 * max(1.0, f.real / base):
-            return None
-        fracs.append(frac)
-    den = math.lcm(*(fr.denominator for fr in fracs))
-    return [fr.numerator * (den // fr.denominator) for fr in fracs], base / den
-
-
 def spectrum(spec: OscillatorSpec, config: REConfig,
              energy_cutoff: float) -> SpectrumTable:
     """All states with relative energy <= cutoff, grouped into degenerate
     levels.
 
-    Rational tilde-frequency ratios are detected and grouped with exact
-    integer arithmetic; otherwise levels closer than 1e-9 relative merge.
+    One pass over the states in energy order: a level takes every state
+    within 1e-9 (relative, absolute below 1) of its lowest energy, lists
+    them in product order and reports the energy of the first of those.
+    The cost is a sort of the states, O(N log N) for N states.
     """
     if not math.isfinite(energy_cutoff):
         raise DomainError("the energy cutoff must be finite")
@@ -526,30 +513,24 @@ def spectrum(spec: OscillatorSpec, config: REConfig,
         axis_levels.append(levels)
         count *= len(levels)
 
-    weights = _rational_weights(freqs) if real else None
-    groups: dict = {}
+    members = []  # (energy, state) in product order
     for combo in itertools.product(*axis_levels):
         state = Eigenstate(combo)
         e = relative_energy(config, state, spec.system).real
-        if e > energy_cutoff + 1e-12:
-            continue
-        if weights is not None:
-            ws, unit = weights
-            key = sum((lv + m + 1) * wt for lv, m, wt
-                      in zip(combo, config.codimensions, ws) if lv is not None)
-            groups.setdefault(key, []).append((e, state))
-        else:
-            for key in groups:
-                if abs(key - e) <= 1e-9 * max(1.0, abs(key)):
-                    groups[key].append((e, state))
-                    break
-            else:
-                groups.setdefault(e, []).append((e, state))
+        if e <= energy_cutoff + 1e-12:
+            members.append((e, state))
 
+    order = sorted(range(len(members)), key=lambda i: members[i][0])
     entries = []
-    for key, members in groups.items():
-        energy = members[0][0]
-        states = tuple(st for _, st in members)
-        entries.append(SpectrumEntry(energy, len(states), states))
-    entries.sort(key=lambda s: s.energy)
+    start = 0
+    while start < len(order):
+        lowest = members[order[start]][0]
+        stop = start + 1
+        while (stop < len(order) and members[order[stop]][0] - lowest
+               <= 1e-9 * max(1.0, abs(lowest))):
+            stop += 1
+        level = [members[i] for i in sorted(order[start:stop])]
+        entries.append(SpectrumEntry(level[0][0], len(level),
+                                     tuple(st for _, st in level)))
+        start = stop
     return SpectrumTable(tuple(entries), frequencies_real=real)

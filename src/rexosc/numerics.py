@@ -2,8 +2,7 @@
 second-derivative stencil and a symmetric tridiagonal eigensolver.
 
 All functions are pure. The arithmetic lives in ``_kernels``; in particular
-the 8th-order stencil has one n-D implementation there, which the pointwise
-``second_derivative`` applies to its 9-point window.
+the 8th-order stencil has one n-D implementation there.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BoundaryError, DomainError, NumericalFailureError, ShapeError
+from .errors import DomainError, NumericalFailureError, ShapeError
 
 STENCIL_REACH = 4  # interior margin of the 8th-order second-derivative stencil
 
@@ -73,39 +72,11 @@ class TridiagonalMatrix:
         return self.diagonal.shape[0]
 
 
-def second_derivative(samples, grid: Grid, index: int) -> complex:
-    """8th-order central-difference estimate of f'' at one grid point.
-
-    Parameters
-    ----------
-    samples : sequence of complex
-        Function values on ``grid``.
-    grid : Grid
-    index : int
-        Evaluation index; must sit at least 4 points from both ends.
-    """
-    f = np.asarray(samples)
-    if f.shape[0] != grid.n_points:
-        raise ShapeError("samples length must equal grid.n_points")
-    if index < STENCIL_REACH or index > grid.n_points - 1 - STENCIL_REACH:
-        raise BoundaryError("index too close to grid boundary for the stencil")
-    window = f[index - STENCIL_REACH:index + STENCIL_REACH + 1]
-    return complex(second_derivative_profile(window, grid.spacing)[0])
-
-
 def second_derivative_profile(samples, spacing: float, axis: int = 0) -> np.ndarray:
     """f'' along ``axis`` on its interior (4 points trimmed per side), as
     complex values; the stencil runs on their float64 (re, im) view."""
     return _kernels.second_derivative_profile(
         np.ascontiguousarray(samples, dtype=complex), float(spacing), axis)
-
-
-def integrate(samples, grid: Grid) -> complex:
-    """Composite Simpson estimate of the integral of f over the grid span."""
-    f = np.asarray(samples)
-    if f.shape[0] != grid.n_points:
-        raise ShapeError("samples length must equal grid.n_points")
-    return _kernels.simpson(np.ascontiguousarray(f, dtype=complex), grid.spacing)
 
 
 def integrate_samples(samples, spacing: float) -> complex:

@@ -3,7 +3,7 @@
 Provides the physicists' Hermite polynomials H_n, their nodeless companions
 obtained by the imaginary-argument substitution (even index), and the
 composite polynomials that appear in the numerators of extended-oscillator
-eigenfunctions.  Also supplies Sturm-sequence real-root counting used by
+eigenfunctions.  Also supplies Sturm-sequence real-root isolation used by
 regularity scans.
 
 The integer-exact constructions and the zeros of the pseudo companions are
@@ -315,16 +315,6 @@ def _finite_interval(lo: float, hi: float) -> tuple:
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError("need finite lo < hi")
     return lo, hi
-
-
-def count_real_roots(p: Polynomial, lo: float, hi: float) -> int:
-    """Distinct real roots of a real-coefficient polynomial in (lo, hi]."""
-    lo, hi = _finite_interval(lo, hi)
-    table = _sturm_table(p)
-    if table is None:
-        return 0
-    v_lo, v_hi = _variations(table, np.array([lo, hi]))
-    return int(v_lo - v_hi)
 
 
 def isolate_real_roots(p: Polynomial, lo: float, hi: float) -> list:

@@ -4,9 +4,17 @@ degeneracy couplings, parity operators, and the eta metric.
 Every transform is a complex-orthogonal linear map plus a (possibly complex)
 shift, so the Laplacian is invariant and the perturbed quadratic potential
 separates into independent 1D oscillators in the tilde coordinates.
+
+Every coupled pair of axes (the 2D rotation, and the rotated pair of each 3D
+case) decouples through ``_coupled_pair``: it alone takes the square root of
+the pair's discriminant, forms the pair's tilde frequencies, refuses an
+exceptional point (``DegenerateTransformError``) and refuses a discriminant
+or frequency sum past the float range (``NumericalFailureError``).
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +25,7 @@ from .errors import (
     DegenerateTransformError,
     DomainError,
     FlavorError,
+    NumericalFailureError,
     ShapeError,
 )
 
@@ -114,12 +123,6 @@ class CoordinateMap:
             tilde.append(t)
         return tilde
 
-    def inverse(self, point):
-        """Tilde coordinates -> old coordinates (transpose, not conjugate)."""
-        p = np.asarray(point, dtype=complex)
-        t = p - self.shift.reshape((-1,) + (1,) * (p.ndim - 1))
-        return np.tensordot(self.linear.T, t, axes=(1, 0))
-
     def orthogonality_defect(self) -> float:
         """max |L^T L - I| under the non-conjugated bilinear form."""
         g = self.linear.T @ self.linear
@@ -165,14 +168,6 @@ class ParityOperator:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
 
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    def apply(self, point):
-        p = np.asarray(point, dtype=complex)
-        return np.tensordot(self.matrix, p, axes=(1, 0))
-
 
 @dataclass(frozen=True)
 class EtaMetric:
@@ -185,26 +180,46 @@ def _principal_sqrt(z) -> complex:
     return complex(np.sqrt(complex(z)))
 
 
-def _rotation_block(delta: complex, s: complex, lam: complex):
-    """Mixing factor and the (a, b) pair of a 2-axis decoupling rotation.
+def _coupled_pair(delta, total, disc, lam=None):
+    """The decoupling of one coupled pair of axes.
+
+    ``delta`` is the difference and ``total`` the sum of the pair's squared
+    frequencies (each shifted by any in-pair coupling), and ``disc`` is
+    delta^2 plus four times the squared pair coupling, each as its caller
+    writes it. Returns s = sqrt(disc), the pair's tilde frequencies
+    sqrt((total -+ s)/2) and, when the pair coupling ``lam`` is given, the
+    (a, b) of the rotation [[a, -b], [b, a]]; else None.
 
     b is fixed by a*b = lam/s, which is the branch that actually cancels the
-    cross term; it coincides with the principal root of (1+k)/2 whenever the
-    coupling magnitude is non-negative.
+    cross term; it coincides with the principal root of (1+k)/2, k = delta/s,
+    whenever the coupling magnitude is non-negative. At disc = 0, an
+    exceptional point, the frequencies coincide and the rotation is
+    undefined.
     """
+    if not (cmath.isfinite(disc) and cmath.isfinite(total)):
+        raise NumericalFailureError(
+            "a coupled pair's discriminant or frequency sum overflows the float range")
+    s = _principal_sqrt(disc)
+    freqs = (_principal_sqrt((total - s) / 2), _principal_sqrt((total + s) / 2))
+    if lam is None:
+        return s, freqs, None
+    if disc == 0:
+        raise DegenerateTransformError(
+            "exceptional point: rotation undefined while tilde frequencies "
+            f"coincide at {freqs[0]:.6g}")
     k = delta / s
     a = _principal_sqrt((1 - k) / 2)
     if lam != 0 and a != 0:
         b = lam / (s * a)
     else:
         b = _principal_sqrt((1 + k) / 2)
-    return k, a, b
+    return s, freqs, (a, b)
 
 
 def shift_map_1d(omega1: float, lambda0: CouplingValue) -> DecoupledSystem:
     """Absorb a linear perturbation by the complex shift 2*lambda0/omega1^2."""
-    if not omega1 > 0:
-        raise DomainError("omega1 must be positive")
+    if not (omega1 > 0 and 0 < omega1 * omega1 < math.inf):
+        raise DomainError("omega1 must be positive, with a finite nonzero square")
     l0 = lambda0.value
     shift = 2.0 * l0 / omega1**2
     const = -(l0 * l0) / omega1**2
@@ -215,9 +230,7 @@ def shift_map_1d(omega1: float, lambda0: CouplingValue) -> DecoupledSystem:
 def tilde_frequencies_2d(omega1: float, omega2: float, lam: CouplingValue):
     """Decoupled frequencies of the 2-axis quadratic coupling (no map needed)."""
     d = omega1**2 - omega2**2
-    s = _principal_sqrt(4 * lam.value**2 + d * d)
-    total = omega1**2 + omega2**2
-    return (_principal_sqrt((total - s) / 2), _principal_sqrt((total + s) / 2))
+    return _coupled_pair(d, omega1**2 + omega2**2, 4 * lam.value**2 + d * d)[1]
 
 
 def rotate_map_2d(omega1: float, omega2: float, lam: CouplingValue) -> DecoupledSystem:
@@ -226,24 +239,18 @@ def rotate_map_2d(omega1: float, omega2: float, lam: CouplingValue) -> Decoupled
         raise DomainError("frequencies must be positive")
     d = omega1**2 - omega2**2
     lv = lam.value
-    disc = 4 * lv * lv + d * d
-    if disc == 0:
-        raise DegenerateTransformError(
-            "4*lambda^2 + (omega1^2-omega2^2)^2 vanishes: rotation undefined")
-    s = _principal_sqrt(disc)
-    _, a, b = _rotation_block(d, s, lv)
+    _, freqs, (a, b) = _coupled_pair(d, omega1**2 + omega2**2, 4 * lv * lv + d * d, lv)
     lin = np.array([[a, -b], [b, a]], dtype=complex)
     cmap = CoordinateMap(lin, np.zeros(2, dtype=complex))
-    return DecoupledSystem(tilde_frequencies_2d(omega1, omega2, lam), 0j, cmap)
+    return DecoupledSystem(freqs, 0j, cmap)
 
 
 def mixing_factor_2d(omega1: float, omega2: float, lam: CouplingValue) -> complex:
     """k = (w1^2 - w2^2) / sqrt(4 lam^2 + (w1^2 - w2^2)^2)."""
     d = omega1**2 - omega2**2
-    disc = 4 * lam.value**2 + d * d
-    if disc == 0:
-        raise DegenerateTransformError("mixing factor undefined at zero discriminant")
-    return complex(d / _principal_sqrt(disc))
+    lv = lam.value
+    s, _, _ = _coupled_pair(d, omega1**2 + omega2**2, 4 * lv**2 + d * d, lv)
+    return complex(d / s)
 
 
 def spectral_reality_2d(omega1: float, omega2: float, lam: CouplingValue) -> bool:
@@ -323,32 +330,23 @@ def decouple_3d_q1(omega: float, omega3: float,
     L = _principal_sqrt(L2)
     c, d = l2 / L, l3 / L
     delta = omega**2 - omega3**2
-    disc = 4 * L2 + delta * delta
-    if disc == 0:
-        raise DegenerateTransformError("zero discriminant in the (w, z) rotation")
-    s = _principal_sqrt(disc)
-    _, a, b = _rotation_block(delta, s, L)
+    _, freqs, (a, b) = _coupled_pair(delta, omega**2 + omega3**2,
+                                     4 * L2 + delta * delta, L)
     lin = np.array([
         [-c, d, 0],
         [a * d, a * c, -b],
         [b * d, b * c, a],
     ], dtype=complex)
-    total = omega**2 + omega3**2
-    freqs = (complex(omega),
-             _principal_sqrt((total - s) / 2),
-             _principal_sqrt((total + s) / 2))
-    return DecoupledSystem(freqs, 0j, CoordinateMap(lin, np.zeros(3, dtype=complex)))
+    return DecoupledSystem((complex(omega),) + freqs, 0j,
+                           CoordinateMap(lin, np.zeros(3, dtype=complex)))
 
 
 def tilde_frequencies_q2(omega: float, omega3: float, lambda1: float,
                          lam: CouplingValue):
     """Decoupled frequencies for the xy + (yz+zx) coupling case (no map)."""
     A = omega**2 - omega3**2 + lambda1
-    s = _principal_sqrt(8 * lam.value**2 + A * A)
-    total = omega**2 + omega3**2 + lambda1
-    return (_principal_sqrt(omega**2 - lambda1),
-            _principal_sqrt((total - s) / 2),
-            _principal_sqrt((total + s) / 2))
+    _, pair, _ = _coupled_pair(A, omega**2 + omega3**2 + lambda1, 8 * lam.value**2 + A * A)
+    return (_principal_sqrt(omega**2 - lambda1),) + pair
 
 
 def decouple_3d_q2(omega: float, omega3: float, lambda1: float,
@@ -370,21 +368,17 @@ def decouple_3d_q2(omega: float, omega3: float, lambda1: float,
     lambda1 = float(lambda1)
     A = omega**2 - omega3**2 + lambda1
     lv = lam.value
-    disc = 8 * lv * lv + A * A
-    if disc == 0:
-        freqs = tilde_frequencies_q2(omega, omega3, lambda1, lam)
-        raise DegenerateTransformError(
-            "exceptional point: rotation undefined while tilde frequencies "
-            f"coincide at {freqs[1]:.6g}")
-    s = _principal_sqrt(disc)
-    _, a, b = _rotation_block(A, s, np.sqrt(2) * lv)
+    with np.errstate(over="ignore"):  # _coupled_pair refuses the overflowing disc
+        lam_pair = np.sqrt(2) * lv
+    _, pair, (a, b) = _coupled_pair(A, omega**2 + omega3**2 + lambda1,
+                                    8 * lv * lv + A * A, lam_pair)
     r2 = 1.0 / np.sqrt(2)
     lin = np.array([
         [-r2, r2, 0],
         [a * r2, a * r2, -b],
         [b * r2, b * r2, a],
     ], dtype=complex)
-    freqs = tilde_frequencies_q2(omega, omega3, lambda1, lam)
+    freqs = (_principal_sqrt(omega**2 - lambda1),) + pair
     return DecoupledSystem(freqs, 0j, CoordinateMap(lin, np.zeros(3, dtype=complex)))
 
 
@@ -420,15 +414,10 @@ def _reality_lq(omega1, omega2, omega3, lambda0: CouplingValue,
     if not omega3 > 0:
         raise DomainError("omega3 must be positive")
     # the linear z-term never breaks reality for either flavor
-    if lam.is_imaginary:
-        ok = abs(lam.magnitude) < 0.5 * abs(omega1**2 - omega2**2)
-        cert = ("all conditions hold" if ok else
-                "violated: |gamma| >= |omega1^2 - omega2^2|/2")
-    else:
-        ok = abs(lam.magnitude) <= omega1 * omega2
-        cert = ("all conditions hold" if ok else
-                "violated: |lambda| > omega1*omega2")
-    return RealityVerdict(ok, cert)
+    if spectral_reality_2d(omega1, omega2, lam):
+        return RealityVerdict(True, "all conditions hold")
+    return RealityVerdict(False, "violated: |gamma| >= |omega1^2 - omega2^2|/2"
+                          if lam.is_imaginary else "violated: |lambda| > omega1*omega2")
 
 
 def _reality_q1(omega, omega3, lambda2: CouplingValue,

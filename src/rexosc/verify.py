@@ -435,17 +435,15 @@ def pole_scan(spec: OscillatorSpec, config: REConfig, box=None) -> list:
 
 def grid_spectrum(spec: OscillatorSpec, config: REConfig, box, n_points: int,
                   k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the second-order discretized 1D Hamiltonian."""
+    """Lowest k eigenvalues of the second-order discretized 1D Hamiltonian
+    on ``n_points`` points spanning ``box`` = (lo, hi)."""
     if spec.dimension != 1:
         raise DomainError("the diagonalization oracle is one-dimensional")
     if not spec.is_hermitian:
         raise DomainError("the diagonalization oracle needs a real potential")
     model.validate_config(spec, config)
-    if isinstance(box, Grid):
-        grid = box
-    else:
-        lo, hi = box
-        grid = Grid((lo + hi) / 2.0, (hi - lo) / 2.0, n_points)
+    lo, hi = box
+    grid = Grid((lo + hi) / 2.0, (hi - lo) / 2.0, n_points)
     if pole_scan(spec, config, [(grid.center - grid.half_width,
                                  grid.center + grid.half_width)]):
         raise SingularityError("potential has a pole inside the box")

@@ -2,15 +2,20 @@
 
 Everything here is computed independently of the package internals: printed
 closed-form rows are transcribed literally, Hermite values come from
-numpy.polynomial, and counting oracles use brute-force enumeration. The
-reference kernels at the end are the plain loops that the package's faster
-Sturm code must reproduce bit for bit.
+numpy.polynomial, and counting oracles use brute-force enumeration.
+``spectrum_ref`` is the two-rule level grouping whose tables the one pass of
+``model.spectrum`` must reproduce exactly. The reference kernels at the end
+are the plain loops that the package's faster Sturm code must reproduce bit
+for bit.
 """
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from rexosc import model
 from rexosc.poly import Polynomial, add, multiply
 
 
@@ -163,6 +168,15 @@ def sampled_pt_deviation(potential, matrix, dimension, samples=200, seed=17):
     return worst
 
 
+def coordinate_inverse(cmap, point):
+    """Tilde coordinates -> old coordinates of a ``CoordinateMap``: the
+    transpose of its complex-orthogonal linear part (not the conjugate)
+    applied after removing the shift."""
+    p = np.asarray(point, dtype=complex)
+    t = p - cmap.shift.reshape((-1,) + (1,) * (p.ndim - 1))
+    return np.tensordot(cmap.linear.T, t, axes=(1, 0))
+
+
 # -- counting oracles ---------------------------------------------------------
 
 def brute_force_multiplicities(weights, offsets, cutoff_key):
@@ -190,6 +204,68 @@ def brute_force_multiplicities(weights, offsets, cutoff_key):
 
     rec(0, 0)
     return counts
+
+
+def _rational_weights_ref(freqs):
+    """Integer weights W_i with omega_i proportional to W_i, or None."""
+    base = min(f.real for f in freqs)
+    if not base > 0:  # a zero frequency has no ratio
+        return None
+    fracs = []
+    for f in freqs:
+        if abs(f.imag) > 1e-9 * abs(f):
+            return None
+        frac = Fraction(f.real / base).limit_denominator(64)
+        if abs(f.real / base - float(frac)) > 1e-9 * max(1.0, f.real / base):
+            return None
+        fracs.append(frac)
+    den = math.lcm(*(fr.denominator for fr in fracs))
+    return [fr.numerator * (den // fr.denominator) for fr in fracs], base / den
+
+
+def spectrum_ref(spec, config, energy_cutoff):
+    """The states of ``model.spectrum`` grouped by two rules: exact integer
+    keys when the tilde frequencies have rational ratios (denominators up to
+    64, within 1e-9), otherwise each state joins the first level found so far
+    within 1e-9 relative of it, O(levels^2)."""
+    freqs = [complex(w) for w in spec.system.tilde_frequencies]
+    real = spec.system.is_real
+    axis_levels = []
+    for w, m in zip(freqs, config.codimensions):
+        levels = [None]
+        n = 0
+        while (n + m + 1) * w.real <= energy_cutoff + 1e-12:
+            levels.append(n)
+            n += 1
+        axis_levels.append(levels)
+
+    weights = _rational_weights_ref(freqs) if real else None
+    groups = {}
+    for combo in itertools.product(*axis_levels):
+        state = model.Eigenstate(combo)
+        e = model.relative_energy(config, state, spec.system).real
+        if e > energy_cutoff + 1e-12:
+            continue
+        if weights is not None:
+            ws, unit = weights
+            key = sum((lv + m + 1) * wt for lv, m, wt
+                      in zip(combo, config.codimensions, ws) if lv is not None)
+            groups.setdefault(key, []).append((e, state))
+        else:
+            for key in groups:
+                if abs(key - e) <= 1e-9 * max(1.0, abs(key)):
+                    groups[key].append((e, state))
+                    break
+            else:
+                groups.setdefault(e, []).append((e, state))
+
+    entries = []
+    for key, members in groups.items():
+        energy = members[0][0]
+        states = tuple(st for _, st in members)
+        entries.append(model.SpectrumEntry(energy, len(states), states))
+    entries.sort(key=lambda s: s.energy)
+    return model.SpectrumTable(tuple(entries), frequencies_real=real)
 
 
 # -- reference Sturm kernels ----------------------------------------------------

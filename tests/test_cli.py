@@ -334,6 +334,8 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
     (["verify", "--omega", "1e308", "--points", "101"], "so must their squares"),
     (["table", "--xs", "nan"], "--xs must be finite"),
     (["table", "--xs", "0,inf"], "--xs must be finite"),
+    (["transform", "--dim", "1", "--omega", "1e-200", "--linear", "real:1e200"],
+     "must not underflow to 0"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -349,6 +351,12 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     ["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "1e400"],
     ["degeneracy", "--dim", "2", "--omega", "1,3", "--ratio", "1e100"],
     ["transform", "--dim", "2", "--omega", "1e154,1e154", "--coupling", "real:1e300"],
+    ["transform", "--dim", "2", "--omega", "1e154,1", "--coupling", "real:1"],
+    ["transform", "--dim", "3", "--case", "q2", "--omega", "1e154,1e154,1", "--lambda1", "real:1",
+     "--coupling", "real:1"],
+    ["transform", "--dim", "3", "--case", "q2", "--omega", "1,1,2", "--lambda1", "real:0",
+     "--coupling", "real:1.5e308"],
+    ["spectrum", "--dim", "2", "--omega", "1e154,1", "--coupling", "real:1", "--cutoff", "1"],
 ], ids=" ".join)
 def test_overflow_exits_2_with_one_line(argv, capsys):
     # inf or nan samples are refused, and a Python float overflow is a

@@ -1,11 +1,24 @@
 """The package draws no random numbers and reads no environment variables:
-every result is a function of its inputs alone."""
+every result is a function of its inputs alone. Every public function has
+a caller outside the tests, or is named as library API."""
+import ast
 import pathlib
 import re
 
 import rexosc
 
 _SRC = pathlib.Path(rexosc.__file__).parent
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public functions kept for library users although no module and no
+# benchmark job calls them. A function that only tests call is deleted, or
+# moved into tests/oracles.py, rather than listed here.
+LIBRARY_API = {
+    "model.eigenfunction",       # psi at arbitrary points, without a Plan
+    "model.unextended_energy",   # closed-form levels of the unextended oscillator
+    "transform.eta_metric_2d",   # the paper's pseudo-hermiticity metric
+    "verify.pt_parity_eigenvalue",  # one PT fit on its own grids
+}
 
 
 def _modules_matching(pattern: str) -> list:
@@ -19,3 +32,30 @@ def test_no_module_uses_numpy_random():
 
 def test_no_module_reads_the_environment():
     assert _modules_matching(r"\bos\.(environ|getenv)\b|from os import .*\b(environ|getenv)\b") == []
+
+
+def _names_used(paths) -> set:
+    """Every name that the code of ``paths`` loads, reads as an attribute or
+    imports; docstrings and comments do not count."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_has_a_caller_or_is_library_api():
+    modules = sorted(_SRC.rglob("*.py"))
+    callers = modules + [p for p in sorted(_PERFBENCH.rglob("*.py"))
+                         if "tests" not in p.relative_to(_PERFBENCH).parts]
+    used = _names_used(callers)
+    public = {f"{path.stem}.{node.name}" for path in modules
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert LIBRARY_API <= public
+    assert sorted(f for f in public - LIBRARY_API if f.split(".")[1] not in used) == []

@@ -273,6 +273,56 @@ def test_spectrum_irrational_ratio_no_degeneracy():
     assert all(e.multiplicity == 1 for e in table.entries)
 
 
+# (spec, co-dimensions, cutoff) on which the one grouping pass must give the
+# reference's two-rule tables exactly
+_SPECTRUM_SPECS = [
+    (OscillatorSpec.oscillator(1.0, 3.0), (0, 0), 40.0),
+    (OscillatorSpec.oscillator(1.0, 3.0 * (1 + 1e-12)), (0, 2), 40.0),  # off 1:3
+    (OscillatorSpec.oscillator(1.0, 3.0 * (1 - 1e-12)), (2, 0), 40.0),
+    (OscillatorSpec.oscillator(1.0, 3.0 * (1 + 1e-10)), (0, 0), 40.0),
+    (OscillatorSpec.oscillator(1.0, 3.0 * (1 - 1e-10)), (2, 4), 40.0),
+    (OscillatorSpec.oscillator(1.0, 2.0), (0, 0), 30.0),
+    (OscillatorSpec.oscillator(1.0, np.sqrt(2.0)), (0, 0), 30.0),
+    (OscillatorSpec.oscillator(1.0, 1.0, 1.0), (0, 0, 0), 12.0),
+    (OscillatorSpec.oscillator(1.0, 1.0, np.sqrt(2.0)), (0, 2, 0), 12.0),
+    # a rational pair and an irrational third axis
+    (OscillatorSpec.oscillator(1.0, 2.0, np.sqrt(3.0)), (2, 0, 0), 12.0),
+    (OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(SQ7 / 2)), (0, 0), 60.0),
+    (OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7)), (2, 2), 25.0),
+    (OscillatorSpec.q2_3d(1.0, 2.0, CouplingValue.real(0.0), CouplingValue.real(0.3)),
+     (0, 0, 0), 10.0),
+    (OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.real(0.2), CouplingValue.imaginary(0.3)),
+     (0, 2, 0), 10.0),
+    (_spec_1d(CouplingValue.imaginary(1.0)), (3,), 20.0),
+]
+
+
+@pytest.mark.parametrize("spec,ms,cutoff", _SPECTRUM_SPECS)
+def test_spectrum_equals_the_two_rule_reference(spec, ms, cutoff):
+    def rows(table):
+        return [(e.energy.hex(), e.multiplicity, [st.levels for st in e.states])
+                for e in table.entries]
+
+    got = model.spectrum(spec, REConfig(ms), cutoff)
+    want = oracles.spectrum_ref(spec, REConfig(ms), cutoff)
+    assert got.frequencies_real == want.frequencies_real
+    assert rows(got) == rows(want)
+
+
+def test_spectrum_irrational_ratio_at_cutoff_200():
+    # 14,314 states, each its own level: one sort, not a scan of every level
+    # per state
+    w = np.sqrt(2.0)
+    table = model.spectrum(OscillatorSpec.oscillator(1.0, w), REConfig((0, 0)), 200.0)
+    ladder = [0.0] + [n + 1.0 for n in range(200)]  # ground, then (n + 1) * omega
+    count = sum(1 for a in ladder for b in [0.0] + [(n + 1) * w for n in range(142)]
+                if a + b <= 200.0 + 1e-12)
+    assert len(table.entries) == count == 14314
+    assert all(e.multiplicity == 1 for e in table.entries)
+    energies = [e.energy for e in table.entries]
+    assert all(b - a > 1e-9 * max(1.0, a) for a, b in zip(energies, energies[1:]))
+
+
 def test_spectrum_multiplicity_equals_state_count():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     table = model.spectrum(spec, REConfig((2, 2)), 25.0)
@@ -400,7 +450,7 @@ def test_plan_psi_equals_axis_product(spec, ms):
     points = rng.normal(size=(dim, 40)) + 0.3j * rng.normal(size=(dim, 40))
     ops = transform.parity_operators(dim) if dim > 1 else [transform.space_inversion(1)]
     config = REConfig(ms)
-    for pts in [points] + [op.apply(points) for op in ops]:
+    for pts in [points] + [op.matrix @ points for op in ops]:
         plan = model.plan(spec, config, pts)
         for levels in _levels(dim):
             state = Eigenstate(levels)

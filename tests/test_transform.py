@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+import oracles
 from rexosc import model, transform
 from rexosc.errors import (
     DegenerateDirectionError,
     DegenerateTransformError,
     DomainError,
     FlavorError,
+    NumericalFailureError,
 )
 from rexosc.model import OscillatorSpec
 from rexosc.transform import CouplingValue
+from test_verify import _NAMED_PARITY_SPECS, _spec_id
 
 SQ7 = np.sqrt(7.0)
 
@@ -39,6 +42,9 @@ def test_shift_map_imaginary():
 def test_shift_map_domain():
     with pytest.raises(DomainError):
         transform.shift_map_1d(0.0, CouplingValue.real(1.0))
+    for omega in (1e-200, 1e200):  # omega**2 underflows to 0, or overflows
+        with pytest.raises(DomainError, match="finite nonzero square"):
+            transform.shift_map_1d(omega, CouplingValue.real(1.0))
 
 
 # ------------------------------------------------------------------ 2D rotate
@@ -78,6 +84,53 @@ def test_rotate_degenerate_discriminant():
         transform.rotate_map_2d(1.0, 1.0, CouplingValue.zero())
     with pytest.raises(DegenerateTransformError):
         transform.rotate_map_2d(1.0, 3.0, CouplingValue.imaginary(4.0))
+
+
+def test_exceptional_point_is_one_error_in_every_rotation():
+    # disc == 0 exactly: 4 * (4i)^2 + (1 - 9)^2, and the q2 boundary of
+    # test_q2_exceptional_boundary; the pair's frequencies coincide at
+    # sqrt(total / 2) while the rotation is undefined
+    om, om3, l1 = 1.2, 0.8, 0.3
+    gamma = CouplingValue.imaginary(np.sqrt((om**2 - om3**2 + l1) ** 2 / 8.0))
+    at = {np.sqrt(5.0): [
+              lambda: transform.rotate_map_2d(1.0, 3.0, CouplingValue.imaginary(4.0)),
+              lambda: transform.mixing_factor_2d(1.0, 3.0, CouplingValue.imaginary(4.0)),
+              lambda: transform.decouple_3d_q1(1.0, 3.0, CouplingValue.imaginary(4.0),
+                                               CouplingValue.zero())],
+          np.sqrt((om**2 + om3**2 + l1) / 2): [
+              lambda: transform.decouple_3d_q2(om, om3, l1, gamma)]}
+    for w, calls in at.items():
+        for call in calls:
+            with pytest.raises(DegenerateTransformError,
+                               match=f"exceptional point: .* coincide at {w:.6g}"):
+                call()
+    # the frequencies alone stay defined there
+    assert transform.tilde_frequencies_2d(1.0, 3.0, CouplingValue.imaginary(4.0)) == \
+        (complex(np.sqrt(5.0)), complex(np.sqrt(5.0)))
+
+
+def test_overflowing_pair_is_a_numerical_failure():
+    for call in (lambda: transform.rotate_map_2d(1e154, 1.0, CouplingValue.real(1.0)),
+                 lambda: transform.tilde_frequencies_2d(1e154, 1.0, CouplingValue.real(1.0)),
+                 lambda: transform.decouple_3d_q2(1e154, 1.0, 1.0, CouplingValue.real(1.0)),
+                 lambda: transform.decouple_3d_q2(1.0, 2.0, 0.0, CouplingValue.real(1.5e308))):
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            call()
+
+
+@pytest.mark.parametrize("spec", [s for s in _NAMED_PARITY_SPECS
+                                  if s.case in ("quadratic2d", "lq3d", "q2_3d")],
+                         ids=_spec_id)
+def test_decoupling_frequencies_equal_the_frequency_formulas_bitwise(spec):
+    w, c = spec.frequencies, spec.couplings
+    if spec.case == "q2_3d":
+        got = transform.decouple_3d_q2(w[0], w[2], c["lambda1"].magnitude, c["lam"])
+        want = transform.tilde_frequencies_q2(w[0], w[2], c["lambda1"].magnitude, c["lam"])
+    else:
+        got = transform.rotate_map_2d(w[0], w[1], c["lam"])
+        want = transform.tilde_frequencies_2d(w[0], w[1], c["lam"])
+    bits = [(complex(z).real.hex(), complex(z).imag.hex()) for z in got.tilde_frequencies]
+    assert bits == [(complex(z).real.hex(), complex(z).imag.hex()) for z in want]
 
 
 # --------------------------------------------------------------- reality 2D
@@ -363,7 +416,7 @@ def test_parity_operator_listing():
     ops3 = transform.parity_operators(3)
     np.testing.assert_allclose(ops3[3].matrix, -np.eye(3))
     for op in ops + ops3:
-        assert op.determinant == pytest.approx(-1.0)
+        assert np.linalg.det(op.matrix) == pytest.approx(-1.0)
     with pytest.raises(DomainError):
         transform.parity_operators(4)
 
@@ -468,7 +521,7 @@ def test_round_trip_printed_inverse():
         sys = model.decouple(spec)
         cmap = sys.coordinate_map
         pts = rng.normal(size=(spec.dimension, 100))
-        back = cmap.inverse(cmap.forward(pts))
+        back = oracles.coordinate_inverse(cmap, cmap.forward(pts))
         assert np.max(np.abs(back - pts)) < 1e-12
         lin = cmap.linear
         if spec.case == "quadratic2d":
