@@ -1,7 +1,7 @@
 """Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
-Laplacian built on it, Simpson quadrature, Horner evaluation and a
-multisection Sturm eigensolver for symmetric tridiagonal matrices, whose
-pivots are counted in blocks of rows.
+Laplacian built on it (both on complex samples), Simpson quadrature, Horner
+evaluation and a multisection Sturm eigensolver for symmetric tridiagonal
+matrices, whose pivots are counted in blocks of rows.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ def _real_view(f: np.ndarray) -> np.ndarray:
 
 
 def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
-             term: np.ndarray, complex_view: bool) -> None:
-    """The 9-tap loop: f'' along ``axis`` of the real array ``f`` into
+             term: np.ndarray) -> None:
+    """The 9-tap loop: f'' along ``axis`` of the (re, im) view ``f`` into
     ``out``, with ``term`` as a work buffer (both of the trimmed shape)."""
     n = f.shape[axis]
     window = [slice(None)] * f.ndim
@@ -46,38 +46,25 @@ def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
         else:
             np.multiply(c, f[tuple(window)], out=term)
             out += term
-    if complex_view:
-        # numpy divides a complex number by a real one as a product with the
-        # reciprocal, so the (re, im) view is scaled the same way
-        out *= 1.0 / spacing**2
-    else:
-        out /= spacing**2
-
-
-def _operands(f: np.ndarray, shape):
-    """What the stencil reads and writes: (input, output array of ``shape``,
-    the output as written, whether complex). Complex arrays are read and
-    written through their float64 (re, im) view."""
-    if np.iscomplexobj(f):
-        out = np.empty(shape, complex)
-        return _real_view(f.astype(complex, copy=False)), out, _real_view(out), True
-    out = np.empty(shape, np.result_type(f, float))
-    return f, out, out, False
+    # numpy divides a complex number by a real one as a product with the
+    # reciprocal, so the (re, im) view is scaled the same way
+    out *= 1.0 / spacing**2
 
 
 def second_derivative_profile(samples: np.ndarray, spacing: float,
                               axis: int = 0) -> np.ndarray:
     """Second derivative along ``axis`` at all interior points of that axis
-    (4 trimmed per side; the other axes keep their length). Complex samples
-    run the stencil on their real view."""
-    f = np.asarray(samples)
+    (4 trimmed per side; the other axes keep their length), as complex
+    values; the stencil runs on their float64 (re, im) view."""
+    f = np.asarray(samples, dtype=complex)
     axis = range(f.ndim)[axis]
     if f.shape[axis] < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
     shape = list(f.shape)
     shape[axis] -= 8
-    src, out, dst, complex_view = _operands(f, shape)
-    _stencil(src, spacing, axis, dst, np.empty_like(dst), complex_view)
+    out = np.empty(shape, complex)
+    dst = _real_view(out)
+    _stencil(_real_view(f), spacing, axis, dst, np.empty_like(dst))
     return out
 
 
@@ -89,12 +76,13 @@ def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
     ``_SLAB_BYTES`` of input; every axis's stencil reads only the interior
     of the other axes.
     """
-    f = np.asarray(samples)
+    f = np.asarray(samples, dtype=complex)
     if len(spacings) != f.ndim:
         raise ValueError("one spacing per axis required")
     if min(f.shape) < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    src, out, dst, complex_view = _operands(f, [n - 8 for n in f.shape])
+    out = np.empty([n - 8 for n in f.shape], complex)
+    src, dst = _real_view(f), _real_view(out)
     interior = [slice(4, n - 4) for n in f.shape]
     rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
     profile = np.empty((rows,) + dst.shape[1:])
@@ -104,12 +92,11 @@ def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
         block = dst[start:stop]
         k = stop - start
         _stencil(src[(slice(start, stop + 8), *interior[1:])], spacings[0], 0,
-                 block, term[:k], complex_view)
+                 block, term[:k])
         for axis in range(1, f.ndim):
             window = [slice(start + 4, stop + 4), *interior[1:]]
             window[axis] = slice(None)
-            _stencil(src[tuple(window)], spacings[axis], axis, profile[:k], term[:k],
-                     complex_view)
+            _stencil(src[tuple(window)], spacings[axis], axis, profile[:k], term[:k])
             block += profile[:k]
     return out
 

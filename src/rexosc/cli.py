@@ -351,7 +351,7 @@ def cmd_verify(args) -> int:
              for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
     images = [verify.ParityImage(job_plan.plan, job_plan.grids, op)
-              for op in transform.pt_classification(spec)]
+              for op in model.pt_classification(spec)]
 
     def check(state):
         # one pass per state: psi on the mesh once, its residual, then every

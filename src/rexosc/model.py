@@ -1,6 +1,12 @@
 """Oscillator specifications, rationally extended potentials, closed-form
-eigenfunctions, energy ladders, co-dimension admissibility, and
-degeneracy-grouped spectrum tables.
+eigenfunctions, energy ladders, co-dimension admissibility, PT
+classification, and degeneracy-grouped spectrum tables.
+
+``CASES`` is the one place that knows the perturbation cases: for each it
+names the couplings and CLI flags, the decoupling, reality and degeneracy
+functions of ``transform``, the potential's terms and the parity operators
+paired with time reversal. ``pt_classification`` and ``pt_deviation`` read
+it beside ``base_potential``.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ class Case:
     odd_axis: int | None = None         # axis where an imaginary lambda0 allows odd m
     # nonzero imaginary couplings (in ``couplings`` order) -> parity operators
     # paired with time reversal; an unlisted set keeps the listed operators
-    # whose ``transform.pt_deviation`` vanishes
+    # whose ``pt_deviation`` vanishes
     parities: dict = field(default_factory=dict)
     reality: Callable | None = None     # None: read off the tilde frequencies
     mixing: Callable | None = None      # the 2D mixing factor k
@@ -61,13 +67,6 @@ def _unperturbed(w, c) -> DecoupledSystem:
 def _degeneracy_2d(ratio, w, c, flavor):
     lam = transform.degeneracy_coupling_2d(ratio, w[0], w[1], flavor=flavor)
     return lam, transform.tilde_frequencies_2d(w[0], w[1], lam)
-
-
-def _degeneracy_q1(ratio, w, c, flavor):
-    lam = transform.degeneracy_coupling_3d("q1", ratio, omega=w[0], omega3=w[2],
-                                           flavor=flavor)
-    sys = transform.decouple_3d_q1(w[0], w[2], lam, CouplingValue.zero())
-    return lam, sys.tilde_frequencies[1:]
 
 
 def _degeneracy_q2(ratio, w, c, flavor):
@@ -100,9 +99,8 @@ CASES = {
         odd_axis=2,
         parities={("lambda0", "lam"): ("P4",), ("lambda0",): ("P2",),
                   ("lam",): ("P1", "P3")},
-        reality=lambda w, c: transform.spectral_reality_3d(
-            "lq", omega1=w[0], omega2=w[1], omega3=w[2], lambda0=c["lambda0"],
-            lam=c["lam"])),
+        reality=lambda w, c: transform.spectral_reality_lq(
+            w[0], w[1], w[2], c["lambda0"], c["lam"])),
     "q1_3d": Case(
         3, lambda w, c: transform.decouple_3d_q1(w[0], w[2], c["lambda2"], c["lambda3"]),
         couplings=("lambda2", "lambda3"), flags=("lambda2", "lambda3"), alias="q1",
@@ -111,9 +109,10 @@ CASES = {
                                    + c["lambda3"].value * p[2] * p[0]),),
         parities={("lambda2", "lambda3"): ("P2",), ("lambda2",): ("P3",),
                   ("lambda3",): ("P1",)},
-        reality=lambda w, c: transform.spectral_reality_3d(
-            "q1", omega=w[0], omega3=w[2], lambda2=c["lambda2"], lambda3=c["lambda3"]),
-        degeneracy=_degeneracy_q1),
+        reality=lambda w, c: transform.spectral_reality_q1(
+            w[0], w[2], c["lambda2"], c["lambda3"]),
+        # the rotated pair is the 2D pair (omega, omega3) at the combined coupling
+        degeneracy=lambda r, w, c, f: _degeneracy_2d(r, (w[0], w[2]), c, f)),
     "q2_3d": Case(
         3, lambda w, c: transform.decouple_3d_q2(w[0], w[2], c["lambda1"].magnitude,
                                                  c["lam"]),
@@ -122,8 +121,8 @@ CASES = {
         terms=(lambda c, p: 0.5 * c["lambda1"].value * p[0] * p[1],
                lambda c, p: 0.5 * c["lam"].value * (p[1] * p[2] + p[2] * p[0])),
         parities={("lam",): ("P2",)},
-        reality=lambda w, c: transform.spectral_reality_3d(
-            "q2", omega=w[0], omega3=w[2], lambda1=c["lambda1"].magnitude, lam=c["lam"]),
+        reality=lambda w, c: transform.spectral_reality_q2(
+            w[0], w[2], c["lambda1"].magnitude, c["lam"]),
         degeneracy=_degeneracy_q2),
 }
 
@@ -240,10 +239,6 @@ class Eigenstate:
     def ground(cls, dimension: int) -> "Eigenstate":
         return cls((None,) * dimension)
 
-    @classmethod
-    def excited(cls, *ns: int) -> "Eigenstate":
-        return cls(tuple(ns))
-
     def label(self) -> str:
         return ",".join("g" if x is None else str(x) for x in self.levels)
 
@@ -277,6 +272,45 @@ def base_potential(spec: OscillatorSpec, point):
     for term in CASES[spec.case].terms:
         v = v + term(spec.couplings, p)
     return v
+
+
+def pt_classification(spec: OscillatorSpec) -> list:
+    """Parity operators paired with time reversal for the given spec.
+
+    A non-Hermitian flavor combination that the spec's case lists returns
+    its assigned operators; any other spec, purely real couplings included,
+    keeps the listed operators under which the potential is PT-invariant
+    (``pt_deviation`` at most 1e-10).
+    """
+    dim = spec.dimension
+    ops = transform.parity_operators(dim) if dim > 1 else [transform.space_inversion(1)]
+    names = CASES[spec.case].parities.get(spec.imaginary_couplings)
+    if names is None:
+        return [op for op in ops if pt_deviation(spec, op) <= 1e-10]
+    named = {op.name: op for op in ops}
+    return [named[n] for n in names]
+
+
+def pt_deviation(spec: OscillatorSpec, operator) -> float:
+    """max |conj V(M p) - V(p)| / (1 + |V(p)|) over p in {0, +-e_i, e_i + e_j
+    (i < j)}, V being the base potential and M the matrix of ``operator`` (a
+    ``ParityOperator``, an ``EtaMetric`` or a d x d array).
+
+    V has degree <= 2, so conj V(M p) - V(p) is a quadratic in real p, and
+    these 1 + d + d(d+1)/2 points fix every coefficient of a quadratic; one
+    that vanishes on them vanishes everywhere. The check is exact, not
+    sampled: 0 means V is invariant under M combined with complex
+    conjugation at every real point.
+    """
+    mat = np.asarray(getattr(operator, "matrix", operator), dtype=complex)
+    dim = spec.dimension
+    if mat.shape != (dim, dim):
+        raise ShapeError(f"the operator must be a {dim}x{dim} matrix")
+    eye = np.eye(dim)
+    pts = np.column_stack([np.zeros(dim), *eye, *-eye,
+                           *(eye[i] + eye[j] for i in range(dim) for j in range(i + 1, dim))])
+    v, w = np.split(base_potential(spec, np.hstack([pts, mat @ pts])), 2)
+    return float(np.max(np.abs(np.conj(w) - v) / (1 + np.abs(v))))
 
 
 _TINY = 1e-300

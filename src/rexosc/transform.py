@@ -10,6 +10,11 @@ case) decouples through ``_coupled_pair``: it alone takes the square root of
 the pair's discriminant, forms the pair's tilde frequencies, refuses an
 exceptional point (``DegenerateTransformError``) and refuses a discriminant
 or frequency sum past the float range (``NumericalFailureError``).
+
+This module is the algebra alone and imports nothing from ``model``:
+``model.CASES`` picks the decoupling, reality and degeneracy functions here
+for each perturbation case, and ``model.pt_classification`` pairs the parity
+operators listed here with time reversal.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ from .errors import (
     DomainError,
     FlavorError,
     NumericalFailureError,
-    ShapeError,
 )
 
 REAL = "real"
@@ -361,11 +365,6 @@ def decouple_3d_q2(omega: float, omega3: float, lambda1: float,
     """
     if not (omega > 0 and omega3 > 0):
         raise DomainError("frequencies must be positive")
-    if isinstance(lambda1, CouplingValue):
-        if lambda1.is_imaginary and lambda1.magnitude != 0:
-            raise DomainError("the xy coupling must be real in this case")
-        lambda1 = lambda1.magnitude
-    lambda1 = float(lambda1)
     A = omega**2 - omega3**2 + lambda1
     lv = lam.value
     with np.errstate(over="ignore"):  # _coupled_pair refuses the overflowing disc
@@ -393,35 +392,21 @@ class RealityVerdict:
         return self.real
 
 
-def spectral_reality_3d(case: str, **params) -> RealityVerdict:
-    """Exact reality inequalities for the three 3D perturbation cases.
-
-    lq: omega1, omega2, omega3, lambda0, lam
-    q1: omega, omega3, lambda2, lambda3
-    q2: omega, omega3, lambda1 (real), lam
-    """
-    if case == "lq":
-        return _reality_lq(**params)
-    if case == "q1":
-        return _reality_q1(**params)
-    if case == "q2":
-        return _reality_q2(**params)
-    raise DomainError(f"unknown case {case!r}")
-
-
-def _reality_lq(omega1, omega2, omega3, lambda0: CouplingValue,
-                lam: CouplingValue) -> RealityVerdict:
+def spectral_reality_lq(omega1, omega2, omega3, lambda0: CouplingValue,
+                        lam: CouplingValue) -> RealityVerdict:
+    """Reality of the lq case: the linear z-term never breaks it, for either
+    flavor, so the (x, y) block decides."""
     if not omega3 > 0:
         raise DomainError("omega3 must be positive")
-    # the linear z-term never breaks reality for either flavor
     if spectral_reality_2d(omega1, omega2, lam):
         return RealityVerdict(True, "all conditions hold")
     return RealityVerdict(False, "violated: |gamma| >= |omega1^2 - omega2^2|/2"
                           if lam.is_imaginary else "violated: |lambda| > omega1*omega2")
 
 
-def _reality_q1(omega, omega3, lambda2: CouplingValue,
-                lambda3: CouplingValue) -> RealityVerdict:
+def spectral_reality_q1(omega, omega3, lambda2: CouplingValue,
+                        lambda3: CouplingValue) -> RealityVerdict:
+    """Reality of the q1 case, for each flavor combination of the couplings."""
     quarter = 0.25 * (omega**2 - omega3**2) ** 2
     upper = omega**2 * omega3**2
     combined = (lambda2.value**2 + lambda3.value**2).real
@@ -443,12 +428,9 @@ def _reality_q1(omega, omega3, lambda2: CouplingValue,
     return RealityVerdict(True, "all conditions hold")
 
 
-def _reality_q2(omega, omega3, lambda1, lam: CouplingValue) -> RealityVerdict:
-    if isinstance(lambda1, CouplingValue):
-        if lambda1.is_imaginary and lambda1.magnitude != 0:
-            raise DomainError("the xy coupling must be real in this case")
-        lambda1 = lambda1.magnitude
-    lambda1 = float(lambda1)
+def spectral_reality_q2(omega, omega3, lambda1: float,
+                        lam: CouplingValue) -> RealityVerdict:
+    """Reality of the q2 case; lambda1 is the (real) xy coupling."""
     if not -omega**2 <= lambda1 <= omega**2:
         return RealityVerdict(False, "violated: |lambda1| > omega^2")
     if lam.is_imaginary:
@@ -508,46 +490,3 @@ def parity_operators(dimension: int) -> list:
 def space_inversion(dimension: int) -> ParityOperator:
     """x -> -x in any dimension (a reflection only in odd dimensions)."""
     return ParityOperator(-np.eye(dimension), name="inversion")
-
-
-def pt_classification(spec) -> list:
-    """Parity operators paired with time reversal for the given spec.
-
-    A non-Hermitian flavor combination that the spec's case lists returns
-    its assigned operators; any other spec, purely real couplings included,
-    keeps the listed operators under which the potential is PT-invariant
-    (``pt_deviation`` at most 1e-10).
-    """
-    from . import model  # local import to avoid a module cycle
-
-    dim = spec.dimension
-    ops = parity_operators(dim) if dim > 1 else [space_inversion(1)]
-    names = model.CASES[spec.case].parities.get(spec.imaginary_couplings)
-    if names is None:
-        return [op for op in ops if pt_deviation(spec, op) <= 1e-10]
-    named = {op.name: op for op in ops}
-    return [named[n] for n in names]
-
-
-def pt_deviation(spec, operator) -> float:
-    """max |conj V(M p) - V(p)| / (1 + |V(p)|) over p in {0, +-e_i, e_i + e_j
-    (i < j)}, V being the base potential and M the matrix of ``operator`` (a
-    ``ParityOperator``, an ``EtaMetric`` or a d x d array).
-
-    V has degree <= 2, so conj V(M p) - V(p) is a quadratic in real p, and
-    these 1 + d + d(d+1)/2 points fix every coefficient of a quadratic; one
-    that vanishes on them vanishes everywhere. The check is exact, not
-    sampled: 0 means V is invariant under M combined with complex
-    conjugation at every real point.
-    """
-    from . import model  # local import to avoid a module cycle
-
-    mat = np.asarray(getattr(operator, "matrix", operator), dtype=complex)
-    dim = spec.dimension
-    if mat.shape != (dim, dim):
-        raise ShapeError(f"the operator must be a {dim}x{dim} matrix")
-    eye = np.eye(dim)
-    pts = np.column_stack([np.zeros(dim), *eye, *-eye,
-                           *(eye[i] + eye[j] for i in range(dim) for j in range(i + 1, dim))])
-    v, w = np.split(model.base_potential(spec, np.hstack([pts, mat @ pts])), 2)
-    return float(np.max(np.abs(np.conj(w) - v) / (1 + np.abs(v))))

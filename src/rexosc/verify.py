@@ -2,7 +2,7 @@
 Schrodinger residuals, Rayleigh quotients, parity-time eigenvalue
 measurement, orthogonality Gram matrices, real-pole scans and a
 grid-diagonalization oracle. Which parity operators a spec's potential is
-PT-invariant under is decided exactly in ``transform.pt_deviation``.
+PT-invariant under is decided exactly in ``model.pt_deviation``.
 
 Everything here avoids the closed-form energy formulas: energies are either
 fitted from pointwise residuals, computed as quadrature quotients, or read

@@ -216,7 +216,7 @@ def test_criterion_09_pt_sign_table():
     spec2 = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     cfg2 = REConfig((2, 2))
     grids2 = verify.suggest_grids(spec2, n_points=401)
-    p1, p2 = transform.pt_classification(spec2)
+    p1, p2 = model.pt_classification(spec2)
     for n1 in (0, 1, 2, 3):
         for n2 in (0, 1):
             st = Eigenstate((n1, n2))
@@ -248,9 +248,9 @@ def _pt_3d_jobs():
                 couplings = {n: CouplingValue(mags[n], "imaginary" if n in imaginary
                                               else "real") for n in record.couplings}
                 spec = OscillatorSpec(3, freqs, case, couplings)
-                ops = transform.pt_classification(spec)
+                ops = model.pt_classification(spec)
                 if (ops and model.decouple(spec).is_real
-                        and all(transform.pt_deviation(spec, op) == 0 for op in ops)):
+                        and all(model.pt_deviation(spec, op) == 0 for op in ops)):
                     argv = ["verify", "--dim", "3", "--case", record.alias,
                             "--omega", ",".join(map(repr, freqs))]
                     for name, flag in zip(record.couplings, record.flags):

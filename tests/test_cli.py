@@ -48,6 +48,18 @@ def test_degeneracy_flavor_mismatch_exit(capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("ratio", ["1", "1/2"])
+def test_q1_degeneracy_prints_the_2d_pair(ratio, capsys):
+    # the rotated q1 pair is the 2D pair (omega, omega3): at ratio 1 its
+    # frequencies coincide (an exceptional point) and 1/2 is the natural
+    # ratio (zero coupling), where no q1 coupling direction is defined
+    code, out, err = run(["degeneracy", "--dim", "3", "--case", "q1", "--omega", "1,1,2",
+                          "--ratio", ratio], capsys)
+    assert (code, err) == (0, "")
+    assert run(["degeneracy", "--dim", "2", "--omega", "1,2", "--ratio", ratio],
+               capsys) == (0, out, "")
+
+
 def test_verify_1d_imaginary_m3(capsys):
     code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
                         "--linear", "imaginary:1", "--m", "3",
@@ -336,6 +348,9 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
     (["table", "--xs", "0,inf"], "--xs must be finite"),
     (["transform", "--dim", "1", "--omega", "1e-200", "--linear", "real:1e200"],
      "must not underflow to 0"),
+    # the spec refuses an imaginary q2 xy coupling
+    (["transform", "--dim", "3", "--case", "q2", "--omega", "1,1,2", "--lambda1", "imaginary:0.5",
+      "--coupling", "real:0.3"], "the xy coupling must be real in this case"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)

@@ -1,6 +1,7 @@
 """The package draws no random numbers and reads no environment variables:
 every result is a function of its inputs alone. Every public function has
-a caller outside the tests, or is named as library API."""
+a caller outside the tests, or is named as library API. Imports sit at
+module level, and ``transform`` does not import ``model``."""
 import ast
 import pathlib
 import re
@@ -59,3 +60,28 @@ def test_every_public_function_has_a_caller_or_is_library_api():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert LIBRARY_API <= public
     assert sorted(f for f in public - LIBRARY_API if f.split(".")[1] not in used) == []
+
+
+def _imported_modules(tree) -> set:
+    """Every module an import in ``tree`` names, dotted, relative ones
+    without their leading dots."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            # ``from . import model`` imports a module by its alias name
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_imports_are_module_level_and_transform_does_not_import_model():
+    nested = [f"{path.stem}.{fn.name}" for path in sorted(_SRC.rglob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and _imported_modules(fn)]
+    assert nested == []
+    imported = _imported_modules(ast.parse((_SRC / "transform.py").read_text()))
+    assert not [m for m in imported if "model" in m.split(".")]

@@ -1,14 +1,26 @@
 """Potentials, eigenfunctions, energies, admissibility, spectra."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import oracles
 from rexosc import model, transform
-from rexosc.errors import DomainError, ShapeError, SingularityError
+from rexosc.errors import (
+    DegenerateDirectionError,
+    DegenerateTransformError,
+    DomainError,
+    ShapeError,
+    SingularityError,
+)
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
 from rexosc.transform import CouplingValue
 
 SQ7 = np.sqrt(7.0)
+
+
+def _hex(zs):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in zs]
 
 
 def _spec_1d(lam0):
@@ -354,6 +366,32 @@ def test_case_table_records_are_consistent():
             assert list(imaginary) == [c for c in case.couplings if c in imaginary], name
         if case.odd_axis is not None:
             assert "lambda0" in case.couplings, name
+
+
+def test_q2_spec_refuses_an_imaginary_lambda1():
+    with pytest.raises(DomainError, match="the xy coupling must be real in this case"):
+        OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.imaginary(0.5), CouplingValue.zero())
+    # a zero imaginary coupling is no coupling
+    OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.imaginary(0.0), CouplingValue.real(0.3))
+
+
+def test_q1_degeneracy_pair_equals_the_q1_decoupling_bitwise():
+    # the q1 pair rotated by the combined coupling is the 2D pair (omega, omega3)
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(300):
+        om, om3 = rng.uniform(0.2, 3.0, size=2)
+        ratio = Fraction(*(int(k) for k in rng.integers(1, 7, size=2)))
+        lam, pair = model.CASES["q1_3d"].degeneracy(ratio, (om, om, om3), {}, None)
+        want = transform.degeneracy_coupling_3d("q1", ratio, omega=om, omega3=om3)
+        assert (lam.magnitude.hex(), lam.flavor) == (want.magnitude.hex(), want.flavor)
+        try:
+            sys = transform.decouple_3d_q1(om, om3, lam, CouplingValue.zero())
+        except (DegenerateDirectionError, DegenerateTransformError):
+            continue  # ratio 1 or the natural ratio: the map is undefined
+        assert _hex(pair) == _hex(sys.tilde_frequencies[1:])
+        checked += 1
+    assert checked > 250
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

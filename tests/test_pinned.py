@@ -215,7 +215,7 @@ def test_parities_and_codimensions_pinned(case, imag):
             OscillatorSpec(len(freqs), freqs, case, couplings)
         return
     spec = OscillatorSpec(len(freqs), freqs, case, couplings)
-    assert [op.name for op in transform.pt_classification(spec)] == want[0]
+    assert [op.name for op in model.pt_classification(spec)] == want[0]
     assert model.admissible_codimensions(spec) == want[1]
 
 
@@ -226,7 +226,7 @@ def test_parities_and_codimensions_pinned(case, imag):
 ])
 def test_unperturbed_parities_and_codimensions_pinned(freqs, want):
     spec = OscillatorSpec.oscillator(*freqs)
-    assert [op.name for op in transform.pt_classification(spec)] == want
+    assert [op.name for op in model.pt_classification(spec)] == want
     assert model.admissible_codimensions(spec) == ("even_only",) * len(freqs)
 
 
@@ -252,7 +252,7 @@ def test_pt_deviation_agrees_with_sampled_reference():
               for c in (CouplingValue.real(_REAL), CouplingValue.imaginary(_IMAG))]
     for spec in specs:
         for op in _listed_operators(spec):
-            exact = transform.pt_deviation(spec, op)
+            exact = model.pt_deviation(spec, op)
             ref = oracles.sampled_pt_deviation(
                 lambda p: model.base_potential(spec, p), op.matrix, spec.dimension)
             label = (spec.case, spec.frequencies, spec.imaginary_couplings, op.name)
@@ -268,7 +268,7 @@ def test_assigned_parities_are_pt_symmetries():
             spec = _pinned_spec(case, imag)
             named = {op.name: op for op in _listed_operators(spec)}
             for name in names:
-                assert transform.pt_deviation(spec, named[name]) == 0, (case, imag, name)
+                assert model.pt_deviation(spec, named[name]) == 0, (case, imag, name)
 
 
 def test_lq3d_with_both_couplings_imaginary_is_pt_symmetric_under_rotations():
@@ -276,12 +276,12 @@ def test_lq3d_with_both_couplings_imaginary_is_pt_symmetric_under_rotations():
     # sign of xy; only the rotations by pi about x and y are PT symmetries
     spec = _pinned_spec("lq3d", ("lambda0", "lam"))
     p4 = {op.name: op for op in transform.parity_operators(3)}["P4"]
-    assert transform.pt_deviation(spec, p4) > 0.1
+    assert model.pt_deviation(spec, p4) > 0.1
     symmetric = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1, -1), repeat=3):
             mat = np.diag(signs) @ np.eye(3)[list(perm)]
-            if transform.pt_deviation(spec, mat) == 0:
+            if model.pt_deviation(spec, mat) == 0:
                 symmetric.append(mat.tolist())
     assert sorted(symmetric) == sorted([np.diag([1, -1, -1]).tolist(),
                                         np.diag([-1, 1, -1]).tolist()])

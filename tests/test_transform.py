@@ -295,37 +295,31 @@ def test_q2_complex_first_frequency_flagged():
     assert not sys.is_real
 
 
-def test_q2_rejects_imaginary_lambda1():
-    with pytest.raises(DomainError):
-        transform.decouple_3d_q2(1.0, 1.0, CouplingValue.imaginary(0.5),
-                                 CouplingValue.zero())
-
-
 # --------------------------------------------------------------- reality 3D
 
 def test_reality_q1_cases():
-    v = transform.spectral_reality_3d(
-        "q1", omega=np.sqrt(2), omega3=1.0,
+    v = transform.spectral_reality_q1(
+        omega=np.sqrt(2), omega3=1.0,
         lambda2=CouplingValue.real(SQ7 / 5), lambda3=CouplingValue.real(SQ7 / 5))
     assert v.real and v.certificate == "all conditions hold"
     # case c boundary violation
     om, om3 = 1.5, 0.5
     bound = 0.25 * (om**2 - om3**2) ** 2
     g = np.sqrt(bound / 2) + 1e-6
-    v = transform.spectral_reality_3d(
-        "q1", omega=om, omega3=om3,
+    v = transform.spectral_reality_q1(
+        omega=om, omega3=om3,
         lambda2=CouplingValue.imaginary(g), lambda3=CouplingValue.imaginary(g))
     assert not v.real and "gamma2^2+gamma3^2" in v.certificate
-    v = transform.spectral_reality_3d(
-        "q1", omega=om, omega3=om3,
+    v = transform.spectral_reality_q1(
+        omega=om, omega3=om3,
         lambda2=CouplingValue.imaginary(g), lambda3=CouplingValue.imaginary(0.0))
     assert v.real  # single small imaginary coupling is fine
 
 
 def test_reality_q1_mixed_flavors():
     om, om3 = 1.5, 0.5
-    v = transform.spectral_reality_3d(
-        "q1", omega=om, omega3=om3,
+    v = transform.spectral_reality_q1(
+        omega=om, omega3=om3,
         lambda2=CouplingValue.imaginary(0.3), lambda3=CouplingValue.real(0.2))
     assert v.real == (-0.25 * (om**2 - om3**2) ** 2 <= 0.2**2 - 0.3**2
                       <= om**2 * om3**2)
@@ -333,34 +327,30 @@ def test_reality_q1_mixed_flavors():
 
 def test_reality_q2():
     om = 1.1
-    v = transform.spectral_reality_3d(
-        "q2", omega=om, omega3=om, lambda1=om**2 / 2,
+    v = transform.spectral_reality_q2(
+        omega=om, omega3=om, lambda1=om**2 / 2,
         lam=CouplingValue.real(om**2 / 4 * np.sqrt(15 / 2)))
     assert v.real
     # imaginary boundary inclusive
     om3, l1 = 0.8, 0.3
     a = om**2 - om3**2 + l1
-    v = transform.spectral_reality_3d(
-        "q2", omega=om, omega3=om3, lambda1=l1,
+    v = transform.spectral_reality_q2(
+        omega=om, omega3=om3, lambda1=l1,
         lam=CouplingValue.imaginary(np.sqrt(a**2 / 8)))
     assert v.real
-    v = transform.spectral_reality_3d(
-        "q2", omega=om, omega3=om3, lambda1=l1,
+    v = transform.spectral_reality_q2(
+        omega=om, omega3=om3, lambda1=l1,
         lam=CouplingValue.imaginary(np.sqrt(a**2 / 8) + 1e-9))
     assert not v.real
-    with pytest.raises(DomainError):
-        transform.spectral_reality_3d(
-            "q2", omega=1.0, omega3=1.0,
-            lambda1=CouplingValue.imaginary(0.2), lam=CouplingValue.zero())
 
 
 def test_reality_lq():
-    v = transform.spectral_reality_3d(
-        "lq", omega1=1.0, omega2=3.0, omega3=2.0,
+    v = transform.spectral_reality_lq(
+        omega1=1.0, omega2=3.0, omega3=2.0,
         lambda0=CouplingValue.imaginary(5.0), lam=CouplingValue.imaginary(SQ7))
     assert v.real  # any linear coupling is harmless
-    v = transform.spectral_reality_3d(
-        "lq", omega1=1.0, omega2=1.0, omega3=2.0,
+    v = transform.spectral_reality_lq(
+        omega1=1.0, omega2=1.0, omega3=2.0,
         lambda0=CouplingValue.zero(), lam=CouplingValue.imaginary(0.1))
     assert not v.real
 
@@ -423,36 +413,36 @@ def test_parity_operator_listing():
 
 def test_pt_classification_2d_imaginary():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
-    names = [op.name for op in transform.pt_classification(spec)]
+    names = [op.name for op in model.pt_classification(spec)]
     assert names == ["P1", "P2"]
 
 
 def test_pt_classification_lq():
     mk = OscillatorSpec.lq_3d
     spec = mk(1, 2, 5, CouplingValue.imaginary(1.0), CouplingValue.real(0.5))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P2"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P2"]
     spec = mk(1, 2, 5, CouplingValue.real(1.0), CouplingValue.imaginary(0.5))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P1", "P3"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P1", "P3"]
     spec = mk(1, 2, 5, CouplingValue.imaginary(1.0), CouplingValue.imaginary(0.5))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P4"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P4"]
 
 
 def test_pt_classification_q1_cases():
     mk = OscillatorSpec.q1_3d
     spec = mk(1.4, 1.0, CouplingValue.imaginary(0.2), CouplingValue.real(0.3))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P3"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P3"]
     spec = mk(1.4, 1.0, CouplingValue.real(0.2), CouplingValue.imaginary(0.3))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P1"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P1"]
     spec = mk(1.4, 1.0, CouplingValue.imaginary(0.2), CouplingValue.imaginary(0.3))
-    assert [op.name for op in transform.pt_classification(spec)] == ["P2"]
+    assert [op.name for op in model.pt_classification(spec)] == ["P2"]
 
 
 def test_pt_classification_real_couplings_all_parities_when_unperturbed():
     spec = OscillatorSpec.oscillator(1.0, 2.0)
-    names = [op.name for op in transform.pt_classification(spec)]
+    names = [op.name for op in model.pt_classification(spec)]
     assert names == ["P1", "P2"]
     spec = OscillatorSpec.oscillator(1.0, 1.0)
-    names = [op.name for op in transform.pt_classification(spec)]
+    names = [op.name for op in model.pt_classification(spec)]
     assert names == ["P1", "P2", "P3", "P4"]
 
 

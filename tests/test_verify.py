@@ -96,7 +96,7 @@ def test_mesh_plan_unchanged_by_its_states():
     plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
     states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
     images = [verify.image_plan(plan.plan, plan.grids, op)
-              for op in transform.pt_classification(spec)]
+              for op in model.pt_classification(spec)]
 
     def work(state):
         psi = plan.plan.psi(state)
@@ -164,7 +164,7 @@ def _fits_agree(spec, config, grids, op):
 def test_index_map_fit_equals_image_plan_fit(spec):
     grids = verify.suggest_grids(spec, n_points=_POINTS[spec.dimension])
     config = REConfig((2,) * spec.dimension)
-    for op in transform.pt_classification(spec):
+    for op in model.pt_classification(spec):
         _fits_agree(spec, config, grids, op)
 
 
@@ -392,7 +392,7 @@ def test_pt_2d_per_axis_signs():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     cfg = REConfig((2, 2))
     grids = verify.suggest_grids(spec, n_points=401)
-    p1, p2 = transform.pt_classification(spec)
+    p1, p2 = model.pt_classification(spec)
     for n1 in (None, 0, 1):
         for n2 in (None, 0, 1):
             st = Eigenstate((n1, n2))
@@ -506,7 +506,7 @@ def test_grid_spectrum_rejects_poles():
 
 def test_pseudo_hermiticity_identity_for_real_spec():
     spec = OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(0.5))
-    dev = transform.pt_deviation(spec, np.eye(2))
+    dev = model.pt_deviation(spec, np.eye(2))
     assert dev == pytest.approx(0.0, abs=1e-14)
 
 
@@ -514,27 +514,27 @@ def test_pseudo_hermiticity_reports_finite_deviation():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     k = transform.mixing_factor_2d(1, 3, CouplingValue.imaginary(SQ7))
     eta = transform.eta_metric_2d(k)
-    dev = transform.pt_deviation(spec, eta)
+    dev = model.pt_deviation(spec, eta)
     assert np.isfinite(dev)  # pointwise reading need not vanish; see report
 
 
 def test_pseudo_hermiticity_negative_identity_edge():
     spec = OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(0.5))
     eta = transform.eta_metric_2d(1.0)  # -identity
-    ref = transform.pt_deviation(spec, transform.ParityOperator(-np.eye(2)))
-    dev = transform.pt_deviation(spec, eta)
+    ref = model.pt_deviation(spec, transform.ParityOperator(-np.eye(2)))
+    dev = model.pt_deviation(spec, eta)
     assert dev == pytest.approx(ref, abs=1e-12)
 
 
 def test_pt_pointwise_assignments_hold_where_applicable():
     # single-axis flips are pointwise identities for their assigned cases
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
-    for op in transform.pt_classification(spec):
-        assert transform.pt_deviation(spec, op) < 1e-12
+    for op in model.pt_classification(spec):
+        assert model.pt_deviation(spec, op) < 1e-12
     spec = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
                                 CouplingValue.imaginary(0.3))
-    for op in transform.pt_classification(spec):
-        assert transform.pt_deviation(spec, op) < 1e-12
+    for op in model.pt_classification(spec):
+        assert model.pt_deviation(spec, op) < 1e-12
 
 
 def test_reality_boundary_scan_2d():
