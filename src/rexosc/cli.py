@@ -235,8 +235,9 @@ def cmd_degeneracy(args) -> int:
     name = _case_name(args)
     if name is None or model.CASES[name].degeneracy is None:
         raise DomainError(f"unknown case {args.case!r}")
-    coupling, freqs = model.CASES[name].degeneracy(
-        ratio, omegas, _given_couplings(args, name), args.flavor)
+    couplings = _given_couplings(args, name)
+    omegas = model.check_case(name, omegas, couplings)
+    coupling, freqs = model.CASES[name].degeneracy(ratio, omegas, couplings, args.flavor)
     out = {
         "coupling": _coupling_dict(coupling),
         "target_ratio": str(ratio),

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import poly, transform
+from . import _kernels, poly, transform
 from .errors import DomainError, ShapeError, SingularityError
 from .transform import CouplingValue, DecoupledSystem
 
@@ -119,12 +119,35 @@ CASES = {
         couplings=("lambda1", "lam"), flags=("lambda1", "coupling"), alias="q2",
         required_flags=True, equal_xy=True, real_couplings=("lambda1",),
         terms=(lambda c, p: 0.5 * c["lambda1"].value * p[0] * p[1],
-               lambda c, p: 0.5 * c["lam"].value * (p[1] * p[2] + p[2] * p[0])),
+               # the sum first: a complex scalar goes on the right of a
+               # temporary (see ``_kernels``)
+               lambda c, p: (p[1] * p[2] + p[2] * p[0]) * (0.5 * c["lam"].value)),
         parities={("lam",): ("P2",)},
         reality=lambda w, c: transform.spectral_reality_q2(
             w[0], w[2], c["lambda1"].magnitude, c["lam"]),
         degeneracy=_degeneracy_q2),
 }
+
+
+def check_case(name: str, frequencies, couplings: dict) -> tuple:
+    """The frequencies as floats, once they and ``couplings`` (all of case
+    ``name``'s couplings or some of them) meet what the case requires:
+    positive finite frequencies, equal x and y frequencies where the case
+    says so, and no nonzero imaginary coupling that the case needs real."""
+    freqs = tuple(float(w) for w in frequencies)
+    if any(w <= 0 for w in freqs):
+        raise DomainError("need one positive frequency per axis")
+    # V holds omega**2 / 4, and a linear shift divides by omega**2
+    if not all(0 < w * w < math.inf for w in freqs):
+        raise DomainError("frequencies must be finite, and so must their squares, "
+                          "which must not underflow to 0")
+    record = CASES[name]
+    if record.equal_xy and freqs[0] != freqs[1]:
+        raise DomainError(f"{name} requires equal x and y frequencies")
+    if any(couplings[c].is_imaginary and couplings[c]
+           for c in record.real_couplings if c in couplings):
+        raise DomainError("the xy coupling must be real in this case")
+    return freqs
 
 
 @dataclass(frozen=True)
@@ -139,14 +162,8 @@ class OscillatorSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2, or 3")
-        freqs = tuple(float(w) for w in self.frequencies)
-        if len(freqs) != self.dimension or any(w <= 0 for w in freqs):
+        if len(self.frequencies) != self.dimension:
             raise DomainError("need one positive frequency per axis")
-        # V holds omega**2 / 4, and a linear shift divides by omega**2
-        if not all(0 < w * w < math.inf for w in freqs):
-            raise DomainError("frequencies must be finite, and so must their squares, "
-                              "which must not underflow to 0")
-        object.__setattr__(self, "frequencies", freqs)
         if self.case not in CASES:
             raise DomainError(f"unknown perturbation case {self.case!r}")
         record = CASES[self.case]
@@ -156,10 +173,8 @@ class OscillatorSpec:
         if record.dimension not in (None, self.dimension):
             raise DomainError(f"{self.case} case is "
                               f"{_DIMENSION_WORDS[record.dimension]}-dimensional")
-        if record.equal_xy and freqs[0] != freqs[1]:
-            raise DomainError(f"{self.case} requires equal x and y frequencies")
-        if set(record.real_couplings) & set(self.imaginary_couplings):
-            raise DomainError("the xy coupling must be real in this case")
+        object.__setattr__(self, "frequencies",
+                           check_case(self.case, self.frequencies, self.couplings))
 
     # convenience constructors -------------------------------------------
     @classmethod
@@ -333,11 +348,21 @@ def _rational_term(omega, m: int, u):
     pm = poly.pseudo_hermite(m)
     s = np.sqrt(complex(omega) / 2)
     h = poly.evaluate(pm, u)
-    if np.any(np.abs(h) < _TINY):
+    if _kernels.any_abs_below(h, _TINY):
         raise SingularityError("rational term evaluated at a denominator zero")
-    d1 = poly.evaluate(poly.derivative(pm), u) * s
-    d2 = poly.evaluate(poly.derivative(poly.derivative(pm)), u) * s * s
-    return -2.0 * (d2 / h - (d1 / h) ** 2 + complex(omega) / 2)
+    # -2 * (d2 / h - (d1 / h)**2 + omega / 2), in the buffers of d1 and d2
+    d2 = poly.evaluate(poly.derivative(poly.derivative(pm)), u)
+    d2 *= s
+    d2 *= s
+    d2 /= h
+    d1 = poly.evaluate(poly.derivative(pm), u)
+    d1 *= s
+    d1 /= h
+    d1 **= 2
+    d2 -= d1
+    d2 += complex(omega) / 2
+    d2 *= -2.0
+    return d2
 
 
 def admissible_codimensions(spec: OscillatorSpec) -> tuple:
@@ -398,10 +423,16 @@ def _axis_factor(omega, m: int, t, in_place: bool = False):
     and the state-independent factor, h being the pseudo-Hermite denominator.
     ``in_place`` scales an array t into u in place."""
     t = np.asarray(t, dtype=complex)
-    gauss = np.exp(-complex(omega) * t**2 / 4)
+    # exp(-omega * t**2 / 4) with t**2 on the left of the complex product at
+    # any size (see ``_kernels``), so psi at a point does not depend on how
+    # many points are evaluated with it
+    gauss = t**2
+    gauss *= -complex(omega)
+    gauss /= 4
+    gauss = np.exp(gauss, out=gauss if gauss.ndim else None)
     u = np.multiply(np.sqrt(complex(omega) / 2), t, out=t if in_place and t.ndim else None)
     h = poly.evaluate(poly.pseudo_hermite(m), u)
-    if np.any(np.abs(h) < _TINY):
+    if _kernels.any_abs_below(h, _TINY):
         raise SingularityError("eigenfunction evaluated at a denominator zero")
     gauss /= h
     return u, gauss
@@ -464,10 +495,13 @@ class Plan:
             raise DomainError("one level per axis required")
         out = self.prefactor
         for u, m, lv in zip(self.scaled, self.config.codimensions, state.levels):
-            # not ``out * ...``: numpy would reuse the temporary right operand
-            # of a large product and compute it as numerator * out, whose
-            # complex rounding differs
-            out = np.multiply(out, _numerator(m, lv, u))
+            # (out, numerator) in this order: numerator * out rounds
+            # differently (see ``_kernels``); once ``out`` is this call's own
+            # array, the product goes into it in place
+            if out is not self.prefactor and isinstance(out, np.ndarray):
+                np.multiply(out, _numerator(m, lv, u), out=out)
+            else:
+                out = np.multiply(out, _numerator(m, lv, u))
         return out
 
     def potential(self, points):

@@ -79,16 +79,6 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    n = max(len(p.coefficients), len(q.coefficients))
-    out = [0j] * n
-    for i, c in enumerate(p.coefficients):
-        out[i] += c
-    for i, c in enumerate(q.coefficients):
-        out[i] += c
-    return Polynomial(tuple(out))
-
-
 def _trimmed(c: np.ndarray) -> np.ndarray:
     """Ascending coefficients without trailing zeros, as ``Polynomial`` keeps
     them (one coefficient at least)."""
@@ -104,7 +94,8 @@ def compose_linear(p: Polynomial, alpha: complex, beta: complex) -> Polynomial:
     lin = _trimmed(np.array([beta, alpha], dtype=complex))
     out = np.zeros(1, dtype=complex)
     for c in reversed(p.coefficients):
-        # 0j + ...: the sum ``add`` forms, which turns a zero part -0.0 into 0.0
+        # 0j + ...: a coefficient-wise sum from 0j, which turns a zero part
+        # -0.0 into 0.0
         out = _trimmed(np.convolve(out, lin)) + 0j
         out[0] += c
         out = _trimmed(out)

@@ -36,7 +36,7 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at about 120-160 B per point while
+# Largest mesh the CLI builds: 161^3 fits, at about 70-105 B per point while
 # a 3D verify job with two states runs (peak RSS above the interpreter's).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
@@ -231,40 +231,19 @@ class MeshPlan:
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
         r = _kernels.laplacian(psi, [g.spacing for g in self.grids])
-        r = np.subtract(self.potential * _interior(psi), r, out=r)
-        if self.keep.all():
-            pk = _interior(psi).reshape(-1)
-            rk = r.reshape(-1)
-        else:
-            pk = _interior(psi)[self.keep]
-            rk = r[self.keep]
-        del r  # only the kept points are needed from here on
+        p = _interior(psi)
+        # r = V·psi - lap(psi) in slabs of axis 0: no mesh-sized product
+        step = max(1, _kernels._SLAB_BYTES // r[0].nbytes)
+        for i in range(0, r.shape[0], step):
+            s = slice(i, i + step)
+            np.subtract(self.potential[s] * p[s], r[s], out=r[s])
         sys = self.plan.spec.system
         e_rel = model.relative_energy(self.plan.config, state, sys)
-
-        # three reweighted least-squares passes; every product keeps its
-        # operand order, so c and the residual round as written out per pass:
-        # num = sum(w * conj(pk) * (rk - e_rel * pk)), den = sum(w * |pk|**2),
-        # err = |rk - (e_rel + c) * pk|, w = err + 1e-30
-        d = rk - e_rel * pk
-        a = np.abs(pk)
-        a **= 2
-        buf = np.empty_like(pk)
-        weights = np.ones(pk.shape[0])
-        err = np.empty(pk.shape[0])
-        for last in (False, False, True):
-            np.conj(pk, out=buf)
-            np.multiply(weights, buf, out=buf)
-            num = np.sum(np.multiply(buf, d, out=buf))
-            den = np.sum(np.multiply(weights, a, out=err))
-            c = num / den
-            np.multiply(e_rel + c, pk, out=buf)
-            np.abs(np.subtract(rk, buf, out=buf), out=err)
-            if not last:
-                np.add(err, 1e-30, out=weights)
+        c, err, top = _kernels.offset_fit(r, p, e_rel,
+                                          None if self.keep.all() else self.keep)
         wmax = max(complex(w).real for w in sys.tilde_frequencies)
-        scale = np.max(np.abs(pk, out=a)) * (abs(e_rel) + wmax)
-        return float(np.max(err) / scale), complex(c)
+        scale = top * (abs(e_rel) + wmax)
+        return float(err / scale), complex(c)
 
 
 # ---------------------------------------------------------------- residuals

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from rexosc import model
-from rexosc.poly import Polynomial, add, multiply
+from rexosc.poly import Polynomial, multiply
 
 
 def hermite_ref(n, x):
@@ -283,12 +283,21 @@ def sturm_count_ref(diag, off2, pivmin, probes):
     return count
 
 
+def _add(p, q):
+    """p + q, coefficient by coefficient, each sum starting from 0j."""
+    out = [0j] * max(len(p.coefficients), len(q.coefficients))
+    for poly_ in (p, q):
+        for i, c in enumerate(poly_.coefficients):
+            out[i] += c
+    return Polynomial(tuple(out))
+
+
 def compose_linear_ref(p, alpha, beta):
     """p(alpha*t + beta) by Horner's rule on ``Polynomial`` objects."""
     result = Polynomial((0j,))
     lin = Polynomial((beta, alpha))
     for c in reversed(p.coefficients):
-        result = add(multiply(result, lin), Polynomial((c,)))
+        result = _add(multiply(result, lin), Polynomial((c,)))
     return result
 
 

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +353,17 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
     # the spec refuses an imaginary q2 xy coupling
     (["transform", "--dim", "3", "--case", "q2", "--omega", "1,1,2", "--lambda1", "imaginary:0.5",
       "--coupling", "real:0.3"], "the xy coupling must be real in this case"),
+    # degeneracy makes the spec's checks on the frequencies and couplings given
+    (["degeneracy", "--dim", "3", "--case", "q2", "--omega", "1,1,2", "--lambda1",
+      "imaginary:0.5", "--ratio", "1/2"], "the xy coupling must be real in this case"),
+    (["degeneracy", "--dim", "3", "--case", "q2", "--omega", "0,0,2", "--lambda1", "real:0",
+      "--ratio", "1/2"], "need one positive frequency per axis"),
+    (["degeneracy", "--dim", "3", "--case", "q1", "--omega", "1,3,2", "--ratio", "1/2"],
+     "q1_3d requires equal x and y frequencies"),
+    (["degeneracy", "--dim", "3", "--case", "q2", "--omega", "1,3,2", "--ratio", "1/2"],
+     "q2_3d requires equal x and y frequencies"),
+    (["degeneracy", "--dim", "2", "--omega", "1,inf", "--ratio", "1/2"],
+     "frequencies must be finite"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -467,3 +480,21 @@ def test_job_file_bad_states_or_grids_exit_1(states, grids, message, tmp_path, c
     code, _, err = run(["verify", "--job", str(path)], capsys)
     assert code == 1
     assert err.count("\n") == 1 and message in err
+
+
+def test_3d_verify_peak_memory_per_mesh_point(capsys):
+    # a guard on the temporaries of a 3D verify job, with 10% headroom: the
+    # plan's scaled parameters and prefactor take 64 B per mesh point, and the
+    # traced peak of this q2 job at 61^3 is 98.6 B per point (134.8 B when the
+    # offset fit held mesh-sized buffers and psi and V were built out of place)
+    argv = ["verify", "--dim", "3", "--case", "q2", "--omega", "1,1,1", "--lambda1", "real:0.5",
+            "--coupling", f"real:{math.sqrt(7.5) / 4!r}", "--m", "2,2,2", "--state", "g,g,g",
+            "--state", "g,0,g", "--points", "61"]
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak / 61**3 <= 1.1 * 98.6

@@ -1,12 +1,19 @@
 """The package draws no random numbers and reads no environment variables:
-every result is a function of its inputs alone. Every public function has
-a caller outside the tests, or is named as library API. Imports sit at
+every result is a function of its inputs alone, and psi and V at a point do
+not depend on how many points are evaluated with it. Every public function
+has a caller outside the tests, or is named as library API. Imports sit at
 module level, and ``transform`` does not import ``model``."""
 import ast
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import rexosc
+from rexosc import model
+from rexosc.model import Eigenstate, OscillatorSpec, REConfig
+from rexosc.transform import CouplingValue
 
 _SRC = pathlib.Path(rexosc.__file__).parent
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -85,3 +92,25 @@ def test_imports_are_module_level_and_transform_does_not_import_model():
     assert nested == []
     imported = _imported_modules(ast.parse((_SRC / "transform.py").read_text()))
     assert not [m for m in imported if "model" in m.split(".")]
+
+
+@pytest.mark.parametrize("spec, config, state", [
+    # complex tilde frequencies in both: 2D past its reality boundary, and q2
+    # with an imaginary coupling
+    (OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.imaginary(1.6)),
+     REConfig((2, 2)), Eigenstate((1, 0))),
+    (OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.imaginary(0.3)),
+     REConfig((2, 2, 2)), Eigenstate((0, None, 1))),
+], ids=["quadratic2d", "q2_3d"])
+def test_psi_and_v_do_not_depend_on_the_batch_size(spec, config, state):
+    # 40 000 points hold 625 KiB, above NumPy's 256 KiB temporary-elision
+    # threshold, and batches of 1 000 points are below it
+    k = np.arange(40_000)
+    points = np.array([3 * np.sin(0.37 * k + axis) for axis in range(spec.dimension)])
+    assert any(complex(w).imag for w in spec.system.tilde_frequencies)
+    for evaluate in (lambda p: model.eigenfunction(spec, config, state, p),
+                     lambda p: model.re_potential(spec, config, p)):
+        whole = evaluate(points)
+        batched = np.concatenate([evaluate(points[:, i:i + 1000])
+                                  for i in range(0, k.size, 1000)])
+        assert whole.tobytes() == batched.tobytes()

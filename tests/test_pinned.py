@@ -160,6 +160,21 @@ def test_residuals_1d_pinned():
     assert residual_suite() == want
 
 
+def test_residuals_pinned_with_many_leaves(monkeypatch):
+    # the pinned verify reports, the masked q1 case among them, with the
+    # smallest leaves the offset fit can use (NumPy's blocks of 128 words):
+    # hundreds of leaves per sum
+    monkeypatch.setattr(_kernels, "_LEAF_WORDS", 128)
+    golden = _golden()
+    for argv in INVOCATIONS:
+        if argv[0] == "verify":
+            assert run_cli(argv) == golden[" ".join(argv)]
+    # the 32 1D scans, which the default leaves sum in one leaf each: 32 real
+    # and 64 complex leaves per scan here
+    monkeypatch.setattr(_kernels, "_LEAF_WORDS", 1024)
+    assert residual_suite() == json.loads(RESIDUALS.read_text())
+
+
 # ------------------------------------------- parity and co-dimension tables
 
 _REAL, _IMAG = 0.4, 0.3
