@@ -1,11 +1,11 @@
 """Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
-Laplacian built on it (both on complex samples), the offset fit of the mesh
-residual, Simpson quadrature, Horner evaluation and a multisection Sturm
-eigensolver for symmetric tridiagonal matrices, whose pivots are counted in
-blocks of rows.
+Laplacian built on it (both on complex samples), Simpson quadrature, Horner
+evaluation and a multisection Sturm eigensolver for symmetric tridiagonal
+matrices, whose pivots are counted in blocks of rows.
 
-Bit-exactness. The kernels that work in chunks or slabs return what the
-whole-array expressions they replace return, bit for bit, under these rules:
+Bit-exactness. Code that works in chunks or slabs (the Laplacian here, psi,
+V and the mesh residual) returns what the whole-array expressions it
+replaces return, bit for bit, under these rules:
 
 - An elementwise operation split into chunks is exact: each element meets the
   same operation on the same operands, whatever chunk it falls in.
@@ -20,17 +20,8 @@ whole-array expressions they replace return, bit for bit, under these rules:
   nonzero imaginary part, so such a product is written ``temp * scalar``,
   the order a large array gets, and a result does not depend on how many
   points are evaluated at once.
-- Sums are not elementwise. ``np.sum`` of a contiguous run of k float64
-  words (2 per complex value) splits it at k/2, rounded down to a multiple
-  of 8, until k <= 128, and adds the two halves' sums (Higham, SIAM J. Sci.
-  Comput. 14(4), 783 (1993)). ``np.sum`` of any node of that tree is the
-  node's value, so summing the leaves of a cut of the tree one at a time and
-  adding the results in the tree's order gives ``np.sum`` of the whole run
-  (``_pairwise_tree``, ``_tree_sum``).
 """
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -38,7 +29,6 @@ __all__ = [
     "any_abs_below",
     "horner",
     "laplacian",
-    "offset_fit",
     "second_derivative_profile",
     "simpson",
     "tridiagonal_smallest",
@@ -136,135 +126,6 @@ def any_abs_below(values, bound: float) -> bool:
     flat = np.reshape(values, -1)
     step = max(1, _SLAB_BYTES // flat.itemsize)
     return any(np.any(np.abs(flat[i:i + step]) < bound) for i in range(0, flat.size, step))
-
-
-# Largest leaf, in float64 words, of the summation trees of ``offset_fit``: a
-# leaf's summands are built in one buffer and summed by ``np.sum``. At least
-# 128, the run NumPy sums without splitting it.
-_LEAF_WORDS = 2**16
-
-
-def _pairwise_tree(n: int, width: int):
-    """NumPy's pairwise summation tree over n items of ``width`` float64 words
-    each (1 for float64, 2 for complex128), cut at nodes of at most
-    ``_LEAF_WORDS`` words. A leaf is its (start, stop) item range, an inner
-    node a (left, right) pair."""
-    def node(start, words):
-        if words <= _LEAF_WORDS:
-            return start, start + words // width
-        half = words // 2
-        half -= half % 8
-        return node(start, half), node(start + half // width, words - half)
-    return node(0, n * width)
-
-
-def _leaves(tree) -> list:
-    """The leaves of a ``_pairwise_tree``, in order."""
-    if isinstance(tree[0], int):
-        return [tree]
-    return _leaves(tree[0]) + _leaves(tree[1])
-
-
-def _tree_sum(tree, sums):
-    """The sum of a ``_pairwise_tree`` from an iterator over its leaves' sums,
-    in leaf order, added as NumPy adds them."""
-    if isinstance(tree[0], int):
-        return next(sums)
-    left = _tree_sum(tree[0], sums)
-    return left + _tree_sum(tree[1], sums)
-
-
-def offset_fit(r: np.ndarray, p: np.ndarray, e_rel: complex, keep=None):
-    """(c, max err, max |p|) of the offset fit of a Schrodinger residual.
-
-    The points are those of ``r`` and ``p`` (one shape: the residual
-    r = V·psi - lap(psi) and psi) where ``keep`` is true, or all of them, in C
-    order. Three reweighted least-squares passes fit the complex offset c:
-    c = sum(w * conj(p) * (r - e_rel * p)) / sum(w * |p|**2), with w = 1 and
-    then w = err + 1e-30 of the pass before, err = |r - (e_rel + c) * p|; err
-    is that of the last c.
-
-    The points are read a segment at a time; a segment lies in one leaf of
-    each sum's ``_pairwise_tree`` (complex and real sums split at different
-    points), and its summands are written into that leaf's buffer, so c is
-    the whole-array ``np.sum`` quotient bit for bit. Besides ``r`` and ``p``
-    the fit holds buffers of about one leaf each (a segment, and the axis-0
-    rows it spans). A fit of one segment reads its points and their
-    r - e_rel * p and |p|**2 once for all passes.
-    """
-    n = r.size if keep is None else int(np.count_nonzero(keep))
-    num_tree, den_tree = _pairwise_tree(n, 2), _pairwise_tree(n, 1)
-    num_leaves, den_leaves = _leaves(num_tree), _leaves(den_tree)
-    cuts = sorted({b for _, b in num_leaves + den_leaves})
-    segments = list(zip([0] + cuts[:-1], cuts))
-    # where each axis-0 row starts among the points (one segment reads all)
-    rows, size = r.shape[0], r[0].size
-    if keep is None:
-        starts = range(0, (rows + 1) * size, size)
-    elif len(segments) > 1:
-        starts = np.zeros(rows + 1, np.int64)
-        np.cumsum(np.count_nonzero(keep.reshape(rows, -1), axis=1), out=starts[1:])
-    num_buf = np.empty(max(b - a for a, b in num_leaves), complex)
-    den_buf = np.empty(max(b - a for a, b in den_leaves))
-    longest = max(b - a for a, b in segments)
-    d_buf, sq_buf = np.empty(longest, complex), np.empty(longest)
-
-    def take(x, a, b):
-        # points a..b of x: the axis-0 rows that hold them, gathered and cut
-        if b - a == n:
-            return (x if keep is None else x[keep]).reshape(-1)
-        i = bisect.bisect_right(starts, a) - 1
-        j = bisect.bisect_left(starts, b)
-        block = (x[i:j] if keep is None else x[i:j][keep[i:j]]).reshape(-1)
-        return block[a - starts[i]:b - starts[i]]
-
-    def load(a, b):
-        # p, r, r - e_rel * p and |p|**2 at points a..b
-        pa, ra = take(p, a, b), take(r, a, b)
-        d = np.multiply(e_rel, pa, out=d_buf[:b - a])
-        np.subtract(ra, d, out=d)
-        sq = np.abs(pa, out=sq_buf[:b - a])
-        sq **= 2
-        return pa, ra, d, sq
-
-    def deviation(pa, ra, c, work, out):
-        # |r - (e_rel + c) * p| into ``out``, with ``work`` as complex scratch
-        dev = np.multiply(e_rel + c, pa, out=work)
-        return np.abs(np.subtract(ra, dev, out=dev), out=out)
-
-    fixed = load(0, n) if len(segments) == 1 else None
-    c = None
-    for _ in range(3):
-        num_sums, den_sums = [], []
-        num_it, den_it = iter(num_leaves), iter(den_leaves)
-        (na, nb), (da, db) = next(num_it), next(den_it)
-        for a, b in segments:
-            pa, ra, d, sq = fixed or load(a, b)
-            # the weights go where their products with |p|**2 are summed
-            term, w = num_buf[a - na:b - na], den_buf[a - da:b - da]
-            if c is None:
-                w.fill(1.0)
-            else:
-                deviation(pa, ra, c, term, w)
-                w += 1e-30
-            np.conj(pa, out=term)
-            np.multiply(w, term, out=term)
-            np.multiply(term, d, out=term)
-            np.multiply(w, sq, out=w)
-            if b == nb:
-                num_sums.append(num_buf[:nb - na].sum())
-                na, nb = next(num_it, (b, None))
-            if b == db:
-                den_sums.append(den_buf[:db - da].sum())
-                da, db = next(den_it, (b, None))
-        c = _tree_sum(num_tree, iter(num_sums)) / _tree_sum(den_tree, iter(den_sums))
-
-    err, top = [], []
-    for a, b in segments:
-        pa, ra = fixed[:2] if fixed else (take(p, a, b), take(r, a, b))
-        err.append(deviation(pa, ra, c, num_buf[:b - a], den_buf[:b - a]).max())
-        top.append(np.abs(pa, out=den_buf[:b - a]).max())
-    return c, np.max(err), np.max(top)
 
 
 def simpson(samples: np.ndarray, spacing: float) -> complex:

@@ -537,6 +537,17 @@ def relative_energy(config: REConfig, state: Eigenstate,
     return total
 
 
+def ground_energy(spec: OscillatorSpec, config: REConfig) -> complex:
+    """Absolute energy of the joint ground level: the completing-the-square
+    constant minus sum of (m + 1/2) * omega_tilde over the axes. A state's
+    energy is this plus its ``relative_energy``."""
+    if len(config.codimensions) != spec.dimension:
+        raise DomainError("one co-dimension per axis required")
+    sys = spec.system
+    return sys.potential_constant - sum(
+        (m + 0.5) * complex(w) for m, w in zip(config.codimensions, sys.tilde_frequencies))
+
+
 def unextended_energy(spec: OscillatorSpec, state: tuple) -> complex:
     """Eigenvalue of the unextended perturbed oscillator in the state with
     quantum numbers ``state`` (a tuple, one per axis): sum of

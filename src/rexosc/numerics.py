@@ -41,6 +41,12 @@ class Grid:
             raise DomainError("half_width must be positive")
         if not np.isfinite([self.center, self.half_width]).all():
             raise DomainError("grid center and half_width must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            increasing = (np.diff(self.points) > 0).all()
+        if not increasing:
+            # a stencil over equal points reads 0, whatever it samples
+            raise NumericalFailureError("grid points do not increase: the span overflows "
+                                        "or the spacing is below the float resolution")
 
     @property
     def spacing(self) -> float:

@@ -4,8 +4,10 @@ measurement, orthogonality Gram matrices, real-pole scans and a
 grid-diagonalization oracle. Which parity operators a spec's potential is
 PT-invariant under is decided exactly in ``model.pt_deviation``.
 
-Everything here avoids the closed-form energy formulas: energies are either
-fitted from pointwise residuals, computed as quadrature quotients, or read
+The residual checks each state against its closed-form energy
+(``model.ground_energy`` plus ``model.relative_energy``): a wrong energy, like
+a wrong eigenfunction or potential, leaves a residual. The other energy checks
+avoid the closed forms: energies are computed as quadrature quotients or read
 off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
@@ -221,29 +223,39 @@ class MeshPlan:
         self.plan = _checked_plan(model.plan, spec, config, mesh)
         # V on the interior only: the same per-point arithmetic as V on the
         # mesh, trimmed, without building it on the mesh
-        self.potential = model._potential(spec, config, [_interior(x) for x in mesh],
-                                          [_interior(u) for u in self.plan.scaled])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.potential = model._potential(spec, config, [_interior(x) for x in mesh],
+                                              [_interior(u) for u in self.plan.scaled])
+        if not np.isfinite(self.potential).all():
+            raise NumericalFailureError("V overflows on the mesh")
         self.keep = ~_pole_mask(self.plan)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
-        """(max_residual, fitted_offset) of ``state``, whose eigenfunction on
-        the mesh is ``psi``; see ``residual_scan``."""
+        """(max_residual, energy) of ``state``, whose eigenfunction on the
+        mesh is ``psi``; see ``residual_scan``."""
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
-        r = _kernels.laplacian(psi, [g.spacing for g in self.grids])
+        spec, config = self.plan.spec, self.plan.config
+        e_rel = model.relative_energy(config, state, spec.system)
+        energy = model.ground_energy(spec, config) + e_rel
         p = _interior(psi)
-        # r = V·psi - lap(psi) in slabs of axis 0: no mesh-sized product
-        step = max(1, _kernels._SLAB_BYTES // r[0].nbytes)
-        for i in range(0, r.shape[0], step):
-            s = slice(i, i + step)
-            np.subtract(self.potential[s] * p[s], r[s], out=r[s])
-        sys = self.plan.spec.system
-        e_rel = model.relative_energy(self.plan.config, state, sys)
-        c, err, top = _kernels.offset_fit(r, p, e_rel,
-                                          None if self.keep.all() else self.keep)
-        wmax = max(complex(w).real for w in sys.tilde_frequencies)
-        scale = top * (abs(e_rel) + wmax)
-        return float(err / scale), complex(c)
+        err, top = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _kernels.laplacian(psi, [g.spacing for g in self.grids])
+            # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in
+            # slabs of axis 0: no mesh-sized temporary
+            step = max(1, _kernels._SLAB_BYTES // r[0].nbytes)
+            for i in range(0, r.shape[0], step):
+                s = slice(i, i + step)
+                rs = np.subtract(self.potential[s] * p[s], r[s], out=r[s])
+                rs -= energy * p[s]
+                err.append(np.max(np.abs(rs), where=self.keep[s], initial=0.0))
+                top.append(np.max(np.abs(p[s]), where=self.keep[s], initial=0.0))
+            wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
+            res = float(np.max(err) / (np.max(top) * (abs(e_rel) + wmax)))
+        if not math.isfinite(res):
+            raise NumericalFailureError("the residual is not finite")
+        return res, complex(energy)
 
 
 # ---------------------------------------------------------------- residuals
@@ -251,10 +263,11 @@ class MeshPlan:
 def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate, grids):
     """Pointwise Schrodinger residual of the closed-form eigenfunction.
 
-    Computes r = -lap(psi) + V*psi on the grid interior, fits the constant
-    c minimizing max|r - (E_rel + c) psi| (three reweighted least-squares
-    passes), and returns (max_residual, fitted_offset) with the residual
-    normalized by max|psi| * (|E_rel| + max tilde frequency).
+    Computes r = -lap(psi) + V*psi - E*psi on the grid interior, off the
+    pole guard, with E = ``model.ground_energy`` + ``model.relative_energy``,
+    and returns (max_residual, E), the residual max|r| normalized by
+    max|psi| * (|E_rel| + max tilde frequency). A wrong energy shows in the
+    residual.
     """
     job = MeshPlan(spec, config, grids)
     return job.residual(state, job.plan.psi(state))

@@ -364,6 +364,7 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
      "q2_3d requires equal x and y frequencies"),
     (["degeneracy", "--dim", "2", "--omega", "1,inf", "--ratio", "1/2"],
      "frequencies must be finite"),
+    (["table", "--omega", "2", "--max-m", "-1"], "--max-m must be nonnegative, got -1"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -385,6 +386,9 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     ["transform", "--dim", "3", "--case", "q2", "--omega", "1,1,2", "--lambda1", "real:0",
      "--coupling", "real:1.5e308"],
     ["spectrum", "--dim", "2", "--omega", "1e154,1", "--coupling", "real:1", "--cutoff", "1"],
+    ["verify", "--dim", "1", "--omega", "2", "--linear", "real:1e200", "--points", "101"],
+    ["verify", "--dim", "1", "--omega", "2", "--linear", "real:1e150", "--points", "101"],
+    ["plotdata", "--omega", "2", "--linear", "real:1e150", "--points", "11"],
 ], ids=" ".join)
 def test_overflow_exits_2_with_one_line(argv, capsys):
     # inf or nan samples are refused, and a Python float overflow is a

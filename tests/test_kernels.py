@@ -96,59 +96,6 @@ def test_laplacian_rejects_bad_arguments():
         _kernels.laplacian(np.zeros((9, 8)), [0.1, 0.1])
 
 
-def _leaf_by_leaf_sum(x: np.ndarray):
-    """np.sum of x from the sums of its ``_pairwise_tree`` leaves."""
-    tree = _kernels._pairwise_tree(x.shape[0], 2 if np.iscomplexobj(x) else 1)
-    leaves = _kernels._leaves(tree)
-    return _kernels._tree_sum(tree, iter([np.sum(x[a:b]) for a, b in leaves]))
-
-
-def _hex(z) -> tuple:
-    return complex(z).real.hex(), complex(z).imag.hex()
-
-
-def _summands(rng, n: int, dtype) -> np.ndarray:
-    # magnitudes over 16 decades, so that the order of the additions shows
-    x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
-    if dtype is complex:
-        x = x + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
-    return x
-
-
-def _assert_sums_match(x: np.ndarray) -> None:
-    got, want = _hex(_leaf_by_leaf_sum(x)), _hex(np.sum(x))
-    assert got == want, (
-        f"np.sum of {x.shape[0]} {x.dtype} values no longer adds the leaves of "
-        f"_kernels._pairwise_tree in its order (numpy {np.__version__}): NumPy's "
-        "pairwise summation changed, and offset_fit would stop reproducing it")
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_leaf_by_leaf_sum_equals_np_sum_at_small_lengths(monkeypatch, dtype):
-    # the smallest leaves: NumPy's blocks of 128 words
-    monkeypatch.setattr(_kernels, "_LEAF_WORDS", 128)
-    rng = np.random.default_rng(5)
-    for n in range(301):
-        _assert_sums_match(_summands(rng, n, dtype))
-    _assert_sums_match(np.full(300, -0.0).astype(dtype))
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_leaf_by_leaf_sum_equals_np_sum_at_leaf_boundaries(dtype):
-    rng = np.random.default_rng(6)
-    leaf = _kernels._LEAF_WORDS // (2 if dtype is complex else 1)
-    for k in (1, 2, 3, 4, 7):
-        for d in (-9, -8, -4, -1, 0, 1, 4, 8, 9):
-            _assert_sums_match(_summands(rng, k * leaf + d, dtype))
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_leaf_by_leaf_sum_equals_np_sum_at_random_lengths(dtype):
-    rng = np.random.default_rng(8)
-    for n in rng.integers(1, 2_000_000, size=6):
-        _assert_sums_match(_summands(rng, int(n), dtype))
-
-
 def test_eigenvalues_match_dense():
     rng = np.random.default_rng(3)
     d = rng.normal(size=60)

@@ -6,7 +6,7 @@ invocation in ``INVOCATIONS``; each must match byte for byte (regeneration
 is deterministic, so the last digits of a ``verify`` report move only when
 its arithmetic does).
 ``tests/golden/residuals_1d.json`` holds the exact ``repr`` of
-(max_residual, fitted_offset) of the 32 1D residual scans of acceptance
+(max_residual, energy) of the 32 1D residual scans of acceptance
 criterion 5; at spacing 1e-3 they are rounding-dominated, so any reordering
 of the residual arithmetic shows there.
 ``tests/golden/kernels.json`` holds, as ``float.hex``, what the Sturm code
@@ -137,7 +137,7 @@ def test_cli_output_pinned(argv):
 # ------------------------------------------------------------ 1D residuals
 
 def residual_suite() -> dict:
-    """label -> [repr(max_residual), repr(fitted_offset)] of the 32 residual
+    """label -> [repr(max_residual), repr(energy)] of the 32 residual
     scans of acceptance criterion 5 (omega 2, spacing 1e-3)."""
     out = {}
     for name, l0 in (("osc", None), ("real", CouplingValue.real(1.0)),
@@ -149,8 +149,9 @@ def residual_suite() -> dict:
             if m % 2 == 1 and name != "imag":
                 continue
             for lv in (None, 0, 1, 2):
-                res, off = verify.residual_scan(spec, REConfig((m,)), Eigenstate((lv,)), grids)
-                out[f"{name}.m{m}.{'g' if lv is None else lv}"] = [repr(res), repr(off)]
+                res, energy = verify.residual_scan(spec, REConfig((m,)), Eigenstate((lv,)),
+                                                   grids)
+                out[f"{name}.m{m}.{'g' if lv is None else lv}"] = [repr(res), repr(energy)]
     return out
 
 
@@ -158,21 +159,6 @@ def test_residuals_1d_pinned():
     want = json.loads(RESIDUALS.read_text())
     assert len(want) == 32
     assert residual_suite() == want
-
-
-def test_residuals_pinned_with_many_leaves(monkeypatch):
-    # the pinned verify reports, the masked q1 case among them, with the
-    # smallest leaves the offset fit can use (NumPy's blocks of 128 words):
-    # hundreds of leaves per sum
-    monkeypatch.setattr(_kernels, "_LEAF_WORDS", 128)
-    golden = _golden()
-    for argv in INVOCATIONS:
-        if argv[0] == "verify":
-            assert run_cli(argv) == golden[" ".join(argv)]
-    # the 32 1D scans, which the default leaves sum in one leaf each: 32 real
-    # and 64 complex leaves per scan here
-    monkeypatch.setattr(_kernels, "_LEAF_WORDS", 1024)
-    assert residual_suite() == json.loads(RESIDUALS.read_text())
 
 
 # ------------------------------------------- parity and co-dimension tables

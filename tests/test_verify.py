@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from rexosc import _kernels, model, transform, verify
-from rexosc.errors import DomainError, IndeterminateError, SingularityError
+from rexosc.errors import (
+    DomainError,
+    IndeterminateError,
+    NumericalFailureError,
+    SingularityError,
+)
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
 from rexosc.transform import CouplingValue
 
@@ -26,31 +31,55 @@ def grid_1d():
 # ------------------------------------------------------------------ residual
 
 def test_residual_m0_ground(grid_1d):
-    res, off = verify.residual_scan(spec_1d(), REConfig((0,)),
-                                    Eigenstate((None,)), grid_1d)
+    res, energy = verify.residual_scan(spec_1d(), REConfig((0,)),
+                                       Eigenstate((None,)), grid_1d)
     assert res <= 1e-7
-    assert off == pytest.approx(-1.0, abs=1e-6)
+    assert energy == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_residual_m2_offset_state_independent(grid_1d):
-    offsets = []
+    # the ground energy under every state's ladder step is the same -5/2 omega
     for lv in [None, 0, 1]:
-        res, off = verify.residual_scan(spec_1d(), REConfig((2,)),
-                                        Eigenstate((lv,)), grid_1d)
+        res, energy = verify.residual_scan(spec_1d(), REConfig((2,)),
+                                           Eigenstate((lv,)), grid_1d)
         assert res <= 1e-6
-        offsets.append(off)
-    assert max(abs(o - offsets[0]) for o in offsets) < 1e-5
+        ladder = 0.0 if lv is None else (lv + 3) * OM
+        assert energy - ladder == pytest.approx(-2.5 * OM, abs=1e-5)
 
 
 def test_residual_2d_imaginary_ground():
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
     grids = verify.suggest_grids(spec, n_points=1001)
-    res, off = verify.residual_scan(spec, REConfig((2, 2)),
-                                    Eigenstate((None, None)), grids)
+    res, energy = verify.residual_scan(spec, REConfig((2, 2)),
+                                       Eigenstate((None, None)), grids)
     assert res <= 1e-6
-    # offset equals -(m+1/2) weighted by the tilde frequencies
+    # the ground energy is -(m+1/2) weighted by the tilde frequencies
     w1, w2 = np.sqrt(2), 2 * np.sqrt(2)
-    assert off == pytest.approx(-2.5 * w1 - 2.5 * w2, abs=1e-5)
+    assert energy == pytest.approx(-2.5 * w1 - 2.5 * w2, abs=1e-5)
+
+
+def test_residual_shows_a_wrong_energy(grid_1d, monkeypatch):
+    spec, cfg, state = spec_1d(), REConfig((2,)), Eigenstate((2,))
+    res, _ = verify.residual_scan(spec, cfg, state, grid_1d)
+    assert res <= 1e-6
+    true_ground = model.ground_energy
+    monkeypatch.setattr(model, "ground_energy", lambda s, c: true_ground(s, c) + 1e-3)
+    res, _ = verify.residual_scan(spec, cfg, state, grid_1d)
+    assert res > 1e-6
+
+
+def test_residual_refuses_overflow():
+    # V = omega^2 x^2 / 4 overflows at the ends of this grid, where psi is 0;
+    # a psi with an infinite sample leaves a residual that is not finite
+    ground = Eigenstate((None,))
+    with pytest.raises(NumericalFailureError, match="V overflows"):
+        verify.residual_scan(OscillatorSpec.oscillator(1e153), REConfig((0,)), ground,
+                             verify.Grid(0.0, 100.0, 101))
+    job = verify.MeshPlan(spec_1d(), REConfig((0,)), verify.Grid(0.0, 4.0, 101))
+    psi = job.plan.psi(ground)
+    psi[50] = np.inf
+    with pytest.raises(NumericalFailureError, match="residual is not finite"):
+        job.residual(ground, psi)
 
 
 def test_residual_respects_pole_guard():
@@ -60,7 +89,7 @@ def test_residual_respects_pole_guard():
     cfg, ground = REConfig((1,)), Eigenstate((None,))
     with pytest.raises(SingularityError):
         verify.residual_scan(spec, cfg, ground, verify.Grid(0.0, 0.2, 41))
-    res, _ = verify.residual_scan(spec, cfg, ground, verify.Grid(0.0, 2.0, 41))
+    res, _ = verify.residual_scan(spec, cfg, ground, verify.Grid(0.0, 2.0, 81))
     assert res <= 1e-6
 
 
@@ -271,18 +300,13 @@ def _unblocked_residual(job, state, psi):
     r -= _unblocked_laplacian(psi, job.grids)
     pk = verify._interior(psi)[job.keep]
     rk = r[job.keep]
-    sys = job.plan.spec.system
-    e_rel = model.relative_energy(job.plan.config, state, sys)
-    weights = np.ones(pk.shape[0])
-    for _ in range(3):
-        num = np.sum(weights * np.conj(pk) * (rk - e_rel * pk))
-        den = np.sum(weights * np.abs(pk) ** 2)
-        c = num / den
-        err = np.abs(rk - (e_rel + c) * pk)
-        weights = err + 1e-30
-    wmax = max(complex(w).real for w in sys.tilde_frequencies)
+    spec, config = job.plan.spec, job.plan.config
+    e_rel = model.relative_energy(config, state, spec.system)
+    energy = model.ground_energy(spec, config) + e_rel
+    err = np.abs(rk - energy * pk)
+    wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
     scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
-    return float(np.max(err) / scale), complex(c)
+    return float(np.max(err) / scale), complex(energy)
 
 
 def _every_flavor():
