@@ -8,7 +8,11 @@ V and the mesh residual) returns what the whole-array expressions it
 replaces return, bit for bit, under these rules:
 
 - An elementwise operation split into chunks is exact: each element meets the
-  same operation on the same operands, whatever chunk it falls in.
+  same operation on the same operands, whatever chunk it falls in. A chunk
+  of one element is the exception: NumPy runs an in-place complex product
+  (``x *= y``, ``x **= 2``, ``np.multiply(x, y, out=x)``) on a one-element
+  array through another loop, which rounds differently for about half of
+  random operands, so no chunk of a complex array is one element long.
 - Operand order is kept. NumPy's complex product rounds a*b and b*a
   differently in the last bit for about a third of random operand pairs (its
   vector loop fuses a multiply-add into one of the two terms), so each

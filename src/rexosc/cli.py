@@ -335,13 +335,7 @@ def _job_grids(job: JobConfig) -> list:
         spacing = None if spacing is None else float(spacing)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"grid settings must be numbers, got {job.grids}") from None
-    grids = verify.suggest_grids(job.spec, n_points=n_points, spacing=spacing)
-    points = math.prod(g.n_points for g in grids)
-    if points > verify.MAX_MESH_POINTS:
-        raise DomainError(f"a mesh of {points} points exceeds the limit of "
-                          f"{verify.MAX_MESH_POINTS}; "
-                          + ("lower --points" if spacing is None else "raise --spacing"))
-    return grids
+    return verify.suggest_grids(job.spec, n_points=n_points, spacing=spacing)
 
 
 def cmd_verify(args) -> int:
@@ -353,13 +347,12 @@ def cmd_verify(args) -> int:
     poles = [{"axis": p.axis, "coordinate": p.coordinate}
              for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
-    images = [verify.ParityImage(job_plan.plan, job_plan.grids, op)
-              for op in model.pt_classification(spec)]
+    images = [verify.ParityImage(job_plan, op) for op in model.pt_classification(spec)]
 
     def check(state):
         # one pass per state: psi on the mesh once, its residual, then every
         # parity fit against psi on the operator's image
-        psi = job_plan.plan.psi(state)
+        psi = job_plan.psi(state)
         residual, _ = job_plan.residual(state, psi)
         reference = verify.pt_reference(psi) if images else None
         fits = []

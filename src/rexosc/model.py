@@ -414,8 +414,14 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     """
     _check_axes(spec, config, validate)
     t = spec.system.coordinate_map.forward(point)
-    return _potential(spec, config, point, [np.sqrt(complex(w) / 2) * ti for w, ti
+    return _potential(spec, config, point, [scaled_parameter(w, ti) for w, ti
                                             in zip(spec.system.tilde_frequencies, t)])
+
+
+def scaled_parameter(omega, t, out=None):
+    """The scaled parameter u = sqrt(omega/2)*t of one tilde axis, into
+    ``out`` if given (``t`` itself, to scale it in place)."""
+    return np.multiply(np.sqrt(complex(omega) / 2), t, out=out)
 
 
 def _axis_factor(omega, m: int, t, in_place: bool = False):
@@ -430,7 +436,7 @@ def _axis_factor(omega, m: int, t, in_place: bool = False):
     gauss *= -complex(omega)
     gauss /= 4
     gauss = np.exp(gauss, out=gauss if gauss.ndim else None)
-    u = np.multiply(np.sqrt(complex(omega) / 2), t, out=t if in_place and t.ndim else None)
+    u = scaled_parameter(omega, t, t if in_place and t.ndim else None)
     h = poly.evaluate(poly.pseudo_hermite(m), u)
     if _kernels.any_abs_below(h, _TINY):
         raise SingularityError("eigenfunction evaluated at a denominator zero")
@@ -472,6 +478,10 @@ class Plan:
     V take the full shape. ``psi(state)`` then only multiplies the prefactor
     by the ground phases and the numerators of the excited axes;
     ``potential(points)`` reuses the u_i for the rational terms.
+
+    A plan holds its u_i and the prefactor at every point. ``verify.SlabPlan``
+    builds one per slab of a mesh instead and keeps only its prefactor, so a
+    3D job never holds mesh-sized u_i.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, tilde: np.ndarray):

@@ -12,11 +12,13 @@ off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
 Every check reads the spec's one decoupling, ``spec.system``. A verify job
-compiles its state-independent work once into a ``MeshPlan`` (the
-eigenfunction plan on its open mesh, V and the pole mask on the stencil
-interior); the residual scan and the parity-time fits share each state's
-eigenfunction on it. A parity operator that maps the grids onto themselves
-reads psi on its image off the mesh psi by reversing and permuting axes.
+compiles its state-independent work once into a ``MeshPlan``, built a slab
+of axis-0 planes at a time: it keeps the eigenfunction prefactor on its open
+mesh, and V and the pole mask on the stencil interior, never the mesh-sized
+scaled parameters u_i. The residual scan and the parity-time fits share each
+state's eigenfunction on it. A parity operator that maps the grids onto
+themselves reads psi on its image off the mesh psi by reversing and
+permuting axes; any other gets a ``SlabPlan`` on the image mesh.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at about 70-105 B per point while
+# Largest mesh the CLI builds: 161^3 fits, at about 55-60 B per point while
 # a 3D verify job with two states runs (peak RSS above the interpreter's).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
@@ -66,7 +68,8 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
                   spacing: float | None = None) -> list:
     """Per-axis grids covering the eigenfunction support (tails < 1e-30 in
     probability), centered on the real part of any coordinate shift. Axes
-    whose decay values agree within 1e-12 relative get equal half-widths."""
+    whose decay values agree within 1e-12 relative get equal half-widths.
+    A mesh above ``MAX_MESH_POINTS`` is refused before any grid is built."""
     if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
         raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
     q = _decay_diagonal(spec.system)
@@ -77,30 +80,55 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
             if abs(q[i] - q[j]) <= 1e-12 * abs(q[j]):
                 q[i] = q[j]
                 break
-    grids = []
-    for i in range(spec.dimension):
-        hw = numerics.default_half_width(q[i])
-        center = -float(np.real(spec.system.coordinate_map.shift[i]))
-        n = n_points
-        if spacing is not None:
-            span = 2 * float(hw) / spacing
-            if not math.isfinite(span):
-                raise DomainError(f"the grid spacing {spacing!r} is too small")
-            n = math.ceil(span) | 1
-        grids.append(Grid(center, hw, n))
-    return grids
+    half_widths = [numerics.default_half_width(x) for x in q]
+    sizes = [n_points] * spec.dimension
+    if spacing is not None:
+        spans = [2 * float(hw) / spacing for hw in half_widths]
+        if not all(map(math.isfinite, spans)):
+            raise DomainError(f"the grid spacing {spacing!r} is too small")
+        sizes = [math.ceil(span) | 1 for span in spans]
+    points = math.prod(sizes)
+    if points > MAX_MESH_POINTS:
+        count = str(points) if points < 10**15 else f"about 1e{len(str(points)) - 1}"
+        raise DomainError(f"a mesh of {count} points exceeds the limit of {MAX_MESH_POINTS}; "
+                          + ("lower --points" if spacing is None else "raise --spacing"))
+    return [Grid(-float(np.real(shift)), hw, n) for shift, hw, n
+            in zip(spec.system.coordinate_map.shift, half_widths, sizes)]
 
 
 def _grid_list(grids) -> list:
     return [grids] if isinstance(grids, Grid) else list(grids)
 
 
+def _window(f: np.ndarray, rows: slice) -> np.ndarray:
+    """``f`` on ``rows`` of axis 0 and the stencil interior of the other axes;
+    an axis of length 1 is a broadcast axis and is kept whole (a grid has at
+    least 9 points)."""
+    return f[tuple(slice(None) if n == 1 else rows if axis == 0
+                   else slice(STENCIL_REACH, n - STENCIL_REACH)
+                   for axis, n in enumerate(f.shape))]
+
+
 def _interior(f: np.ndarray) -> np.ndarray:
-    """The stencil interior of ``f``; an axis of length 1 is a broadcast axis
-    and is kept whole (a grid has at least 9 points)."""
-    sl = tuple(slice(None) if n == 1 else slice(STENCIL_REACH, n - STENCIL_REACH)
-               for n in f.shape)
-    return f[sl]
+    """The stencil interior of ``f``."""
+    return _window(f, slice(STENCIL_REACH, f.shape[0] - STENCIL_REACH))
+
+
+def _slabs(shape) -> list:
+    """Axis-0 slices of a complex array of ``shape``: the stencil interior in
+    slabs of about ``_kernels._SLAB_BYTES``, the first and last widened to
+    the mesh faces. Each holds two planes at least, of the mesh and of the
+    interior, so that no slab of a sub-mesh array, V's included, is one
+    element long (see ``_kernels``)."""
+    n, reach = shape[0], STENCIL_REACH
+    step = max(2, _kernels._SLAB_BYTES // (16 * math.prod(shape[1:])))
+    starts = [0] + [i for i in range(reach + step, n - reach, step) if n - reach - i > 1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _on_rows(points, rows: slice) -> list:
+    """Per-axis arrays of an open mesh on ``rows`` of axis 0."""
+    return [x if x.shape[0] == 1 else x[rows] for x in points]
 
 
 def _mesh(grids) -> list:
@@ -143,16 +171,20 @@ def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
     return np.transpose(np.flip(psi, axis=flipped), order)
 
 
-def _pole_mask(plan: model.Plan) -> np.ndarray:
-    """Boolean mask of interior points too close to a denominator zero,
-    dilated by the stencil footprint plus a guard band, up to the mesh faces."""
-    bad = np.zeros(_interior(plan.prefactor).shape, dtype=bool)
-    for u, m in zip(plan.scaled, plan.config.codimensions):
+def _pole_hits(bad: np.ndarray, scaled, codimensions) -> None:
+    """Mark in ``bad`` the points whose scaled parameters ``scaled`` (one per
+    tilde axis, broadcasting to ``bad``) lie within the guard radius of a
+    denominator zero."""
+    for u, m in zip(scaled, codimensions):
         if m == 0:
             continue
-        u = _interior(u)
         for z in poly.pseudo_hermite_zeros(m):
             bad |= np.abs(u - z) < _POLE_GUARD
+
+
+def _guard_band(bad: np.ndarray) -> np.ndarray:
+    """``bad`` dilated by the stencil footprint plus a guard band, up to the
+    mesh faces."""
     if not bad.any():
         return bad
     reach = STENCIL_REACH + _GUARD_POINTS
@@ -167,37 +199,103 @@ def _pole_mask(plan: model.Plan) -> np.ndarray:
     return bad
 
 
-def _checked_plan(build, *args) -> model.Plan:
-    """``build(*args)``, a ``model.Plan``, refused when its prefactor is not
-    finite: an overflowing Gaussian would make psi NaN on the whole mesh."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan = build(*args)
-    if not np.isfinite(plan.prefactor).all():
-        raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
-    return plan
+class SlabPlan:
+    """The closed-form eigenfunctions of a job's states on the open mesh of
+    ``grids``, or on its image P·mesh under a ``parity`` operator P (which
+    permutes and flips the open mesh).
 
+    The plan is built a slab of axis-0 planes at a time (``_slabs``): each
+    slab maps its points to the tilde axes, forms a ``model.Plan`` there and
+    leaves its prefactor in the mesh-sized one, which is all the plan keeps
+    (16 B per point). ``psi(state)`` recomputes each slab's scaled parameters
+    u_i, an affine map, and multiplies the prefactor by the numerators there.
+    A mesh that is one slab keeps that slab's ``model.Plan`` arrays as they
+    are. Every value is the whole-mesh ``model.Plan``'s bit for bit: each
+    point meets the same operations in the same operand order.
+    """
 
-def image_plan(plan: model.Plan, grids, parity) -> model.Plan:
-    """The eigenfunction plan of ``plan``'s job on the parity image P·mesh of
-    ``grids``: P permutes and flips the open mesh."""
-    perm, signs = _signed_permutation(parity)
-    cmap, mesh = plan.spec.system.coordinate_map, _mesh(grids)
-    tilde = cmap.forward([s * mesh[p] for p, s in zip(perm, signs)])
-    return _checked_plan(model.Plan, plan.spec, plan.config, tilde)
+    def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
+        self.spec, self.config, self.parity = spec, config, parity
+        self.grids = _grid_list(grids)
+        if len(self.grids) != spec.dimension:
+            raise ShapeError("one grid per axis required")
+        model.validate_config(spec, config)
+        shape = tuple(g.n_points for g in self.grids)
+        self.slabs = _slabs(shape)
+        self.scaled = None  # u_i, kept only when the mesh is one slab
+        self.prefactor = np.empty(shape, complex) if len(self.slabs) > 1 else None
+        self._psi = None
+        finite = True
+        points = self._points()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in self.slabs:
+                tilde = spec.system.coordinate_map.forward(_on_rows(points, rows))
+                plan = model.Plan(spec, config, tilde)
+                # checked after the last slab, as on the whole mesh: a
+                # denominator zero in any slab is reported first
+                finite = finite and bool(np.isfinite(plan.prefactor).all())
+                if self.prefactor is None:
+                    self.prefactor, self.scaled = plan.prefactor, plan.scaled
+                else:
+                    self.prefactor[rows] = plan.prefactor
+                self._add_slab(rows, points, plan.scaled)
+        if not finite:
+            # an overflowing Gaussian would make psi NaN on the whole mesh
+            raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
+
+    def _points(self) -> list:
+        """The per-axis point arrays: the open mesh, or its parity image."""
+        mesh = _mesh(self.grids)
+        if self.parity is None:
+            return mesh
+        perm, signs = _signed_permutation(self.parity)
+        return [s * mesh[p] for p, s in zip(perm, signs)]
+
+    def _add_slab(self, rows: slice, points, scaled) -> None:
+        """What the plan keeps of a slab besides its prefactor: nothing here."""
+
+    def _scaled_on(self, points, rows: slice) -> list:
+        """u_i on ``rows``, as the build formed them."""
+        if self.scaled is not None:
+            return self.scaled
+        sys = self.spec.system
+        with np.errstate(over="ignore", invalid="ignore"):
+            tilde = sys.coordinate_map.forward(_on_rows(points, rows))
+            return [model.scaled_parameter(w, t, out=t)
+                    for w, t in zip(sys.tilde_frequencies, tilde)]
+
+    def psi(self, state: Eigenstate) -> np.ndarray:
+        """Closed-form eigenfunction (unnormalized) of ``state`` on the mesh,
+        in the plan's one psi buffer, which the next call writes over."""
+        if len(state.levels) != len(self.config.codimensions):
+            raise DomainError("one level per axis required")
+        if self._psi is None:
+            self._psi = np.empty(self.prefactor.shape, complex)
+        points = self._points() if self.scaled is None else None
+        for rows in self.slabs:
+            out, src = self._psi[rows], self.prefactor[rows]
+            for u, m, lv in zip(self._scaled_on(points, rows), self.config.codimensions,
+                                state.levels):
+                # (prefactor, numerator) in this order, then in place (see
+                # ``model.Plan.psi``)
+                np.multiply(src, model._numerator(m, lv, u), out=out)
+                src = out
+        return self._psi
 
 
 class ParityImage:
     """psi on the image P·mesh of a job's mesh, for one parity operator P.
 
     When P maps the grids onto themselves, psi there is psi on the mesh with
-    its axes reversed and permuted (a view); only otherwise is an
-    ``image_plan`` built, once, and shared by the job's states.
+    its axes reversed and permuted (a view); only otherwise is a ``SlabPlan``
+    built on the image, once, and shared by the job's states.
     """
 
-    def __init__(self, plan: model.Plan, grids, parity):
+    def __init__(self, plan: SlabPlan, parity):
         self.parity = parity
-        self.index_map = _index_map(grids, parity)
-        self.plan = image_plan(plan, grids, parity) if self.index_map is None else None
+        self.index_map = _index_map(plan.grids, parity)
+        self.plan = (SlabPlan(plan.spec, plan.config, plan.grids, parity)
+                     if self.index_map is None else None)
 
     def psi(self, state: Eigenstate, psi: np.ndarray) -> np.ndarray:
         """psi of ``state`` on the image, given ``psi`` on the mesh."""
@@ -206,48 +304,68 @@ class ParityImage:
         return _on_image(psi, self.index_map)
 
 
-class MeshPlan:
-    """A verify job compiled once for its open mesh: the eigenfunction plan
-    (``model.Plan``), V on the interior and the pole-guard mask, which is
-    built from the plan's scaled parameters.
+class MeshPlan(SlabPlan):
+    """A verify job compiled once for its open mesh: the eigenfunction
+    prefactor (a ``SlabPlan``), V on the stencil interior and the pole-guard
+    mask ``keep`` there.
 
-    Each state then costs one ``plan.psi``, which ``residual`` and the
-    parity-time fits (through a ``ParityImage`` per operator) share.
+    Each slab of the build also forms V and the pole-guard hits on its
+    interior planes from its u_i, so the job holds 16 B per mesh point and
+    17 B per interior point. Each state then costs one ``psi``, which
+    ``residual`` and the parity-time fits (through a ``ParityImage`` per
+    operator) share.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
-        self.grids = _grid_list(grids)
-        if len(self.grids) != spec.dimension:
-            raise ShapeError("one grid per axis required")
-        mesh = _mesh(self.grids)
-        self.plan = _checked_plan(model.plan, spec, config, mesh)
-        # V on the interior only: the same per-point arithmetic as V on the
-        # mesh, trimmed, without building it on the mesh
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.potential = model._potential(spec, config, [_interior(x) for x in mesh],
-                                              [_interior(u) for u in self.plan.scaled])
-        if not np.isfinite(self.potential).all():
+        self.potential = self._hits = None
+        self._finite = True
+        super().__init__(spec, config, grids)
+        if not self._finite:
             raise NumericalFailureError("V overflows on the mesh")
-        self.keep = ~_pole_mask(self.plan)
+        self.keep = ~_guard_band(self._hits)
+        del self._hits, self._finite
+
+    def _add_slab(self, rows: slice, points, scaled) -> None:
+        """V and the pole-guard hits on the slab's interior planes."""
+        n = self.prefactor.shape[0]
+        lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
+        if lo >= hi:
+            return
+        local = slice(lo - rows.start, hi - rows.start)
+        scaled = [_window(u, local) for u in scaled]
+        # the same per-point arithmetic as V on the mesh, trimmed
+        v = model._potential(self.spec, self.config,
+                             [_window(x, local) for x in _on_rows(points, rows)], scaled)
+        self._finite = self._finite and bool(np.isfinite(v).all())
+        if self.potential is None:
+            shape = _interior(self.prefactor).shape
+            self.potential = v if len(self.slabs) == 1 else np.empty(shape, complex)
+            self._hits = np.zeros(shape, dtype=bool)
+        target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
+        if v is not self.potential:
+            self.potential[target] = v
+        _pole_hits(self._hits[target], scaled, self.config.codimensions)
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, energy) of ``state``, whose eigenfunction on the
         mesh is ``psi``; see ``residual_scan``."""
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
-        spec, config = self.plan.spec, self.plan.config
+        spec, config = self.spec, self.config
         e_rel = model.relative_energy(config, state, spec.system)
         energy = model.ground_energy(spec, config) + e_rel
+        spacings = [g.spacing for g in self.grids]
         p = _interior(psi)
         err, top = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _kernels.laplacian(psi, [g.spacing for g in self.grids])
             # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in
-            # slabs of axis 0: no mesh-sized temporary
-            step = max(1, _kernels._SLAB_BYTES // r[0].nbytes)
-            for i in range(0, r.shape[0], step):
+            # slabs of axis 0, each Laplacian from its rows of psi and a halo
+            # of the stencil reach: no mesh-sized temporary
+            step = max(1, _kernels._SLAB_BYTES // psi[0].nbytes)
+            for i in range(0, p.shape[0], step):
                 s = slice(i, i + step)
-                rs = np.subtract(self.potential[s] * p[s], r[s], out=r[s])
+                r = _kernels.laplacian(psi[i:i + step + 2 * STENCIL_REACH], spacings)
+                rs = np.subtract(self.potential[s] * p[s], r, out=r)
                 rs -= energy * p[s]
                 err.append(np.max(np.abs(rs), where=self.keep[s], initial=0.0))
                 top.append(np.max(np.abs(p[s]), where=self.keep[s], initial=0.0))
@@ -270,7 +388,7 @@ def residual_scan(spec: OscillatorSpec, config: REConfig, state: Eigenstate, gri
     residual.
     """
     job = MeshPlan(spec, config, grids)
-    return job.residual(state, job.plan.psi(state))
+    return job.residual(state, job.psi(state))
 
 
 # ------------------------------------------------------- Rayleigh quotients
@@ -334,20 +452,22 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     Raises IndeterminateError when the fit residual exceeds PT_FIT_TOLERANCE
     (broken symmetry or a parity the state does not respect).
     """
-    grids = _grid_list(grids)
-    plan = _checked_plan(model.plan, spec, config, _mesh(grids))
+    plan = SlabPlan(spec, config, grids)
     psi = plan.psi(state)
-    image = ParityImage(plan, grids, parity)
+    image = ParityImage(plan, parity)
     return pt_fit(pt_reference(psi), image.psi(state, psi))
 
 
 def pt_reference(psi: np.ndarray):
     """What a parity-time fit keeps of psi on the mesh: the mask of points
     where |psi| exceeds 1e-8 of its maximum, psi there, and that maximum.
-    The fits of one state under several operators share it."""
-    magnitude = np.abs(psi)
-    scale = np.max(magnitude)
-    keep = magnitude > 1e-8 * scale
+    The fits of one state under several operators share it. |psi| is formed
+    a slab at a time, twice: no mesh-sized real temporary."""
+    slabs = _slabs(psi.shape)
+    scale = np.max([np.max(np.abs(psi[s])) for s in slabs])
+    keep = np.empty(psi.shape, dtype=bool)
+    for s in slabs:
+        np.greater(np.abs(psi[s]), 1e-8 * scale, out=keep[s])
     return keep, psi[keep], scale
 
 
@@ -355,9 +475,20 @@ def pt_fit(reference, psi_p: np.ndarray) -> complex:
     """The fit of ``pt_parity_eigenvalue`` from the ``pt_reference`` of psi
     and psi on the parity image of the mesh."""
     keep, pk, scale = reference
-    w = np.conj(psi_p[keep])
-    s = np.sum(np.conj(pk) * w) / np.sum(np.abs(pk) ** 2)
-    resid = float(np.max(np.abs(w - s * pk)) / scale)
+    # conj(psi_p) * s against psi at the kept points, in two buffers of their
+    # size; each product keeps the operand order of
+    # sum(conj(pk) * w) / sum(|pk|**2) and |w - s * pk|, and one kept point
+    # is not multiplied in place (see ``_kernels``)
+    w = psi_p[keep]
+    np.conj(w, out=w)
+    t = np.conj(pk)
+    t = np.multiply(t, w, out=t if t.size > 1 else None)
+    a = np.abs(pk)
+    a **= 2
+    s = np.sum(t) / np.sum(a)
+    np.multiply(s, pk, out=t)
+    np.subtract(w, t, out=t)
+    resid = float(np.max(np.abs(t, out=a)) / scale)
     if resid > PT_FIT_TOLERANCE:
         raise IndeterminateError(
             f"parity-time fit residual {resid:.3e} exceeds {PT_FIT_TOLERANCE:.0e}")

@@ -218,19 +218,33 @@ def test_oversized_mesh_refused_before_allocation(capsys, monkeypatch):
     assert "exceeds the limit" in err and "--points" in err
 
 
+def test_oversized_grid_refused_before_its_points_are_built(capsys):
+    # 5 000 001 points on one axis: a grid would build 76.5 MB of points and
+    # differences before the mesh size was checked
+    tracemalloc.start()
+    try:
+        code, _, err = run(["verify", "--dim", "1", "--omega", "2", "--points", "5000001"],
+                           capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "exceeds the limit" in err
+    assert peak < 2**20
+
+
 def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
     # four states and two parity operators that map the grids onto
     # themselves: psi on the mesh once per state, and none on an image,
     # which is read off the mesh psi by index reversal
     sizes = []
-    psi = cli.model.Plan.psi
+    psi = cli.verify.SlabPlan.psi
 
     def counted(plan, state):
         out = psi(plan, state)
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(cli.model.Plan, "psi", counted)
+    monkeypatch.setattr(cli.verify.SlabPlan, "psi", counted)
     code, out, _ = run(["verify", "--dim", "2", "--omega", "1,3", "--coupling",
                         f"imaginary:{float(SQ7)!r}", "--m", "2,2", "--state", "g,g",
                         "--state", "0,g", "--state", "g,0", "--state", "1,1",
@@ -365,6 +379,9 @@ def test_pole_guard_near_a_face_leaves_points_to_check(capsys):
     (["degeneracy", "--dim", "2", "--omega", "1,inf", "--ratio", "1/2"],
      "frequencies must be finite"),
     (["table", "--omega", "2", "--max-m", "-1"], "--max-m must be nonnegative, got -1"),
+    # refused before a grid is built: 1.7e13 and 1.7e301 points
+    (["verify", "--dim", "1", "--omega", "2", "--spacing", "1e-12"], "raise --spacing"),
+    (["verify", "--dim", "1", "--omega", "2", "--spacing", "1e-300"], "raise --spacing"),
 ])
 def test_bad_input_exits_1_with_one_line(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -486,19 +503,33 @@ def test_job_file_bad_states_or_grids_exit_1(states, grids, message, tmp_path, c
     assert err.count("\n") == 1 and message in err
 
 
-def test_3d_verify_peak_memory_per_mesh_point(capsys):
-    # a guard on the temporaries of a 3D verify job, with 10% headroom: the
-    # plan's scaled parameters and prefactor take 64 B per mesh point, and the
-    # traced peak of this q2 job at 61^3 is 98.6 B per point (134.8 B when the
-    # offset fit held mesh-sized buffers and psi and V were built out of place)
-    argv = ["verify", "--dim", "3", "--case", "q2", "--omega", "1,1,1", "--lambda1", "real:0.5",
-            "--coupling", f"real:{math.sqrt(7.5) / 4!r}", "--m", "2,2,2", "--state", "g,g,g",
-            "--state", "g,0,g", "--points", "61"]
+def _peak_per_point_61(argv, capsys):
+    """Traced peak of ``verify --dim 3 argv`` at 61^3, in bytes per mesh point."""
     tracemalloc.start()
     try:
-        code, _, err = run(argv, capsys)
+        code, _, err = run(["verify", "--dim", "3", *argv, "--points", "61"], capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (code, err) == (0, "")
-    assert peak / 61**3 <= 1.1 * 98.6
+    return peak / 61**3
+
+
+def test_3d_verify_peak_memory_per_mesh_point(capsys):
+    # a guard on the temporaries of a 3D verify job, with 10% headroom over
+    # its traced peak. The plan keeps the prefactor (16 B per mesh point), V
+    # and the mask (17 B per interior point). This q2 job peaks at 53.0 B per
+    # point in a parity-time fit, with psi held (98.6 B, at its plan build,
+    # when the plan held mesh-sized scaled parameters)
+    argv = ["--case", "q2", "--omega", "1,1,1", "--lambda1", "real:0.5", "--coupling",
+            f"real:{math.sqrt(7.5) / 4!r}", "--m", "2,2,2", "--state", "g,g,g",
+            "--state", "g,0,g"]
+    assert _peak_per_point_61(argv, capsys) <= 1.1 * 53.0
+
+
+def test_3d_verify_peak_memory_per_mesh_point_lq3d(capsys):
+    # the verify3d lq3d job, which sets the benchmark's peak: 56.3 B per point
+    # in its first parity-time fit
+    argv = ["--case", "lq", "--omega", "1,2,1.5", "--linear", "imaginary:0.5", "--coupling",
+            "real:1", "--m", "2,2,1", "--state", "0,g,1", "--state", "g,g,g"]
+    assert _peak_per_point_61(argv, capsys) <= 1.1 * 56.3

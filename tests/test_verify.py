@@ -1,5 +1,6 @@
 """Residuals, Rayleigh quotients, PT measurement, Gram, poles, grid oracle."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_residual_refuses_overflow():
         verify.residual_scan(OscillatorSpec.oscillator(1e153), REConfig((0,)), ground,
                              verify.Grid(0.0, 100.0, 101))
     job = verify.MeshPlan(spec_1d(), REConfig((0,)), verify.Grid(0.0, 4.0, 101))
-    psi = job.plan.psi(ground)
+    psi = job.psi(ground)
     psi[50] = np.inf
     with pytest.raises(NumericalFailureError, match="residual is not finite"):
         job.residual(ground, psi)
@@ -99,8 +100,11 @@ def test_pole_mask_stops_at_the_mesh_faces():
     # must end at the near face, not reappear at the far one
     spec = OscillatorSpec.oscillator(2.0, 2.0)
     grids = [verify.Grid(5.0, 5.1, 101), verify.Grid(0.0, 5.0, 21)]
-    plan = model.plan(spec, REConfig((1, 0)), verify._mesh(grids), validate=False)
-    mask = verify._pole_mask(plan)
+    config = REConfig((1, 0))
+    plan = model.plan(spec, config, verify._mesh(grids), validate=False)
+    bad = np.zeros((93, 13), dtype=bool)
+    verify._pole_hits(bad, [verify._interior(u) for u in plan.scaled], config.codimensions)
+    mask = verify._guard_band(bad)
     reach = verify.STENCIL_REACH + verify._GUARD_POINTS
     assert mask.shape == (93, 13)
     assert mask[:reach + 1].all() and not mask[reach + 1:].any()
@@ -122,17 +126,18 @@ def test_mesh_plan_unchanged_by_its_states():
     # every state reads the plan's arrays and writes none of them, so running
     # the states again gives the same results
     spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
-    plan = verify.MeshPlan(spec, REConfig((2, 2)), verify.suggest_grids(spec, n_points=41))
+    config, grids = REConfig((2, 2)), verify.suggest_grids(spec, n_points=41)
+    plan = verify.MeshPlan(spec, config, grids)
     states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
-    images = [verify.image_plan(plan.plan, plan.grids, op)
-              for op in model.pt_classification(spec)]
+    images = [verify.SlabPlan(spec, config, grids, op) for op in model.pt_classification(spec)]
 
     def work(state):
-        psi = plan.plan.psi(state)
+        psi = plan.psi(state)
         return plan.residual(state, psi), [
             verify.pt_fit(verify.pt_reference(psi), im.psi(state)) for im in images]
 
-    arrays = [plan.potential, plan.keep, plan.plan.prefactor, *plan.plan.scaled]
+    # a 41^2 mesh is one slab, whose scaled parameters the plan keeps
+    arrays = [plan.potential, plan.keep, plan.prefactor, *plan.scaled]
     before = [a.copy() for a in arrays]
     first = [work(st) for st in states]
     assert [work(st) for st in states] == first
@@ -180,7 +185,7 @@ def _fits_agree(spec, config, grids, op):
     plan = model.plan(spec, config, verify._mesh(grids))
     index_map = verify._index_map(grids, op)
     assert index_map is not None
-    image = verify.image_plan(plan, grids, op)
+    image = verify.SlabPlan(spec, config, grids, op)
     for state in _states(spec.dimension):
         psi = plan.psi(state)
         want = image.psi(state)
@@ -216,7 +221,7 @@ def test_equal_decay_values_give_equal_grids():
     assert grids[0] == grids[1]
     job = verify.MeshPlan(spec, REConfig((2, 2)), grids)
     for op in transform.parity_operators(2)[2:]:
-        assert verify.ParityImage(job.plan, grids, op).plan is None
+        assert verify.ParityImage(job, op).plan is None
     # equal frequencies alone do not snap: q1_3d's x and y decay differently
     spec = _case_spec("q1_3d", ())
     half_widths = [g.half_width for g in verify.suggest_grids(spec, n_points=41)]
@@ -264,7 +269,7 @@ def test_open_mesh_plan_equals_stacked_mesh_plan(spec):
 
 # The residual as first written: complex stencil passes over the whole mesh,
 # V on the whole mesh, boolean gathers and three IRLS passes. MeshPlan must
-# reproduce it bit for bit.
+# reproduce it, and psi and V from a whole-mesh ``model.Plan``, bit for bit.
 
 def _unblocked_profile(f, spacing, axis):
     n = f.shape[axis]
@@ -294,19 +299,21 @@ def _unblocked_laplacian(psi, grids):
     return lap
 
 
-def _unblocked_residual(job, state, psi):
-    potential = verify._interior(job.plan.potential(verify._mesh(job.grids)))
+def _unblocked_residual(spec, config, grids, keep, potential, state, psi):
     r = potential * verify._interior(psi)
-    r -= _unblocked_laplacian(psi, job.grids)
-    pk = verify._interior(psi)[job.keep]
-    rk = r[job.keep]
-    spec, config = job.plan.spec, job.plan.config
+    r -= _unblocked_laplacian(psi, grids)
+    pk = verify._interior(psi)[keep]
+    rk = r[keep]
     e_rel = model.relative_energy(config, state, spec.system)
     energy = model.ground_energy(spec, config) + e_rel
     err = np.abs(rk - energy * pk)
     wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
     scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
     return float(np.max(err) / scale), complex(energy)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
 
 
 def _every_flavor():
@@ -325,18 +332,119 @@ def _every_flavor():
 @pytest.mark.parametrize("spec", _every_flavor(), ids=_spec_id)
 def test_residual_equals_the_unblocked_loop_bitwise(spec):
     # m=2 masks the points near real denominator zeros (in every flavor with
-    # an imaginary coupling, q1_3d's included); m=0 keeps every point
+    # an imaginary coupling, q1_3d's included); m=0 keeps every point. The
+    # 1D and 2D meshes are one slab, the 3D one four.
     points = {1: 201, 2: 41, 3: 49}[spec.dimension]
     grids = verify.suggest_grids(spec, n_points=points)
+    mesh = verify._mesh(grids)
     for m in (0, 2):
-        job = verify.MeshPlan(spec, REConfig((m,) * spec.dimension), grids)
+        config = REConfig((m,) * spec.dimension)
+        job = verify.MeshPlan(spec, config, grids)
+        whole = model.plan(spec, config, mesh)
+        potential = verify._interior(whole.potential(mesh))
+        assert _bits(job.potential) == _bits(potential)
+        bad = np.zeros(potential.shape, dtype=bool)
+        verify._pole_hits(bad, [verify._interior(u) for u in whole.scaled],
+                          config.codimensions)
+        assert _bits(job.keep) == _bits(~verify._guard_band(bad))
         assert job.keep.any()
         assert job.keep.all() == (m == 0 or not spec.imaginary_couplings)
         for state in _states(spec.dimension):
-            psi = job.plan.psi(state)
-            got = job.residual(state, psi)
-            want = _unblocked_residual(job, state, psi)
+            psi = whole.psi(state)
+            assert _bits(job.psi(state)) == _bits(psi)
+            got = job.residual(state, job.psi(state))
+            want = _unblocked_residual(spec, config, grids, job.keep, potential, state, psi)
             assert repr(got) == repr(want)
+
+
+def _one_plane(monkeypatch, grids):
+    """``_SLAB_BYTES`` of one axis-0 plane: slabs of one plane in ``_kernels``
+    and of two, the fewest a plan's slab holds, in ``verify``."""
+    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 16 * math.prod(g.n_points for g in grids[1:]))
+
+
+@pytest.mark.parametrize("spec", _every_flavor(), ids=_spec_id)
+def test_mesh_plan_does_not_depend_on_the_slab_size(spec, monkeypatch):
+    points = {1: 201, 2: 41, 3: 49}[spec.dimension]
+    grids = verify.suggest_grids(spec, n_points=points)
+    config = REConfig((2,) * spec.dimension)
+    states = _states(spec.dimension)
+    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**40)
+    whole = verify.MeshPlan(spec, config, grids)
+    assert len(whole.slabs) == 1
+    want = [_bits(whole.potential), _bits(whole.keep), _bits(whole.prefactor)]
+    want += [(_bits(whole.psi(st)), whole.residual(st, whole.psi(st))) for st in states]
+    _one_plane(monkeypatch, grids)
+    job = verify.MeshPlan(spec, config, grids)
+    assert len(job.slabs) == (points - 8) // 2
+    got = [_bits(job.potential), _bits(job.keep), _bits(job.prefactor)]
+    got += [(_bits(job.psi(st)), job.residual(st, job.psi(st))) for st in states]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 25, 41, 101])
+def test_slabs_hold_two_planes_of_the_mesh_and_of_the_interior(n, monkeypatch):
+    # NumPy multiplies a one-element complex array in place by another loop
+    # (see ``_kernels``): no slab may hold one plane of the mesh, nor one of
+    # the interior, where V and the pole hits are formed
+    reach = verify.STENCIL_REACH
+    for planes in range(1, n + 1):
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", planes * 16 * n)
+        slabs = verify._slabs((n, n))
+        assert [s.start for s in slabs[1:]] == [s.stop for s in slabs[:-1]]
+        assert slabs[0].start == 0 and slabs[-1].stop == n
+        for s in slabs:
+            interior = min(s.stop, n - reach) - max(s.start, reach)
+            assert s.stop - s.start >= 2
+            assert interior >= 2 or interior == n - 2 * reach == 1
+
+
+@pytest.mark.parametrize("one_plane", [False, True])
+def test_image_plan_equals_the_whole_mesh_plan_on_the_image_bitwise(one_plane, monkeypatch):
+    # unequal frequencies give unequal grids, which the swaps do not map onto
+    # themselves: psi on the image comes from a plan on the image mesh
+    spec = OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.real(0.6))
+    config = REConfig((2, 2))
+    grids = verify.suggest_grids(spec, n_points=401)
+    if one_plane:
+        _one_plane(monkeypatch, grids)
+    mesh = verify._mesh(grids)
+    for op in transform.parity_operators(2)[2:]:
+        assert verify._index_map(grids, op) is None
+        perm, signs = verify._signed_permutation(op)
+        image = [s * mesh[p] for p, s in zip(perm, signs)]
+        whole = model.Plan(spec, config, spec.system.coordinate_map.forward(image))
+        plan = verify.SlabPlan(spec, config, grids, op)
+        assert len(plan.slabs) == (196 if one_plane else 5)
+        for state in _states(2):
+            assert _bits(plan.psi(state)) == _bits(whole.psi(state))
+
+
+@pytest.mark.parametrize("kept", [1, 2, 5, 40_000])
+def test_pt_fit_equals_the_whole_array_fit_bitwise(kept):
+    # the fit as first written, with fresh arrays, on kept points of random
+    # phase whose image is conj(c * psi); 40 000 points pass NumPy's
+    # temporary-elision threshold
+    rng = np.random.default_rng(kept)
+    for _ in range(20):
+        psi = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+        c = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        keep = np.ones(kept, dtype=bool)
+        w = np.conj(np.conj(c * psi)[keep])
+        want = np.sum(np.conj(psi) * w) / np.sum(np.abs(psi) ** 2)
+        got = verify.pt_fit((keep, psi.copy(), np.max(np.abs(psi))), np.conj(c * psi))
+        assert repr(got) == repr(complex(want))
+
+
+def test_mesh_plan_holds_its_prefactor_potential_and_mask_only():
+    # 16 B per mesh point (the prefactor) and 17 B per interior point (V and
+    # the mask): no scaled parameter or other mesh-sized array is kept
+    spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6))
+    job = verify.MeshPlan(spec, REConfig((2, 2, 2)), verify.suggest_grids(spec, n_points=41))
+    assert len(job.slabs) > 1
+    held = [a for v in vars(job).values()
+            for a in (v if isinstance(v, (list, tuple)) else [v]) if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in held) <= 16 * 41**3 + 17 * 33**3
 
 
 # ------------------------------------------------------------------ Rayleigh
