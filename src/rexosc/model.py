@@ -343,13 +343,15 @@ def rational_term_1d(omega, m: int, xt):
                           * np.asarray(xt, dtype=complex))
 
 
-def _rational_term(omega, m: int, u):
-    """The rational term at the scaled parameter u = sqrt(omega/2)*xt."""
+def _rational_term(omega, m: int, u, h=None):
+    """The rational term at the scaled parameter u = sqrt(omega/2)*xt. ``h``
+    is the denominator H_m(u) when the caller has evaluated and checked it."""
     pm = poly.pseudo_hermite(m)
     s = np.sqrt(complex(omega) / 2)
-    h = poly.evaluate(pm, u)
-    if _kernels.any_abs_below(h, _TINY):
-        raise SingularityError("rational term evaluated at a denominator zero")
+    if h is None:
+        h = poly.evaluate(pm, u)
+        if _kernels.any_abs_below(h, _TINY):
+            raise SingularityError("rational term evaluated at a denominator zero")
     # -2 * (d2 / h - (d1 / h)**2 + omega / 2), in the buffers of d1 and d2
     d2 = poly.evaluate(poly.derivative(poly.derivative(pm)), u)
     d2 *= s
@@ -396,13 +398,37 @@ def _check_axes(spec: OscillatorSpec, config: REConfig, validate: bool) -> None:
 
 def _potential(spec: OscillatorSpec, config: REConfig, points, scaled):
     """V literally: the base potential on the original points plus, per tilde
-    axis, the rational term at the scaled parameter u_i."""
+    axis in order, the rational term at the scaled parameter u_i."""
     v = base_potential(spec, points)
     for w, m, u in zip(spec.system.tilde_frequencies, config.codimensions, scaled):
         # summed into the term's fresh buffer, not into v: the same sum, but
         # a 1D residual scan then takes about half as many page faults
         v = _rational_term(w, m, u) + v
     return v
+
+
+def _two_copies(points):
+    """A set of one point as a stack of two copies of it, and the shape of
+    the given set; any other set as given, and None.
+
+    NumPy multiplies a one-element complex array in place through another
+    loop (see ``_kernels``), so a point evaluated alone would differ in the
+    last bit from the same point evaluated among others.
+    """
+    if isinstance(points, (list, tuple)):
+        shape = np.broadcast_shapes(*map(np.shape, points))
+    else:
+        shape = np.shape(points)[1:]
+    if math.prod(shape) != 1:
+        return points, None
+    one = np.array([np.reshape(x, -1)[0] for x in points], dtype=complex)
+    return np.repeat(one[:, None], 2, axis=1), shape
+
+
+def _first(values, shape):
+    """What ``_two_copies`` gives back: ``values`` at the first copy, in the
+    shape of the given set (a scalar for one point without axes)."""
+    return values if shape is None else values[:1].reshape(shape)[()]
 
 
 def re_potential(spec: OscillatorSpec, config: REConfig, point,
@@ -413,9 +439,10 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     singular configuration can still be sampled off its poles.
     """
     _check_axes(spec, config, validate)
+    point, shape = _two_copies(point)
     t = spec.system.coordinate_map.forward(point)
-    return _potential(spec, config, point, [scaled_parameter(w, ti) for w, ti
-                                            in zip(spec.system.tilde_frequencies, t)])
+    return _first(_potential(spec, config, point, [
+        scaled_parameter(w, ti) for w, ti in zip(spec.system.tilde_frequencies, t)]), shape)
 
 
 def scaled_parameter(omega, t, out=None):
@@ -424,24 +451,98 @@ def scaled_parameter(omega, t, out=None):
     return np.multiply(np.sqrt(complex(omega) / 2), t, out=out)
 
 
-def _axis_factor(omega, m: int, t, in_place: bool = False):
-    """(u, gauss/h) of one tilde axis: the scaled parameter u = sqrt(omega/2)*t
-    and the state-independent factor, h being the pseudo-Hermite denominator.
-    ``in_place`` scales an array t into u in place."""
-    t = np.asarray(t, dtype=complex)
-    # exp(-omega * t**2 / 4) with t**2 on the left of the complex product at
-    # any size (see ``_kernels``), so psi at a point does not depend on how
-    # many points are evaluated with it
+def _times(acc, factor):
+    """acc * factor (``factor`` when acc is None), in place once ``acc`` has
+    the shape of the product."""
+    if acc is None:
+        return factor
+    if acc.shape == np.broadcast_shapes(acc.shape, factor.shape):
+        acc *= factor
+        return acc
+    return np.multiply(acc, factor)
+
+
+def _gaussian(omega, t):
+    """exp(-omega * t**2 / 4) at every t."""
+    # t**2 on the left of the complex product at any size (see ``_kernels``),
+    # so psi at a point does not depend on how many points are evaluated with it
     gauss = t**2
     gauss *= -complex(omega)
     gauss /= 4
-    gauss = np.exp(gauss, out=gauss if gauss.ndim else None)
-    u = scaled_parameter(omega, t, t if in_place and t.ndim else None)
+    return np.exp(gauss, out=gauss if gauss.ndim else None)
+
+
+class _PairGaussian:
+    """exp(-omega * t**2 / 4) of a tilde axis t = sum_j L_j x_j + s that
+    depends on all three coordinates of an open mesh, with exp on 2D
+    sub-meshes only.
+
+    With y_j = L_j x_j + s/3, t**2 is the sum over the pairs (j, k) of
+    2 y_j y_k + (y_j**2 + y_k**2)/2, so the Gaussian is the broadcast product
+    of one factor per pair, each formed on the 2D sub-mesh of its pair. Each
+    tilde axis keeps its own product: exponents summed across axes could
+    cancel one axis's overflow against another's decay. A pair constant
+    along mesh axis 0 has its factor formed once, here, for any rows of that
+    axis (``verify``'s slabs).
+    """
+
+    _PAIRS = ((0, 1), (0, 2), (1, 2))
+
+    def __init__(self, omega, row, shift, mesh):
+        self.scale = -complex(omega) / 4
+        self.row, self.third = row, shift / 3
+        self.fixed = {pair: self._factor(mesh, pair) for pair in self._PAIRS
+                      if all(np.shape(mesh[j])[0] == 1 for j in pair)}
+
+    def _factor(self, mesh, pair):
+        yj, yk = (self.row[j] * mesh[j] + self.third for j in pair)
+        e = yj * yk
+        e *= 2
+        e += yj**2 / 2
+        e += yk**2 / 2
+        e *= self.scale
+        return np.exp(e, out=e)
+
+    def __call__(self, mesh):
+        """The Gaussian on ``mesh``: the open mesh it was built on, or rows
+        of that mesh's axis 0."""
+        first, second, third = (self.fixed[p] if p in self.fixed else self._factor(mesh, p)
+                                for p in self._PAIRS)
+        return _times(np.multiply(first, second), third)
+
+
+def _pair_gaussians(system: DecoupledSystem, points) -> list:
+    """Per tilde axis, a ``_PairGaussian`` when ``points`` is a 3D open mesh
+    and the axis depends on all three of its coordinates, else None: the
+    Gaussian of an axis on a sub-mesh, or of a stack of points, is formed
+    from t directly."""
+    cmap = system.coordinate_map
+    if not isinstance(points, (list, tuple)) or len(points) != 3:
+        return [None] * system.dimension
+    return [_PairGaussian(w, row, s, points) if np.count_nonzero(row) == 3 else None
+            for w, row, s in zip(system.tilde_frequencies, cmap.linear, cmap.shift)]
+
+
+def _axis_factor(omega, m: int, t, gauss):
+    """(u, h, gauss/h) of one tilde axis, from its coordinate t and its
+    Gaussian: the scaled parameter u = sqrt(omega/2)*t, written over an array
+    t; the pseudo-Hermite denominator h = H_m(u); and the state-independent
+    factor gauss/h, formed in ``gauss``."""
+    u = scaled_parameter(omega, t, t if np.ndim(t) else None)
     h = poly.evaluate(poly.pseudo_hermite(m), u)
     if _kernels.any_abs_below(h, _TINY):
         raise SingularityError("eigenfunction evaluated at a denominator zero")
     gauss /= h
-    return u, gauss
+    return u, h, gauss
+
+
+def _axis_terms(spec: OscillatorSpec, config: REConfig, axis: int, points, gaussian):
+    """``_axis_factor`` of tilde axis ``axis`` at ``points``, with the
+    Gaussian from ``gaussian`` (a ``_PairGaussian``) unless it is None."""
+    w = spec.system.tilde_frequencies[axis]
+    t = spec.system.coordinate_map.forward_axis(axis, points)
+    gauss = _gaussian(w, t) if gaussian is None else gaussian(points)
+    return _axis_factor(w, config.codimensions[axis], t, gauss)
 
 
 # i^m with unsigned zeros: (1j)**3 is -0-1j, whose negative zero would show
@@ -461,43 +562,44 @@ def _numerator(m: int, level, u):
 
 def axis_eigenfunction(omega, m: int, level, t):
     """One tilde-axis factor (unnormalized): gauss/h times the numerator."""
-    u, ratio = _axis_factor(omega, m, t)
+    t = np.array(t, dtype=complex)  # a copy, which u is written over
+    u, _, ratio = _axis_factor(omega, m, t, _gaussian(omega, t))
     return np.multiply(ratio, _numerator(m, level, u))
 
 
 class Plan:
     """The state-independent part of the closed-form eigenfunctions at a
-    fixed set of points; ``plan(spec, config, points)`` builds one.
+    fixed set of points (a stack, coordinate index first, or an open mesh;
+    see ``CoordinateMap.forward``); ``plan(spec, config, points)`` builds
+    one after the admissibility gate.
 
-    The constructor takes the tilde coordinates of the points under the
-    spec's decoupling ``spec.system``, one array per axis, and keeps the
-    scaled parameters u_i = sqrt(omega_i/2)*t_i, written over ``tilde`` in
-    place, and the prefactor prod_i gauss_i/h_i. On an open mesh each t_i,
-    and so u_i, gauss_i/h_i, the numerators and the rational terms, lives on
-    the sub-mesh of the grid axes it depends on; only the prefactor, psi and
-    V take the full shape. ``psi(state)`` then only multiplies the prefactor
-    by the ground phases and the numerators of the excited axes;
-    ``potential(points)`` reuses the u_i for the rational terms.
+    Per tilde axis the plan maps the points to t_i under the spec's
+    decoupling ``spec.system`` and keeps the scaled parameter
+    u_i = sqrt(omega_i/2)*t_i, written over t_i, and it keeps the prefactor
+    prod_i gauss_i/h_i. On an open mesh each t_i, and so u_i, gauss_i/h_i,
+    the numerators and the rational terms, lives on the sub-mesh of the grid
+    axes it depends on; only the prefactor, psi and V take the full shape. An
+    axis that depends on all three axes of a 3D mesh forms gauss_i from 2D
+    pair factors (``_PairGaussian``), so no exp runs on the full mesh.
+    ``psi(state)`` then only multiplies the prefactor by the ground phases
+    and the numerators of the excited axes; ``potential(points)`` reuses the
+    u_i for the rational terms. One point is evaluated as two copies of it
+    (``_two_copies``).
 
     A plan holds its u_i and the prefactor at every point. ``verify.SlabPlan``
-    builds one per slab of a mesh instead and keeps only its prefactor, so a
-    3D job never holds mesh-sized u_i.
+    builds the same factors a slab of a mesh at a time instead and keeps only
+    the prefactor, so a 3D job never holds mesh-sized u_i.
     """
 
-    def __init__(self, spec: OscillatorSpec, config: REConfig, tilde: np.ndarray):
+    def __init__(self, spec: OscillatorSpec, config: REConfig, points):
         self.spec, self.config = spec, config
+        points, self._shape = _two_copies(points)
         self.scaled = []
         self.prefactor = None
-        for w, m, t in zip(spec.system.tilde_frequencies, config.codimensions, tilde):
-            u, ratio = _axis_factor(w, m, t, in_place=True)
+        for axis, gaussian in enumerate(_pair_gaussians(spec.system, points)):
+            u, _, ratio = _axis_terms(spec, config, axis, points, gaussian)
             self.scaled.append(u)
-            if self.prefactor is None:
-                self.prefactor = ratio
-            elif self.prefactor.shape == np.broadcast_shapes(self.prefactor.shape,
-                                                              ratio.shape):
-                self.prefactor *= ratio
-            else:
-                self.prefactor = np.multiply(self.prefactor, ratio)
+            self.prefactor = _times(self.prefactor, ratio)
 
     def psi(self, state: Eigenstate):
         """Closed-form eigenfunction (unnormalized) of ``state`` at the points."""
@@ -508,24 +610,25 @@ class Plan:
             # (out, numerator) in this order: numerator * out rounds
             # differently (see ``_kernels``); once ``out`` is this call's own
             # array, the product goes into it in place
-            if out is not self.prefactor and isinstance(out, np.ndarray):
+            if out is not self.prefactor:
                 np.multiply(out, _numerator(m, lv, u), out=out)
             else:
                 out = np.multiply(out, _numerator(m, lv, u))
-        return out
+        return _first(out, self._shape)
 
     def potential(self, points):
         """V at the plan's points, given again in the original coordinates."""
-        return _potential(self.spec, self.config, points, self.scaled)
+        if self._shape is not None:
+            points, _ = _two_copies(points)
+        return _first(_potential(self.spec, self.config, points, self.scaled), self._shape)
 
 
 def plan(spec: OscillatorSpec, config: REConfig, points,
          validate: bool = True) -> Plan:
-    """The eigenfunction plan at ``points`` (a stack, coordinate index first,
-    or an open mesh; see ``CoordinateMap.forward``), mapped to the tilde
-    axes once."""
+    """The eigenfunction plan at ``points`` (see ``Plan``), after the
+    admissibility gate unless ``validate`` is False."""
     _check_axes(spec, config, validate)
-    return Plan(spec, config, spec.system.coordinate_map.forward(points))
+    return Plan(spec, config, points)
 
 
 def eigenfunction(spec: OscillatorSpec, config: REConfig, state: Eigenstate,

@@ -89,6 +89,11 @@ class CouplingValue:
         return cls(magnitude, flavor.strip())
 
 
+def _coordinates(point):
+    """The per-axis arrays of an open mesh as given, or a stack as complex."""
+    return point if isinstance(point, (list, tuple)) else np.asarray(point, dtype=complex)
+
+
 @dataclass(frozen=True)
 class CoordinateMap:
     """x_tilde = linear @ x + shift, with complex-orthogonal linear part."""
@@ -116,16 +121,20 @@ class CoordinateMap:
         t_i = s_i + sum_j L_ij x_j sums only the nonzero L_ij, so t_i has the
         broadcast shape of the coordinates it depends on.
         """
-        x = point if isinstance(point, (list, tuple)) else np.asarray(point, dtype=complex)
-        tilde = []
-        for row, s in zip(self.linear, self.shift):
-            t = None
-            for lij, xj in zip(row, x):
-                if lij != 0:
-                    t = lij * xj if t is None else t + lij * xj
-            t += s
-            tilde.append(t)
-        return tilde
+        x = _coordinates(point)
+        return [self._row(i, x) for i in range(self.dimension)]
+
+    def forward_axis(self, axis: int, point):
+        """t_axis alone, as ``forward`` forms it."""
+        return self._row(axis, _coordinates(point))
+
+    def _row(self, axis: int, x):
+        t = None
+        for lij, xj in zip(self.linear[axis], x):
+            if lij != 0:
+                t = lij * xj if t is None else t + lij * xj
+        t += self.shift[axis]
+        return t
 
     def orthogonality_defect(self) -> float:
         """max |L^T L - I| under the non-conjugated bilinear form."""

@@ -13,12 +13,15 @@ check rather than a tautology.
 
 Every check reads the spec's one decoupling, ``spec.system``. A verify job
 compiles its state-independent work once into a ``MeshPlan``, built a slab
-of axis-0 planes at a time: it keeps the eigenfunction prefactor on its open
-mesh, and V and the pole mask on the stencil interior, never the mesh-sized
-scaled parameters u_i. The residual scan and the parity-time fits share each
-state's eigenfunction on it. A parity operator that maps the grids onto
-themselves reads psi on its image off the mesh psi by reversing and
-permuting axes; any other gets a ``SlabPlan`` on the image mesh.
+of axis-0 planes at a time and a tilde axis at a time: it keeps the
+eigenfunction prefactor on its open mesh, and V and the pole mask on the
+stencil interior, never the mesh-sized scaled parameters u_i. Each axis's
+denominator h_i serves its prefactor factor and its rational term of V, and
+its Gaussian takes exp on 2D sub-meshes only (``model._PairGaussian``). The
+residual scan and the parity-time fits share each state's eigenfunction on
+it. A parity operator that maps the grids onto themselves reads psi on its
+image off the mesh psi by reversing and permuting axes; any other gets a
+``SlabPlan`` on the image mesh.
 """
 from __future__ import annotations
 
@@ -174,11 +177,22 @@ def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
 def _pole_hits(bad: np.ndarray, scaled, codimensions) -> None:
     """Mark in ``bad`` the points whose scaled parameters ``scaled`` (one per
     tilde axis, broadcasting to ``bad``) lie within the guard radius of a
-    denominator zero."""
+    denominator zero.
+
+    |u - z| >= |Im z| - |Im u|, so a zero z with |Im z| - max |Im u| at
+    least the guard radius, plus a margin far above the rounding of
+    |u - z|, marks no point and is skipped (the zeros of even co-dimension
+    off the real line, for real u)."""
     for u, m in zip(scaled, codimensions):
         if m == 0:
             continue
+        reach = None
         for z in poly.pseudo_hermite_zeros(m):
+            if abs(z.imag) > _POLE_GUARD:
+                if reach is None:
+                    reach = max(np.max(u.imag, initial=0.0), -np.min(u.imag, initial=0.0))
+                if abs(z.imag) - reach >= _POLE_GUARD + 1e-9:
+                    continue
             bad |= np.abs(u - z) < _POLE_GUARD
 
 
@@ -205,13 +219,16 @@ class SlabPlan:
     permutes and flips the open mesh).
 
     The plan is built a slab of axis-0 planes at a time (``_slabs``): each
-    slab maps its points to the tilde axes, forms a ``model.Plan`` there and
-    leaves its prefactor in the mesh-sized one, which is all the plan keeps
-    (16 B per point). ``psi(state)`` recomputes each slab's scaled parameters
-    u_i, an affine map, and multiplies the prefactor by the numerators there.
-    A mesh that is one slab keeps that slab's ``model.Plan`` arrays as they
-    are. Every value is the whole-mesh ``model.Plan``'s bit for bit: each
-    point meets the same operations in the same operand order.
+    slab forms the factors gauss_i/h_i of a ``model.Plan`` there, tilde axis
+    by tilde axis (``model._axis_terms``), and leaves their product in the
+    mesh-sized prefactor, which is all the plan keeps (16 B per point). A
+    Gaussian built from 2D pair factors (``model._PairGaussian``) forms the
+    factor that no slab changes once, for the whole plan. ``psi(state)``
+    recomputes each slab's scaled parameters u_i of the state's excited axes
+    only, an affine map, and multiplies the prefactor by the phases and
+    numerators there. A mesh that is one slab keeps its u_i. Every value is
+    the whole-mesh ``model.Plan``'s bit for bit: each point meets the same
+    operations in the same operand order.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
@@ -222,23 +239,30 @@ class SlabPlan:
         model.validate_config(spec, config)
         shape = tuple(g.n_points for g in self.grids)
         self.slabs = _slabs(shape)
-        self.scaled = None  # u_i, kept only when the mesh is one slab
-        self.prefactor = np.empty(shape, complex) if len(self.slabs) > 1 else None
+        one = len(self.slabs) == 1
+        self.scaled = [] if one else None  # u_i, kept only when the mesh is one slab
+        self.prefactor = None if one else np.empty(shape, complex)
         self._psi = None
         finite = True
         points = self._points()
         with np.errstate(over="ignore", invalid="ignore"):
+            gaussians = model._pair_gaussians(spec.system, points)
             for rows in self.slabs:
-                tilde = spec.system.coordinate_map.forward(_on_rows(points, rows))
-                plan = model.Plan(spec, config, tilde)
+                slab, prefactor = _on_rows(points, rows), None
+                for axis, gaussian in enumerate(gaussians):
+                    u, h, ratio = model._axis_terms(spec, config, axis, slab, gaussian)
+                    self._add_axis(rows, slab, axis, u, h)
+                    prefactor = model._times(prefactor, ratio)
+                    if one:
+                        self.scaled.append(u)
+                    del u, h, ratio  # no slab-sized array outlives its axis
                 # checked after the last slab, as on the whole mesh: a
                 # denominator zero in any slab is reported first
-                finite = finite and bool(np.isfinite(plan.prefactor).all())
-                if self.prefactor is None:
-                    self.prefactor, self.scaled = plan.prefactor, plan.scaled
+                finite = finite and bool(np.isfinite(prefactor).all())
+                if one:
+                    self.prefactor = prefactor
                 else:
-                    self.prefactor[rows] = plan.prefactor
-                self._add_slab(rows, points, plan.scaled)
+                    self.prefactor[rows] = prefactor
         if not finite:
             # an overflowing Gaussian would make psi NaN on the whole mesh
             raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
@@ -251,18 +275,18 @@ class SlabPlan:
         perm, signs = _signed_permutation(self.parity)
         return [s * mesh[p] for p, s in zip(perm, signs)]
 
-    def _add_slab(self, rows: slice, points, scaled) -> None:
-        """What the plan keeps of a slab besides its prefactor: nothing here."""
+    def _add_axis(self, rows: slice, points, axis: int, u, h) -> None:
+        """What the plan keeps of a tilde axis on a slab, given its u and h
+        there, besides its factor of the prefactor: nothing here."""
 
-    def _scaled_on(self, points, rows: slice) -> list:
-        """u_i on ``rows``, as the build formed them."""
+    def _scaled_on(self, points, axis: int):
+        """u_axis on the slab ``points``, as the build formed it."""
         if self.scaled is not None:
-            return self.scaled
+            return self.scaled[axis]
         sys = self.spec.system
         with np.errstate(over="ignore", invalid="ignore"):
-            tilde = sys.coordinate_map.forward(_on_rows(points, rows))
-            return [model.scaled_parameter(w, t, out=t)
-                    for w, t in zip(sys.tilde_frequencies, tilde)]
+            t = sys.coordinate_map.forward_axis(axis, points)
+            return model.scaled_parameter(sys.tilde_frequencies[axis], t, out=t)
 
     def psi(self, state: Eigenstate) -> np.ndarray:
         """Closed-form eigenfunction (unnormalized) of ``state`` on the mesh,
@@ -274,10 +298,12 @@ class SlabPlan:
         points = self._points() if self.scaled is None else None
         for rows in self.slabs:
             out, src = self._psi[rows], self.prefactor[rows]
-            for u, m, lv in zip(self._scaled_on(points, rows), self.config.codimensions,
-                                state.levels):
+            slab = None if points is None else _on_rows(points, rows)
+            for axis, (m, lv) in enumerate(zip(self.config.codimensions, state.levels)):
+                # a ground axis contributes its phase alone, with no u;
                 # (prefactor, numerator) in this order, then in place (see
                 # ``model.Plan.psi``)
+                u = None if lv is None else self._scaled_on(slab, axis)
                 np.multiply(src, model._numerator(m, lv, u), out=out)
                 src = out
         return self._psi
@@ -310,41 +336,51 @@ class MeshPlan(SlabPlan):
     mask ``keep`` there.
 
     Each slab of the build also forms V and the pole-guard hits on its
-    interior planes from its u_i, so the job holds 16 B per mesh point and
-    17 B per interior point. Each state then costs one ``psi``, which
-    ``residual`` and the parity-time fits (through a ``ParityImage`` per
-    operator) share.
+    interior planes, each axis's share from the u_i and h_i its prefactor
+    factor was formed from, so every denominator is evaluated and checked
+    once. The job holds 16 B per mesh point and 17 B per interior point.
+    Each state then costs one ``psi``, which ``residual`` and the parity-time
+    fits (through a ``ParityImage`` per operator) share.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
-        self.potential = self._hits = None
+        self.potential = self._hits = self._v = None
         self._finite = True
         super().__init__(spec, config, grids)
         if not self._finite:
             raise NumericalFailureError("V overflows on the mesh")
         self.keep = ~_guard_band(self._hits)
-        del self._hits, self._finite
+        del self._hits, self._finite, self._v
 
-    def _add_slab(self, rows: slice, points, scaled) -> None:
-        """V and the pole-guard hits on the slab's interior planes."""
-        n = self.prefactor.shape[0]
+    def _add_axis(self, rows: slice, points, axis: int, u, h) -> None:
+        """V and the pole-guard hits on the slab's interior planes: V as
+        ``model._potential`` forms it on the mesh, trimmed, starts from the
+        base potential at axis 0, takes each axis's rational term from the
+        slab's u and h, and is stored after the last axis."""
+        n = self.grids[0].n_points
         lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
         if lo >= hi:
             return
         local = slice(lo - rows.start, hi - rows.start)
-        scaled = [_window(u, local) for u in scaled]
-        # the same per-point arithmetic as V on the mesh, trimmed
-        v = model._potential(self.spec, self.config,
-                             [_window(x, local) for x in _on_rows(points, rows)], scaled)
-        self._finite = self._finite and bool(np.isfinite(v).all())
-        if self.potential is None:
-            shape = _interior(self.prefactor).shape
-            self.potential = v if len(self.slabs) == 1 else np.empty(shape, complex)
-            self._hits = np.zeros(shape, dtype=bool)
         target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
-        if v is not self.potential:
-            self.potential[target] = v
-        _pole_hits(self._hits[target], scaled, self.config.codimensions)
+        if self._hits is None:
+            shape = tuple(g.n_points - 2 * STENCIL_REACH for g in self.grids)
+            self._hits = np.zeros(shape, dtype=bool)
+            if len(self.slabs) > 1:
+                self.potential = np.empty(shape, complex)
+        if axis == 0:
+            self._v = model.base_potential(self.spec, [_window(x, local) for x in points])
+        u, h = _window(u, local), _window(h, local)
+        w, m = self.spec.system.tilde_frequencies[axis], self.config.codimensions[axis]
+        self._v = model._rational_term(w, m, u, h) + self._v
+        _pole_hits(self._hits[target], [u], [m])
+        if axis == len(self.grids) - 1:
+            self._finite = self._finite and bool(np.isfinite(self._v).all())
+            if self.potential is None:
+                self.potential = self._v
+            else:
+                self.potential[target] = self._v
+            self._v = None
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, energy) of ``state``, whose eigenfunction on the

@@ -500,14 +500,26 @@ def test_plan_psi_equals_axis_product(spec, ms):
 
 
 def test_eigenfunction_at_a_single_point():
-    spec, ms = _PLAN_SPECS[7]
-    pts = np.random.default_rng(5).normal(size=(3, 4)).astype(complex)
-    state = Eigenstate((0, None, 1))
-    many = model.eigenfunction(spec, REConfig(ms), state, pts)
-    for k in range(pts.shape[1]):
-        one = model.eigenfunction(spec, REConfig(ms), state, pts[:, k])
-        assert np.ndim(one) == 0
-        assert abs(one - many[k]) <= 1e-14 * abs(many[k])
+    # one point is evaluated as two copies of it, so no complex product runs
+    # in place on one element (see ``_kernels``): psi and V at a point equal
+    # the batch's bit for bit, given as a point or as a stack of one point
+    for spec, ms in _PLAN_SPECS:
+        dim, config = spec.dimension, REConfig(ms)
+        pts = np.random.default_rng(5).normal(size=(dim, 12)).astype(complex)
+        states = [Eigenstate(lv) for lv in _levels(dim)[-2:]]
+        many = [model.eigenfunction(spec, config, st, pts) for st in states]
+        v_many = model.re_potential(spec, config, pts)
+        for k in range(pts.shape[1]):
+            for point in (pts[:, k], pts[:, k:k + 1]):
+                shape = point.shape[1:]
+                one = [model.eigenfunction(spec, config, st, point) for st in states]
+                plan = model.plan(spec, config, point)
+                v = [model.re_potential(spec, config, point), plan.potential(point)]
+                assert [np.shape(a) for a in one + v] == [shape] * (len(states) + 2)
+                assert all(np.asarray(a).tobytes() == b[k].tobytes()
+                           for a, b in zip(one, many)), (spec.case, ms, k)
+                assert all(np.asarray(a).tobytes() == v_many[k].tobytes()
+                           for a in v), (spec.case, ms, k)
 
 
 def test_plan_potential_equals_re_potential():

@@ -17,6 +17,11 @@ seeded ``lq3d`` pole scans (their inputs stored beside them).
 Regenerate the golden files only for an intended output change:
 
     PYTHONPATH=src python tests/test_pinned.py
+
+``--diff`` recomputes them without writing them and prints each entry that
+would change, with the largest relative change among its numbers:
+
+    PYTHONPATH=src python tests/test_pinned.py --diff
 """
 import contextlib
 import io
@@ -24,6 +29,8 @@ import itertools
 import json
 import math
 import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -361,8 +368,68 @@ def test_kernel_outputs_pinned():
     assert kernel_outputs(draws) == want
 
 
+# ------------------------------------------------------------ regeneration
+
+# a float.hex string, or a decimal number as repr and JSON print it
+_NUMBER = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+|-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _numbers(entry) -> list:
+    return [float.fromhex(t) if "x" in t else float(t)
+            for t in _NUMBER.findall(json.dumps(entry))]
+
+
+def _entries(name: str, data) -> dict:
+    """A golden file's entries by name: a CLI invocation, a residual scan,
+    or an item of a section of the kernel outputs."""
+    if name == GOLDEN.name:
+        return {" ".join(r["argv"]): r for r in data}
+    if name == RESIDUALS.name:
+        return data
+    out = {}
+    for section, items in data.items():
+        keyed = items.items() if isinstance(items, dict) else enumerate(items)
+        out.update({f"{section}.{key}": item for key, item in keyed})
+    return out
+
+
+def _largest_change(old, new) -> str:
+    """The largest relative change between the numbers of two versions of
+    an entry, paired in order, with the pair that shows it."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b):
+        return f"{len(a)} numbers before, {len(b)} after"
+    worst = max(((abs(x - y) / max(abs(x), abs(y)), x, y) for x, y in zip(a, b) if x != y),
+                default=None)
+    if worst is None:
+        return "no number changed"
+    return f"largest relative change {worst[0]:.2e} ({worst[1]!r} -> {worst[2]!r})"
+
+
+def regenerate() -> dict:
+    return {GOLDEN: [run_cli(a) for a in INVOCATIONS], RESIDUALS: residual_suite(),
+            KERNELS: kernel_outputs(_pole_draws())}
+
+
+def print_diff(files: dict) -> None:
+    """Each entry of ``files`` (path -> regenerated contents) that differs
+    from the committed golden file."""
+    for path, data in files.items():
+        old = _entries(path.name, json.loads(path.read_text()))
+        new = _entries(path.name, data)
+        changed = [k for k in old.keys() | new.keys() if old.get(k) != new.get(k)]
+        print(f"{path.name}: {len(changed)} of {len(new)} entries change")
+        for key in sorted(changed):
+            change = (_largest_change(old[key], new[key]) if key in old and key in new
+                      else "added" if key in new else "removed")
+            print(f"  {key}: {change}")
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([run_cli(a) for a in INVOCATIONS], indent=1) + "\n")
-    RESIDUALS.write_text(json.dumps(residual_suite(), indent=1) + "\n")
-    KERNELS.write_text(json.dumps(kernel_outputs(_pole_draws()), indent=1) + "\n")
+    regenerated = regenerate()
+    if sys.argv[1:] == ["--diff"]:
+        print_diff(regenerated)
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        for path, data in regenerated.items():
+            path.write_text(json.dumps(data, indent=1) + "\n")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rexosc import _kernels, model, transform, verify
+from rexosc import _kernels, model, poly, transform, verify
 from rexosc.errors import (
     DomainError,
     IndeterminateError,
@@ -413,7 +413,7 @@ def test_image_plan_equals_the_whole_mesh_plan_on_the_image_bitwise(one_plane, m
         assert verify._index_map(grids, op) is None
         perm, signs = verify._signed_permutation(op)
         image = [s * mesh[p] for p, s in zip(perm, signs)]
-        whole = model.Plan(spec, config, spec.system.coordinate_map.forward(image))
+        whole = model.Plan(spec, config, image)
         plan = verify.SlabPlan(spec, config, grids, op)
         assert len(plan.slabs) == (196 if one_plane else 5)
         for state in _states(2):
@@ -445,6 +445,121 @@ def test_mesh_plan_holds_its_prefactor_potential_and_mask_only():
     held = [a for v in vars(job).values()
             for a in (v if isinstance(v, (list, tuple)) else [v]) if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in held) <= 16 * 41**3 + 17 * 33**3
+
+
+def _guard_oracle(spec, config, grids):
+    """keep by brute force: u_i from the stacked interior points, every zero
+    of every denominator against every point, and a box dilation by
+    cumulative sums that stops at the mesh faces."""
+    mesh = np.broadcast_arrays(*verify._mesh(grids))
+    reach = verify.STENCIL_REACH
+    pts = np.stack([x[(slice(reach, -reach),) * len(grids)] for x in mesh]).astype(complex)
+    sys = spec.system
+    t = np.tensordot(sys.coordinate_map.linear, pts, axes=1)
+    bad = np.zeros(pts.shape[1:], dtype=bool)
+    for w, m, ti, s in zip(sys.tilde_frequencies, config.codimensions, t,
+                           sys.coordinate_map.shift):
+        u = np.sqrt(complex(w) / 2) * (ti + s)
+        for z in (poly.pseudo_hermite_zeros(m) if m else []):
+            bad |= np.abs(u - z) < verify._POLE_GUARD
+    band = reach + verify._GUARD_POINTS
+    for axis in range(bad.ndim):
+        n = bad.shape[axis]
+        c = np.concatenate([np.zeros_like(np.take(bad, [0], axis), dtype=int),
+                            np.cumsum(bad, axis=axis)], axis=axis)
+        hi = np.take(c, np.minimum(np.arange(n) + band + 1, n), axis=axis)
+        lo = np.take(c, np.maximum(np.arange(n) - band, 0), axis=axis)
+        bad = hi - lo > 0
+    return ~bad
+
+
+def _guard_cases():
+    """Every case x flavor at m = 2, and m = 3 on an imaginary-shift axis
+    (zeros at 0 and at +-1.22i), its shift small enough for hits."""
+    cases = [(spec, REConfig((2,) * spec.dimension)) for spec in _every_flavor()]
+    for spec in (OscillatorSpec.linear_1d(2.0, CouplingValue.imaginary(0.05)),
+                 OscillatorSpec.lq_3d(1.0, 2.0, 1.5, CouplingValue.imaginary(0.1),
+                                      CouplingValue.real(0.5))):
+        cases.append((spec, REConfig((2,) * (spec.dimension - 1) + (3,))))
+    return cases
+
+
+@pytest.mark.parametrize("spec,config", _guard_cases(),
+                         ids=lambda v: _spec_id(v) if isinstance(v, OscillatorSpec)
+                         else "m" + "".join(map(str, v.codimensions)))
+def test_pole_guard_mask_equals_the_brute_force_oracle(spec, config):
+    # the plan skips zeros out of reach of u (q2's real u against the m = 2
+    # zeros at +-0.707i); q1's imaginary flavors have complex u
+    grids = verify.suggest_grids(spec, n_points=41)
+    job = verify.MeshPlan(spec, config, grids)
+    want = _guard_oracle(spec, config, grids)
+    assert _bits(job.keep) == _bits(want)
+    if 3 in config.codimensions or (spec.imaginary_couplings and spec.case != "q2_3d"):
+        assert not want.all()
+
+
+_PAIR_SPECS = [s for s in _every_flavor() if s.case in ("q1_3d", "q2_3d")]
+
+
+@pytest.mark.parametrize("spec", _PAIR_SPECS, ids=_spec_id)
+def test_mesh_plan_runs_exp_on_2d_sub_meshes_only(spec, monkeypatch):
+    # per axis on all three grid axes: the pair constant along axis 0 once
+    # (41^2 values), the two others slab by slab (2 * 41^2 in all); the
+    # axis on a 2D sub-mesh 41^2 at most: 7 * 41^2 (83 * 41^2 with exp on
+    # the full mesh)
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    grids = verify.suggest_grids(spec, n_points=41)
+    monkeypatch.setattr(np, "exp", counted)
+    job = verify.MeshPlan(spec, REConfig((2, 2, 2)), grids)
+    assert len(job.slabs) > 1
+    assert max(sizes) <= 41**2 and sum(sizes) <= 7 * 41**2
+
+
+@pytest.mark.parametrize("spec", _PAIR_SPECS, ids=_spec_id)
+def test_pair_gaussian_equals_the_direct_gaussian(spec):
+    grids = verify.suggest_grids(spec, n_points=41)
+    mesh = verify._mesh(grids)
+    sys = spec.system
+    gaussians = model._pair_gaussians(sys, mesh)
+    assert sum(g is not None for g in gaussians) == 2
+    for axis, g in enumerate(gaussians):
+        if g is None:
+            continue
+        t = sys.coordinate_map.forward_axis(axis, mesh)
+        want = model._gaussian(sys.tilde_frequencies[axis], t)
+        got = g(mesh)
+        assert got.shape == want.shape
+        big = np.abs(want) > 1e-250
+        assert big.any()
+        assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) <= 1e-13
+
+
+def test_pair_gaussian_overflow_at_one_corner_raises():
+    # Re(-omega t^2 / 4) of tilde axis 1 passes exp's range only at the
+    # corner x = y = 73, z = 0 of this mesh, on the pair path as directly
+    spec = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
+                                CouplingValue.imaginary(0.3))
+    grids = [verify.Grid(36.5, 36.5, 9), verify.Grid(36.5, 36.5, 9), verify.Grid(20.0, 20.0, 9)]
+    mesh = verify._mesh(grids)
+    sys = spec.system
+    pair = model._pair_gaussians(sys, mesh)[1]
+    assert pair is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = sys.coordinate_map.forward_axis(1, mesh)
+        direct = model._gaussian(sys.tilde_frequencies[1], t)
+        got = pair(mesh)
+    for g in (direct, got):
+        assert np.argwhere(~np.isfinite(g)).tolist() == [[8, 8, 0]]
+    config = REConfig((0, 0, 0))
+    for build in (verify.SlabPlan, verify.MeshPlan):
+        with pytest.raises(NumericalFailureError, match="prefactor overflows"):
+            build(spec, config, grids)
 
 
 # ------------------------------------------------------------------ Rayleigh
