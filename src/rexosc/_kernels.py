@@ -1,7 +1,8 @@
 """Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
 Laplacian built on it (both on complex samples), Simpson quadrature, Horner
 evaluation and a multisection Sturm eigensolver for symmetric tridiagonal
-matrices, whose pivots are counted in blocks of rows.
+matrices, whose pivots are counted in blocks of rows; and ``map_slabs``,
+which runs independent slabs of a mesh on threads.
 
 Bit-exactness. Code that works in chunks or slabs (the Laplacian here, psi,
 V and the mesh residual) returns what the whole-array expressions it
@@ -24,8 +25,15 @@ replaces return, bit for bit, under these rules:
   nonzero imaginary part, so such a product is written ``temp * scalar``,
   the order a large array gets, and a result does not depend on how many
   points are evaluated at once.
+- Slabs run on several threads (``map_slabs``) are exact too: each slab meets
+  the serial loop's operations, writes its own rows and returns its own
+  values, and what is combined across slabs is a maximum, which does not
+  depend on order.
 """
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -91,25 +99,31 @@ def second_derivative_profile(samples: np.ndarray, spacing: float,
     return out
 
 
-def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
+def laplacian(samples: np.ndarray, spacings, out=None, work=None) -> np.ndarray:
     """Sum over the axes of ``second_derivative_profile`` on the common
     interior (4 trimmed per side of every axis), bit for bit.
 
     The sum is built slab by slab along axis 0, each slab about
     ``_SLAB_BYTES`` of input; every axis's stencil reads only the interior
-    of the other axes.
+    of the other axes. The sum goes into ``out`` (complex, of the trimmed
+    shape) and the slab's profile and stencil term into the two complex
+    arrays ``work`` (of one shape, r rows by the trimmed shape's other axes:
+    the slab is then r rows), each allocated when not given.
     """
     f = np.asarray(samples, dtype=complex)
     if len(spacings) != f.ndim:
         raise ValueError("one spacing per axis required")
     if min(f.shape) < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    out = np.empty([n - 8 for n in f.shape], complex)
+    if out is None:
+        out = np.empty([n - 8 for n in f.shape], complex)
+    if work is None:
+        rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
+        work = [np.empty((rows,) + out.shape[1:], complex) for _ in range(2)]
     src, dst = _real_view(f), _real_view(out)
+    profile, term = map(_real_view, work)
+    rows = profile.shape[0]
     interior = [slice(4, n - 4) for n in f.shape]
-    rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
-    profile = np.empty((rows,) + dst.shape[1:])
-    term = np.empty_like(profile)
     for start in range(0, out.shape[0], rows):
         stop = min(start + rows, out.shape[0])
         block = dst[start:stop]
@@ -122,6 +136,129 @@ def laplacian(samples: np.ndarray, spacings) -> np.ndarray:
             _stencil(src[tuple(window)], spacings[axis], axis, profile[:k], term[:k])
             block += profile[:k]
     return out
+
+
+# Most threads a ``map_slabs`` call runs, the calling one included. Two, on a
+# 2-vCPU VM, is measured; more than 2 is unmeasured.
+_MAX_WORKERS = 4
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """A helper thread of ``map_slabs``, started on first use and then kept,
+    idle between calls, for the life of the process. glibc gives each thread
+    its own malloc arena, which keeps its peak resident; a thread started
+    per call takes a new arena whenever the last call's helper has not yet
+    exited, and peak RSS then grows by an arena at a time."""
+
+    def __init__(self):
+        self._task = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="rexosc-slabs", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                self._task()
+            finally:
+                self._task = None
+                self._done.release()
+
+    def start(self, task) -> None:
+        """Run ``task``, which must not raise, on this helper's thread."""
+        self._task = task
+        self._go.release()
+
+    def join(self) -> None:
+        """Wait for the task to end."""
+        self._done.acquire()
+
+
+_idle_helpers = []  # helpers not running a task, for any thread's map_slabs
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    """A forked child has none of its parent's helper threads."""
+    global _helpers_lock
+    _idle_helpers.clear()
+    _helpers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def map_slabs(fn, items, buffers=None) -> list:
+    """``[fn(item) for item in items]``, the items shared among up to
+    ``_MAX_WORKERS`` threads, one per CPU the process may use: the calling
+    thread, which claims the first item, and helper threads (``_Helper``).
+    ``fn`` must only read shared arrays and write rows of its own item.
+
+    Workers claim items in increasing order and enter the caller's NumPy
+    error state. After an item raises, no further item is claimed; the items
+    already claimed finish, and the exception of the lowest item is raised,
+    the one the serial loop raises. With one item or one CPU no helper runs.
+    ``buffers``, if given, is called once by each worker, before its first
+    item, and its result is passed to ``fn`` as a second argument: work
+    arrays that the worker reuses for its items.
+    """
+    items = list(items)
+    workers = min(_cpus(), len(items), _MAX_WORKERS)
+    if workers <= 1:
+        args = () if buffers is None or not items else (buffers(),)
+        return [fn(item, *args) for item in items]
+    results = [None] * len(items)
+    errors = {}
+    claimed = 0
+    lock = threading.Lock()
+    errstate = np.geterr()  # a thread does not share the caller's NumPy error state
+
+    def claim():
+        nonlocal claimed
+        with lock:
+            if errors or claimed == len(items):
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def work(i):
+        args = None
+        with np.errstate(**errstate):
+            while i is not None:
+                try:
+                    if args is None:
+                        args = () if buffers is None else (buffers(),)
+                    results[i] = fn(items[i], *args)
+                except BaseException as exc:  # raised by the calling thread, below
+                    with lock:
+                        errors[i] = exc
+                i = claim()
+
+    first = claim()  # the calling thread's, before any helper claims
+    with _helpers_lock:
+        helpers = [_idle_helpers.pop() for _ in range(min(workers - 1, len(_idle_helpers)))]
+    helpers += [_Helper() for _ in range(workers - 1 - len(helpers))]
+    for helper in helpers:
+        helper.start(lambda: work(claim()))
+    try:
+        work(first)
+    finally:
+        for helper in helpers:
+            helper.join()
+        with _helpers_lock:
+            _idle_helpers.extend(helpers)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def any_abs_below(values, bound: float) -> bool:

@@ -22,6 +22,11 @@ residual scan and the parity-time fits share each state's eigenfunction on
 it. A parity operator that maps the grids onto themselves reads psi on its
 image off the mesh psi by reversing and permuting axes; any other gets a
 ``SlabPlan`` on the image mesh.
+
+The slabs of the build, of each psi, of each residual and of each PT
+reference are independent, and run on up to one thread per CPU
+(``_kernels.map_slabs``), the calling thread included: every output and
+every error is the serial loop's, bit for bit.
 """
 from __future__ import annotations
 
@@ -44,7 +49,8 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
 # Largest mesh the CLI builds: 161^3 fits, at about 55-60 B per point while
-# a 3D verify job with two states runs (peak RSS above the interpreter's).
+# a 3D verify job with two states runs (peak RSS above the interpreter's),
+# plus a few MB per extra slab thread (one slab's temporaries at a time).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 _QUADRATURE_POINTS = 4001  # points per tilde axis of the Rayleigh and Gram integrals
@@ -228,7 +234,10 @@ class SlabPlan:
     only, an affine map, and multiplies the prefactor by the phases and
     numerators there. A mesh that is one slab keeps its u_i. Every value is
     the whole-mesh ``model.Plan``'s bit for bit: each point meets the same
-    operations in the same operand order.
+    operations in the same operand order. Where that prefactor is not
+    finite on a slab whose Gaussians come from pair factors, it is formed
+    with the direct Gaussian instead (``_slab``). The slabs are built, and
+    psi formed, on ``_kernels.map_slabs``'s threads.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
@@ -243,29 +252,53 @@ class SlabPlan:
         self.scaled = [] if one else None  # u_i, kept only when the mesh is one slab
         self.prefactor = None if one else np.empty(shape, complex)
         self._psi = None
-        finite = True
+        self._allocate()
         points = self._points()
         with np.errstate(over="ignore", invalid="ignore"):
             gaussians = model._pair_gaussians(spec.system, points)
-            for rows in self.slabs:
-                slab, prefactor = _on_rows(points, rows), None
-                for axis, gaussian in enumerate(gaussians):
-                    u, h, ratio = model._axis_terms(spec, config, axis, slab, gaussian)
-                    self._add_axis(rows, slab, axis, u, h)
-                    prefactor = model._times(prefactor, ratio)
-                    if one:
-                        self.scaled.append(u)
-                    del u, h, ratio  # no slab-sized array outlives its axis
-                # checked after the last slab, as on the whole mesh: a
-                # denominator zero in any slab is reported first
-                finite = finite and bool(np.isfinite(prefactor).all())
-                if one:
-                    self.prefactor = prefactor
-                else:
-                    self.prefactor[rows] = prefactor
-        if not finite:
+            finite = _kernels.map_slabs(lambda rows: self._slab(points, gaussians, rows),
+                                        self.slabs)
+        # checked after the last slab, as on the whole mesh: a denominator
+        # zero in any slab is reported first
+        if not all(prefactor for prefactor, _ in finite):
             # an overflowing Gaussian would make psi NaN on the whole mesh
             raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
+        if not all(extra for _, extra in finite):
+            raise NumericalFailureError("V overflows on the mesh")
+
+    def _slab(self, points, gaussians, rows: slice) -> tuple:
+        """Build the slab ``rows``: its prefactor, stored in the plan's, and
+        what ``_add_axis`` forms there (a ``MeshPlan``'s V); return whether
+        each is finite."""
+        slab, extra = _on_rows(points, rows), None
+        # a plan of several slabs forms the product in its own rows
+        prefactor = None if self.scaled is not None else self.prefactor[rows]
+        for axis, gaussian in enumerate(gaussians):
+            u, h, ratio = model._axis_terms(self.spec, self.config, axis, slab, gaussian)
+            if self.scaled is not None:
+                prefactor = model._times(prefactor, ratio)
+            elif axis == 0:
+                prefactor[...] = ratio
+            else:
+                prefactor *= ratio
+            del ratio  # before V's temporaries are formed
+            extra = self._add_axis(rows, slab, axis, u, h, extra)
+            if self.scaled is not None:
+                self.scaled.append(u)
+            del u, h  # no slab-sized array outlives its axis
+        finite = np.isfinite(prefactor)
+        if not finite.all() and any(g is not None for g in gaussians):
+            # a pair factor can pass exp's range where the whole Gaussian
+            # does not (``model._PairGaussian``): there the direct one is used
+            direct = None
+            for axis in range(len(gaussians)):
+                _, _, ratio = model._axis_terms(self.spec, self.config, axis, slab, None)
+                direct = model._times(direct, ratio)
+            np.copyto(prefactor, direct, where=~finite)
+            finite = np.isfinite(prefactor)
+        if self.scaled is not None:
+            self.prefactor = prefactor
+        return bool(finite.all()), extra is None or bool(np.isfinite(extra).all())
 
     def _points(self) -> list:
         """The per-axis point arrays: the open mesh, or its parity image."""
@@ -275,9 +308,15 @@ class SlabPlan:
         perm, signs = _signed_permutation(self.parity)
         return [s * mesh[p] for p, s in zip(perm, signs)]
 
-    def _add_axis(self, rows: slice, points, axis: int, u, h) -> None:
-        """What the plan keeps of a tilde axis on a slab, given its u and h
-        there, besides its factor of the prefactor: nothing here."""
+    def _allocate(self) -> None:
+        """Allocate what the slabs write besides the prefactor, before any
+        slab is built: nothing here."""
+
+    def _add_axis(self, rows: slice, points, axis: int, u, h, extra):
+        """What the plan keeps of a tilde axis on a slab besides its factor of
+        the prefactor, given its u and h there and what the slab's earlier
+        axes returned: nothing here."""
+        return None
 
     def _scaled_on(self, points, axis: int):
         """u_axis on the slab ``points``, as the build formed it."""
@@ -296,16 +335,19 @@ class SlabPlan:
         if self._psi is None:
             self._psi = np.empty(self.prefactor.shape, complex)
         points = self._points() if self.scaled is None else None
-        for rows in self.slabs:
+
+        def slab(rows):
             out, src = self._psi[rows], self.prefactor[rows]
-            slab = None if points is None else _on_rows(points, rows)
+            on_rows = None if points is None else _on_rows(points, rows)
             for axis, (m, lv) in enumerate(zip(self.config.codimensions, state.levels)):
                 # a ground axis contributes its phase alone, with no u;
                 # (prefactor, numerator) in this order, then in place (see
                 # ``model.Plan.psi``)
-                u = None if lv is None else self._scaled_on(slab, axis)
+                u = None if lv is None else self._scaled_on(on_rows, axis)
                 np.multiply(src, model._numerator(m, lv, u), out=out)
                 src = out
+
+        _kernels.map_slabs(slab, self.slabs)
         return self._psi
 
 
@@ -344,43 +386,41 @@ class MeshPlan(SlabPlan):
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
-        self.potential = self._hits = self._v = None
-        self._finite = True
         super().__init__(spec, config, grids)
-        if not self._finite:
-            raise NumericalFailureError("V overflows on the mesh")
         self.keep = ~_guard_band(self._hits)
-        del self._hits, self._finite, self._v
+        del self._hits
 
-    def _add_axis(self, rows: slice, points, axis: int, u, h) -> None:
+    def _allocate(self) -> None:
+        """The pole-guard hits and, on a mesh of several slabs, V, on the
+        stencil interior (one slab's V is kept as it is)."""
+        shape = tuple(g.n_points - 2 * STENCIL_REACH for g in self.grids)
+        self._hits = np.zeros(shape, dtype=bool)
+        self.potential = np.empty(shape, complex) if len(self.slabs) > 1 else None
+
+    def _add_axis(self, rows: slice, points, axis: int, u, h, v):
         """V and the pole-guard hits on the slab's interior planes: V as
         ``model._potential`` forms it on the mesh, trimmed, starts from the
         base potential at axis 0, takes each axis's rational term from the
-        slab's u and h, and is stored after the last axis."""
+        slab's u and h, and is stored after the last axis. Returns V so far,
+        None when the slab has no interior planes."""
         n = self.grids[0].n_points
         lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
         if lo >= hi:
-            return
+            return None
         local = slice(lo - rows.start, hi - rows.start)
         target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
-        if self._hits is None:
-            shape = tuple(g.n_points - 2 * STENCIL_REACH for g in self.grids)
-            self._hits = np.zeros(shape, dtype=bool)
-            if len(self.slabs) > 1:
-                self.potential = np.empty(shape, complex)
         if axis == 0:
-            self._v = model.base_potential(self.spec, [_window(x, local) for x in points])
+            v = model.base_potential(self.spec, [_window(x, local) for x in points])
         u, h = _window(u, local), _window(h, local)
         w, m = self.spec.system.tilde_frequencies[axis], self.config.codimensions[axis]
-        self._v = model._rational_term(w, m, u, h) + self._v
+        v = model._rational_term(w, m, u, h) + v
         _pole_hits(self._hits[target], [u], [m])
         if axis == len(self.grids) - 1:
-            self._finite = self._finite and bool(np.isfinite(self._v).all())
             if self.potential is None:
-                self.potential = self._v
+                self.potential = v
             else:
-                self.potential[target] = self._v
-            self._v = None
+                self.potential[target] = v
+        return v
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, energy) of ``state``, whose eigenfunction on the
@@ -392,19 +432,30 @@ class MeshPlan(SlabPlan):
         energy = model.ground_energy(spec, config) + e_rel
         spacings = [g.spacing for g in self.grids]
         p = _interior(psi)
-        err, top = [], []
+        # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in slabs of
+        # axis 0, each Laplacian from its rows of psi and a halo of the
+        # stencil reach: no mesh-sized temporary
+        step = max(1, _kernels._SLAB_BYTES // psi[0].nbytes)
+        rows = min(step, p.shape[0])
+
+        def buffers():
+            # the Laplacian and its two work arrays, which then hold V·psi and
+            # E·psi and, in their real parts, the magnitudes
+            return [np.empty((rows,) + p.shape[1:], complex) for _ in range(3)]
+
+        def slab(i, own):
+            s, k = slice(i, i + step), min(step, p.shape[0] - i)
+            lap, vp, ep = (b[:k] for b in own)
+            r = _kernels.laplacian(psi[i:i + step + 2 * STENCIL_REACH], spacings, lap, own[1:])
+            rs = np.subtract(np.multiply(self.potential[s], p[s], out=vp), r, out=r)
+            rs -= np.multiply(energy, p[s], out=ep)
+            keep = self.keep[s]
+            err = np.max(np.abs(rs, out=vp.real), where=keep, initial=0.0)
+            top = np.max(np.abs(p[s], out=ep.real), where=keep, initial=0.0)
+            return err, top
+
         with np.errstate(over="ignore", invalid="ignore"):
-            # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in
-            # slabs of axis 0, each Laplacian from its rows of psi and a halo
-            # of the stencil reach: no mesh-sized temporary
-            step = max(1, _kernels._SLAB_BYTES // psi[0].nbytes)
-            for i in range(0, p.shape[0], step):
-                s = slice(i, i + step)
-                r = _kernels.laplacian(psi[i:i + step + 2 * STENCIL_REACH], spacings)
-                rs = np.subtract(self.potential[s] * p[s], r, out=r)
-                rs -= energy * p[s]
-                err.append(np.max(np.abs(rs), where=self.keep[s], initial=0.0))
-                top.append(np.max(np.abs(p[s]), where=self.keep[s], initial=0.0))
+            err, top = zip(*_kernels.map_slabs(slab, range(0, p.shape[0], step), buffers))
             wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
             res = float(np.max(err) / (np.max(top) * (abs(e_rel) + wmax)))
         if not math.isfinite(res):
@@ -500,10 +551,9 @@ def pt_reference(psi: np.ndarray):
     The fits of one state under several operators share it. |psi| is formed
     a slab at a time, twice: no mesh-sized real temporary."""
     slabs = _slabs(psi.shape)
-    scale = np.max([np.max(np.abs(psi[s])) for s in slabs])
+    scale = np.max(_kernels.map_slabs(lambda s: np.max(np.abs(psi[s])), slabs))
     keep = np.empty(psi.shape, dtype=bool)
-    for s in slabs:
-        np.greater(np.abs(psi[s]), 1e-8 * scale, out=keep[s])
+    _kernels.map_slabs(lambda s: np.greater(np.abs(psi[s]), 1e-8 * scale, out=keep[s]), slabs)
     return keep, psi[keep], scale
 
 

@@ -2,10 +2,15 @@
 every result is a function of its inputs alone, and psi and V at a point do
 not depend on how many points are evaluated with it. Every public function
 has a caller outside the tests, or is named as library API. Imports sit at
-module level, and ``transform`` does not import ``model``."""
+module level, and ``transform`` does not import ``model``. Importing the CLI
+loads no process or executor machinery, and threads are started in
+``_kernels`` alone."""
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +97,17 @@ def test_imports_are_module_level_and_transform_does_not_import_model():
     assert nested == []
     imported = _imported_modules(ast.parse((_SRC / "transform.py").read_text()))
     assert not [m for m in imported if "model" in m.split(".")]
+
+
+def test_import_path_loads_no_executor_and_threads_start_in_one_module():
+    code = ("import sys, rexosc.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(_SRC.parent)})
+    assert out.stdout.strip() == "[]"
+    assert _modules_matching(r"\bThread\b|_thread\b|concurrent\.futures|multiprocessing") == \
+        ["_kernels.py"]
 
 
 @pytest.mark.parametrize("spec, config, state", [

@@ -1,7 +1,14 @@
 """NumPy kernels: quadrature, stencil, slab Laplacian, the leaf-by-leaf
 pairwise sum against ``np.sum``, Horner, and the multisection
 eigensolver against dense ``eigvalsh`` on adversarial matrices; the blocked
-Sturm count against its row-by-row reference, zero pivots included."""
+Sturm count against its row-by-row reference, zero pivots included; and
+``map_slabs`` against the serial loop."""
+import os
+import signal
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +94,18 @@ def test_laplacian_equals_the_sum_of_axis_profiles_bitwise(monkeypatch, shape, d
     assert not g.flags.c_contiguous
     assert _kernels.laplacian(g, spacings[::-1]).tobytes() == \
         _profile_sum(np.ascontiguousarray(g), spacings[::-1]).tobytes()
+
+
+def test_laplacian_writes_into_the_given_buffers():
+    # out and work arrays of a caller: slabs of their rows, the same sum
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(19, 12, 14)) + 1j * rng.normal(size=(19, 12, 14))
+    spacings = [0.1, 0.2, 0.3]
+    out = np.empty((11, 4, 6), complex)
+    for rows in (1, 4, 11):
+        work = [np.empty((rows, 4, 6), complex) for _ in range(2)]
+        assert _kernels.laplacian(f, spacings, out, work) is out
+        assert out.tobytes() == _profile_sum(f, spacings).tobytes()
 
 
 def test_laplacian_rejects_bad_arguments():
@@ -236,3 +255,152 @@ def test_redone_block_starts_from_the_pivot_carried_into_it():
     got = _kernels._sturm_count(d, off2, _pivmin(off2), probes)
     np.testing.assert_array_equal(got, oracles.sturm_count_ref(d, off2, _pivmin(off2), probes))
     assert got.tolist() == [3]  # eigenvalues x - 0.366, x and x - 1
+
+
+# ----------------------------------------------------------------- map_slabs
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(_kernels, "_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_slabs_returns_the_serial_results_in_order(n, monkeypatch):
+    _workers(monkeypatch, n)
+    items = [slice(i, i + 3) for i in range(0, 30, 3)]
+    assert _kernels.map_slabs(lambda s: (s.start, s.stop), items) == \
+        [(s.start, s.stop) for s in items]
+    assert _kernels.map_slabs(lambda s: s, []) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_slabs_raises_the_lowest_items_exception_and_claims_no_more(n, monkeypatch):
+    _workers(monkeypatch, n)
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        if i in (5, 6, 11):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^item 5$"):
+        _kernels.map_slabs(fn, range(20))
+    # items 0-5 are claimed in order; each other worker finishes at most the
+    # one item it holds
+    assert sorted(calls)[:6] == list(range(6))
+    assert len(calls) <= 6 + (n - 1) and max(calls) < 6 + (n - 1)
+
+
+def test_map_slabs_runs_one_item_on_the_calling_thread(monkeypatch):
+    _workers(monkeypatch, 3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(_kernels.threading, "Thread", refused)
+    monkeypatch.setattr(_kernels, "_Helper", refused)
+    assert _kernels.map_slabs(lambda i: threading.current_thread(), [0]) == \
+        [threading.current_thread()]
+    _workers(monkeypatch, 1)
+    assert _kernels.map_slabs(lambda i: i, range(4)) == [0, 1, 2, 3]
+
+
+def test_map_slabs_works_on_the_calling_thread_too(monkeypatch):
+    # items 0 and 1 wait for each other, so two workers hold them: the
+    # calling thread claims item 0
+    _workers(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=10)
+
+    def fn(i):
+        if i < 2:
+            both.wait()
+        return threading.get_ident()
+
+    idents = _kernels.map_slabs(fn, range(4))
+    assert idents[0] == threading.get_ident() and idents[1] != idents[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_map_slabs_raises_the_lowest_of_concurrent_exceptions(n, monkeypatch):
+    # items 1 and 2 wait for each other, so two workers hold them when both raise
+    _workers(monkeypatch, n)
+    both = threading.Barrier(2, timeout=10)
+
+    def fn(i):
+        if i in (1, 2):
+            both.wait()
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^item 1$"):
+        _kernels.map_slabs(fn, range(8))
+
+
+def test_map_slabs_workers_enter_the_callers_error_state(monkeypatch):
+    # items 0 and 1 wait for each other, so item 1 runs on a helper thread
+    _workers(monkeypatch, 2)
+    zeros = np.zeros(4)
+
+    def run():
+        both = threading.Barrier(2, timeout=10)
+
+        def fn(i):
+            both.wait()
+            return 1.0 / zeros if i == 1 else None
+
+        return _kernels.map_slabs(fn, range(2))
+
+    with np.errstate(divide="ignore"):
+        assert np.isinf(run()[1]).all()
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            run()
+
+
+def test_map_slabs_gives_each_worker_its_own_buffers(monkeypatch):
+    _workers(monkeypatch, 3)
+    made = []
+
+    def buffers():
+        made.append(threading.get_ident())
+        return threading.get_ident()
+
+    owners = _kernels.map_slabs(lambda i, own: (own, threading.get_ident()), range(40), buffers)
+    assert all(own == ident for own, ident in owners)
+    assert 1 <= len(made) <= 3 and len(set(made)) == len(made)
+
+
+def test_map_slabs_loses_no_item_under_contention(monkeypatch):
+    # more workers than this machine has CPUs, switching threads as often as
+    # the interpreter allows: every item runs once and lands at its index
+    _workers(monkeypatch, _kernels._MAX_WORKERS)
+    interval = sys.getswitchinterval()
+    calls = []
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            got = _kernels.map_slabs(lambda i: calls.append(i) or i * i, range(2000))
+            assert got == [i * i for i in range(2000)]
+            assert sorted(calls) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_map_slabs_in_a_forked_child_starts_its_own_helpers(monkeypatch):
+    # the parent's idle helper threads do not exist in a forked child
+    _workers(monkeypatch, 2)
+    assert _kernels.map_slabs(lambda i: i, range(4)) == [0, 1, 2, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(30)
+            code = 0 if _kernels.map_slabs(lambda i: i, range(4)) == [0, 1, 2, 3] else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -562,6 +562,117 @@ def test_pair_gaussian_overflow_at_one_corner_raises():
             build(spec, config, grids)
 
 
+@pytest.mark.parametrize("half_width", [65.0, 70.0])
+def test_pair_gaussian_overflow_takes_the_direct_gaussian(half_width):
+    # on these wide cubes a pair factor of tilde axis 2 passes exp's range
+    # where the whole Gaussian does not (the pair exponents cancel where
+    # x = -y): those points take the prefactor with the direct Gaussian,
+    # and every other point keeps the pair path's, bit for bit
+    spec = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
+                                CouplingValue.imaginary(0.3))
+    config = REConfig((2, 2, 2))
+    grids = [verify.Grid(0.0, half_width, 41)] * 3
+    mesh = verify._mesh(grids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = model.Plan(spec, config, mesh).prefactor
+    overflowed = ~np.isfinite(pair)
+    assert overflowed.any()
+    stacked = np.stack(np.broadcast_arrays(*mesh)).astype(complex)
+    direct = model.Plan(spec, config, stacked).prefactor
+    assert np.isfinite(direct).all()
+    job = verify.MeshPlan(spec, config, grids)
+    assert len(job.slabs) > 1
+    got = job.prefactor
+    assert got[~overflowed].tobytes() == pair[~overflowed].tobytes()
+    big = np.abs(direct) > 1e-250
+    assert np.max(np.abs(got - direct)[big] / np.abs(direct)[big]) <= 1e-12
+
+
+# ---------------------------------------------------------- slabs on threads
+
+def _workers(monkeypatch, n):
+    """``_kernels.map_slabs`` on n workers, whatever the CPUs of the machine."""
+    monkeypatch.setattr(_kernels, "_cpus", lambda: n)
+
+
+# a signed permutation that maps no unequal grids onto themselves: psi on
+# its image comes from an image plan
+_SWAPS = {2: transform.parity_operators(2)[2],
+          3: transform.ParityOperator(np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "S13")}
+
+
+def _slab_outputs(spec, config, grids):
+    """Every array a verify job forms slab by slab, with its residuals."""
+    job = verify.MeshPlan(spec, config, grids)
+    image = verify.SlabPlan(spec, config, grids, _SWAPS[spec.dimension])
+    out = [_bits(job.prefactor), _bits(job.potential), _bits(job.keep), _bits(image.prefactor)]
+    for state in _states(spec.dimension):
+        psi = job.psi(state)
+        keep, kept, scale = verify.pt_reference(psi)
+        out += [_bits(psi), job.residual(state, psi), _bits(keep), _bits(kept), repr(scale),
+                _bits(image.psi(state))]
+    return out
+
+
+@pytest.mark.parametrize("spec", [s for s in _every_flavor() if s.dimension > 1], ids=_spec_id)
+def test_slabs_on_threads_equal_the_serial_loop_bitwise(spec, monkeypatch):
+    # slabs of two planes: 16 of each 41^2 mesh and 12 of each 33^3 one
+    grids = verify.suggest_grids(spec, n_points={2: 41, 3: 33}[spec.dimension])
+    config = REConfig((2,) * spec.dimension)
+    _one_plane(monkeypatch, grids)
+    _workers(monkeypatch, 1)
+    want = _slab_outputs(spec, config, grids)
+    for n in (2, 3):
+        _workers(monkeypatch, n)
+        assert _slab_outputs(spec, config, grids) == want
+
+
+def _build_error(spec, config, grids):
+    with pytest.raises(Exception) as info:
+        verify.MeshPlan(spec, config, grids)
+    return type(info.value), str(info.value)
+
+
+_EARLY_OR_LATE = pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["early", "late"])
+
+
+@_EARLY_OR_LATE
+def test_slabs_on_threads_raise_the_serial_denominator_error(sign, monkeypatch):
+    # |H~_2(u)| = |4u^2 + 2| falls below a raised _TINY of 2.5 where |u| <
+    # 0.35: near x = 0, in the first slabs of axis 0 or in the last ones
+    monkeypatch.setattr(model, "_TINY", 2.5)
+    spec, config = OscillatorSpec.oscillator(2.0, 2.0), REConfig((2, 0))
+    grids = [verify.Grid(-4.0 * sign, 4.5, 41), verify.Grid(0.0, 4.0, 21)]
+    _one_plane(monkeypatch, grids)
+    _workers(monkeypatch, 1)
+    want = _build_error(spec, config, grids)
+    assert want == (SingularityError, "eigenfunction evaluated at a denominator zero")
+    for n in (2, 3):
+        _workers(monkeypatch, n)
+        assert _build_error(spec, config, grids) == want
+
+
+@_EARLY_OR_LATE
+def test_slabs_on_threads_raise_the_serial_overflow_errors(sign, monkeypatch):
+    # the prefactor overflows at one corner of the q1 mesh (see
+    # test_pair_gaussian_overflow_at_one_corner_raises), at x = y = -73 or
+    # +73; V = omega^2 x^2 / 4 overflows where |x| > 26.8
+    q1 = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
+                              CouplingValue.imaginary(0.3))
+    corner = [verify.Grid(36.5 * sign, 36.5, 17)] * 2 + [verify.Grid(20.0, 20.0, 17)]
+    wide = [verify.Grid(20.0 * sign, 12.0, 41), verify.Grid(0.0, 4.0, 21)]
+    cases = [(q1, REConfig((0, 0, 0)), corner, "the eigenfunction prefactor overflows"),
+             (OscillatorSpec.oscillator(1e153, 1.0), REConfig((0, 0)), wide, "V overflows")]
+    for spec, config, grids, message in cases:
+        _one_plane(monkeypatch, grids)
+        _workers(monkeypatch, 1)
+        want = _build_error(spec, config, grids)
+        assert want[0] is NumericalFailureError and want[1].startswith(message)
+        for n in (2, 3):
+            _workers(monkeypatch, n)
+            assert _build_error(spec, config, grids) == want
+
+
 # ------------------------------------------------------------------ Rayleigh
 
 def test_rayleigh_m0_ground():
