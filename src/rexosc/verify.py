@@ -610,11 +610,13 @@ def orthogonality_gram(spec: OscillatorSpec, config: REConfig, states) -> np.nda
 def pole_scan(spec: OscillatorSpec, config: REConfig, box=None) -> list:
     """Real zeros of each axis denominator along that axis's real parameter.
 
-    Each tilde axis is scanned as t -> |H(s(t + shift))|^2, a real
-    polynomial whose Sturm-isolated roots are the poles: a real shift yields
-    the induced real polynomial directly, while an imaginary shift bounds
-    the denominator away from zero unless the shift hits a zero exactly.
-    An empty list certifies regularity on the scan box.
+    Tilde axis i's denominator p_m(s(t + shift)), s = sqrt(omega_i / 2),
+    vanishes at t = z/s - shift for each zero z of p_m. A zero is a hit when
+    |Im t| <= 1e-12 * max(1, |t|) and Re t lies in the axis's scan box
+    (lo, hi]; hits are listed axis by axis, ascending. This checks each tilde
+    axis along its own real parameter only: where imaginary couplings in 2D
+    and 3D make the tilde coordinates of real points complex, the zeros they
+    put in real space are not covered.
     """
     if len(config.codimensions) != spec.dimension:
         raise DomainError("one co-dimension per axis required")
@@ -627,16 +629,11 @@ def pole_scan(spec: OscillatorSpec, config: REConfig, box=None) -> list:
         if m == 0:
             continue
         s = complex(np.sqrt(complex(w) / 2))
-        shift = complex(sys.coordinate_map.shift[i])
-        base = poly.pseudo_hermite(m)
-        p1 = poly.compose_linear(base, s, s * shift)
-        if abs(shift.imag) <= 1e-14 * max(1.0, abs(shift)) and abs(s.imag) == 0.0:
-            scan = p1  # induced real polynomial, simple roots
-        else:
-            scan = poly.multiply(p1, poly.conjugate_coefficients(p1))
+        t = poly.pseudo_hermite_zeros(m) / s - complex(sys.coordinate_map.shift[i])
         lo, hi = float(box[i][0]), float(box[i][1])
-        for root in poly.isolate_real_roots(scan, lo, hi):
-            hits.append(PoleHit(i, float(root)))
+        hit = ((np.abs(t.imag) <= 1e-12 * np.maximum(1.0, np.abs(t)))
+               & (lo < t.real) & (t.real <= hi))
+        hits.extend(PoleHit(i, float(x)) for x in np.sort(t.real[hit]))
     return hits
 
 

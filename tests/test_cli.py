@@ -62,6 +62,16 @@ def test_q1_degeneracy_prints_the_2d_pair(ratio, capsys):
                capsys) == (0, out, "")
 
 
+def test_verify_1d_imaginary_m31_near_a_zero(capsys):
+    # the shift puts the line 0.05 (in u) from the zero 6.9957i of p_31,
+    # which the pole guard must hold off the residual
+    code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
+                        "--linear", "imaginary:14.09136024743708", "--m", "31",
+                        "--state", "g", "--points", "801"], capsys)
+    assert code == 0
+    assert json.loads(out)["max_residual"] <= 1e-6
+
+
 def test_verify_1d_imaginary_m3(capsys):
     code, out, _ = run(["verify", "--dim", "1", "--omega", "2",
                         "--linear", "imaginary:1", "--m", "3",

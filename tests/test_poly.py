@@ -1,8 +1,7 @@
-"""Hermite-family construction, evaluation, and root counting."""
+"""Hermite-family construction, evaluation, and the zeros of H_m."""
 import numpy as np
 import pytest
 
-import oracles
 from oracles import hermite_ref
 from rexosc import poly
 from rexosc.errors import DomainError
@@ -13,17 +12,22 @@ def coeffs(p):
     return tuple(complex(c) for c in p.coefficients)
 
 
+def hermite(n):
+    """H_n from the package's integer recurrence."""
+    return Polynomial(tuple(poly._int_hermite(n)))
+
+
 def test_hermite_low_orders():
-    assert coeffs(poly.hermite(0)) == (1,)
-    assert coeffs(poly.hermite(1)) == (0, 2)
-    assert coeffs(poly.hermite(3)) == (0, -12, 0, 8)
+    assert coeffs(hermite(0)) == (1,)
+    assert coeffs(hermite(1)) == (0, 2)
+    assert coeffs(hermite(3)) == (0, -12, 0, 8)
 
 
 def test_hermite_matches_numpy():
     rng = np.random.default_rng(2)
     z = rng.normal(size=20)
     for n in range(9):
-        np.testing.assert_allclose(poly.evaluate(poly.hermite(n), z),
+        np.testing.assert_allclose(poly.evaluate(hermite(n), z),
                                    hermite_ref(n, z), rtol=1e-12, atol=1e-9)
 
 
@@ -62,7 +66,7 @@ def test_exceptional_hermite_m2_first():
 
 def test_exceptional_hermite_m0_identity():
     for j in range(1, 6):
-        assert coeffs(poly.exceptional_hermite(0, j)) == coeffs(poly.hermite(j))
+        assert coeffs(poly.exceptional_hermite(0, j)) == coeffs(hermite(j))
 
 
 def test_exceptional_hermite_degree():
@@ -83,69 +87,87 @@ def test_derivative():
     assert coeffs(poly.derivative(Polynomial((0, 12, 0, 8)))) == (12, 0, 24)
 
 
-def _count(p, lo, hi):
-    """Distinct real roots of p in (lo, hi], as isolated."""
-    return len(poly.isolate_real_roots(p, lo, hi))
-
-
-def test_count_real_roots_examples():
-    assert _count(poly.pseudo_hermite(2), -100, 100) == 0
-    assert _count(poly.hermite(2), -100, 100) == 2
-    assert _count(Polynomial((1,)), -10, 10) == 0
-
-
-def test_count_real_roots_rejects_complex():
-    with pytest.raises(DomainError):
-        _count(Polynomial((1j, 1)), -1, 1)
-
-
 def test_pseudo_hermite_nodeless_even():
-    for m in range(0, 21, 2):
-        assert _count(poly.pseudo_hermite(m), -1e6, 1e6) == 0
+    # even powers only, every coefficient a positive integer: p_m(x) >= p_m(0) > 0
+    for m in range(0, poly._MAX_INDEX + 1, 2):
+        c = poly._int_pseudo_hermite(m)
+        assert all(type(x) is int for x in c)
+        assert all(x == 0 for x in c[1::2]) and all(x > 0 for x in c[0::2])
 
 
 def test_pseudo_hermite_single_root_odd():
-    for m in range(1, 20, 2):
-        p = poly.pseudo_hermite(m)
-        assert _count(p, -1e6, 1e6) == 1
-        roots = poly.isolate_real_roots(p, -10, 10)
-        assert len(roots) == 1
-        assert abs(roots[0]) < 1e-9
+    # odd powers only, every coefficient a positive integer: p_m(x) = x q(x^2)
+    # with q > 0, so 0 is the one real root, and a simple one
+    for m in range(1, poly._MAX_INDEX + 1, 2):
+        c = poly._int_pseudo_hermite(m)
+        assert all(type(x) is int for x in c)
+        assert all(x == 0 for x in c[0::2]) and all(x > 0 for x in c[1::2])
 
 
 def test_parity_coefficientwise():
     for n in range(13):
-        c = np.array(poly.hermite(n).coefficients)
+        c = np.array(hermite(n).coefficients)
         assert np.all(c[(n % 2 + 1) % 2::2] == 0)
         c = np.array(poly.pseudo_hermite(n).coefficients)
         assert np.all(c[(n % 2 + 1) % 2::2] == 0)
 
 
-def test_hermite_real_roots_against_numpy():
-    for m in (2, 3, 5, 8):
-        mine = poly.hermite_real_roots(m)
-        ref = np.sort(np.roots(np.array(poly.hermite(m).coefficients)[::-1].real))
-        np.testing.assert_allclose(mine, ref, atol=1e-9)
+def _sturm_variations(m, x):
+    """Sign changes of H_0(x), ..., H_m(x), exactly: with x = p/q, run the
+    recurrence on the integers q^k H_k(x), whose signs are those of H_k(x)."""
+    p, q = float(x).as_integer_ratio()
+    prev, cur = 1, 2 * p
+    signs = [1, (cur > 0) - (cur < 0)]
+    for k in range(1, m):
+        prev, cur = cur, 2 * p * cur - 2 * k * q * q * prev
+        signs.append((cur > 0) - (cur < 0))
+    signs = [sg for sg in signs if sg]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def test_isolation_finds_all_roots():
-    # (x-1)(x+2)(x-0.5)
-    p = poly.multiply(poly.multiply(Polynomial((-1, 1)), Polynomial((2, 1))),
-                      Polynomial((-0.5, 1)))
-    roots = poly.isolate_real_roots(p, -5, 5)
-    np.testing.assert_allclose(roots, [-2, 0.5, 1], atol=1e-9)
+def test_hermite_real_roots_certified_exactly():
+    # H_0, ..., H_m is a Sturm sequence of H_m: V(a) - V(b) counts its roots
+    # in (a, b]. Disjoint brackets r +- 1e-12 max(1, |r|), each holding one
+    # root, certify all m roots.
+    for m in range(1, poly._MAX_INDEX + 1):
+        roots = poly.hermite_real_roots(m)
+        assert roots.shape == (m,)
+        width = 1e-12 * np.maximum(1.0, np.abs(roots))
+        lo, hi = roots - width, roots + width
+        assert np.all(lo < hi) and np.all(hi[:-1] < lo[1:]), m
+        for a, b in zip(lo, hi):
+            assert _sturm_variations(m, a) - _sturm_variations(m, b) == 1, (m, a, b)
 
 
-def test_compose_linear():
-    p = Polynomial((1, 0, 1))  # 1 + x^2
-    q = poly.compose_linear(p, 2.0, 1.0)  # 1 + (2t+1)^2
-    for t in (-1.3, 0.2, 2.5):
-        assert poly.evaluate(q, t) == pytest.approx(1 + (2 * t + 1) ** 2)
+def _pseudo_hermite_ref(m):
+    """Integer coefficients of p_m(x) = i^-m H_m(ix), by its own recurrence
+    p_{k+1} = 2x p_k + 2k p_{k-1}."""
+    prev, cur = [1], [0, 2]
+    if m == 0:
+        return prev
+    for k in range(1, m):
+        nxt = [0] + [2 * x for x in cur]
+        for i, x in enumerate(prev):
+            nxt[i] += 2 * k * x
+        prev, cur = cur, nxt
+    return cur
+
+
+@pytest.mark.parametrize("m, j", [(29, 1), (60, 64)])
+def test_exceptional_hermite_is_integer_exact(m, j):
+    # p_m H_j + H_{j-1} p_m' in exact integers, each coefficient correctly
+    # rounded once
+    pm = _pseudo_hermite_ref(m)
+    dpm = [k * pm[k] for k in range(1, len(pm))]
+    exact = poly._int_add(poly._int_mul(pm, poly._int_hermite(j)),
+                          poly._int_mul(poly._int_hermite(j - 1), dpm))
+    assert coeffs(poly.pseudo_hermite(m)) == tuple(map(complex, pm))
+    assert coeffs(poly.exceptional_hermite(m, j)) == tuple(map(complex, exact))
 
 
 def test_overflow_guard():
     with pytest.raises(DomainError):
-        poly.hermite(65)
+        hermite(65)
     with pytest.raises(DomainError):
         poly.pseudo_hermite(100)
 
@@ -157,172 +179,10 @@ def test_orthogonality_via_quadrature():
     g = Grid(0.0, 10.0, 4001)
     x = g.points
     weight = np.exp(-x**2)
-    vals = [poly.evaluate(poly.hermite(n), x.astype(complex)) for n in range(9)]
+    vals = [poly.evaluate(hermite(n), x.astype(complex)) for n in range(9)]
     for j in range(9):
         for k in range(j + 1, 9):
             assert abs(numerics.integrate_samples(vals[j] * vals[k] * weight, g.spacing)) < 1e-8
-
-
-def _roots_poly(*roots):
-    p = Polynomial((1,))
-    for r in roots:
-        p = poly.multiply(p, Polynomial((-r, 1)))
-    return p
-
-
-def _variations_loop(chain, x):
-    """Scalar reference for the vectorized sign-variation count."""
-    vals = []
-    for c in map(np.asarray, chain):
-        v = 0.0
-        for ck in c[::-1]:
-            v = v * x + ck
-        if abs(v) > 1e-14 * (np.max(np.abs(c)) * max(1.0, abs(x)) ** (c.size - 1)):
-            vals.append(v)
-    return sum((u > 0) != (w > 0) for u, w in zip(vals, vals[1:]))
-
-
-def test_vectorized_variations_match_scalar_loop():
-    rng = np.random.default_rng(11)
-    p1 = poly.compose_linear(poly.pseudo_hermite(5), 0.8, 0.8 * (0.3 + 0.2j))
-    cases = [poly.hermite(8), poly.pseudo_hermite(7), _roots_poly(1, 1, -2),
-             poly.multiply(p1, poly.conjugate_coefficients(p1))]
-    for p in cases:
-        chain = poly._sturm_chain(poly._real_coeffs(p), poly._REAL_TOL)
-        x = np.concatenate([rng.uniform(-6, 6, 200), [0.0, 1.0, -2.0]])
-        np.testing.assert_array_equal(poly._variations(poly._sturm_table(p), x),
-                                      [_variations_loop(chain, xi) for xi in x])
-
-
-def _bisection_reference(p, lo, hi, tol=1e-12):
-    """Recursive Sturm bisection: the isolation multisection must reproduce."""
-    table = poly._sturm_table(p)
-
-    def var(x):
-        return int(poly._variations(table, np.array([x]))[0])
-
-    roots = []
-
-    def recurse(a, b, count):
-        if count <= 0:
-            return
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            roots.append(0.5 * (a + b))
-            return
-        mid = 0.5 * (a + b)
-        left = var(a) - var(mid)
-        recurse(a, mid, left)
-        recurse(mid, b, count - left)
-
-    recurse(lo, hi, var(lo) - var(hi))
-    return sorted(roots)
-
-
-def test_multisection_matches_bisection_reference():
-    # pseudo_hermite(3) has its real root at the midpoint of (-10, 10], so
-    # where it lands within tol depends on the final interval chosen
-    cases = [(poly.pseudo_hermite(3), -10, 10), (poly.hermite(6), -5, 5),
-             (poly.exceptional_hermite(2, 3), -4, 4.5), (_roots_poly(1, 3), 0, 64)]
-    for p, lo, hi in cases:
-        np.testing.assert_allclose(poly.isolate_real_roots(p, lo, hi),
-                                   _bisection_reference(p, lo, hi), rtol=0, atol=1e-14)
-
-
-def test_isolation_root_on_a_probe():
-    # (0, 64] splits into 64 unit parts, so 1 and 3 are multisection probes
-    hi = 2 ** poly._SPLIT_BITS
-    roots = poly.isolate_real_roots(_roots_poly(1, 3), 0, hi)
-    np.testing.assert_allclose(roots, [1, 3], atol=1e-11)
-
-
-def test_isolation_interval_is_open_below_closed_above():
-    p = _roots_poly(1, 2)
-    np.testing.assert_allclose(poly.isolate_real_roots(p, 1, 2), [2], atol=1e-11)
-    assert _count(p, 1, 2) == 1
-    assert poly.isolate_real_roots(p, 0.5, 1) == pytest.approx([1], abs=1e-11)
-    assert poly.isolate_real_roots(p, 2, 3) == []
-
-
-def test_isolation_double_root_is_one_root():
-    p = _roots_poly(1, 1)
-    assert _count(p, -5, 5) == 1
-    roots = poly.isolate_real_roots(p, -5, 5)
-    assert len(roots) == 1 and abs(roots[0] - 1) < 1e-11
-
-
-def test_isolation_separates_roots_1e9_apart():
-    # exact coefficients keep the pair distinct in the Sturm chain; the 1e-14
-    # zero filter limits where the pair can be placed to about sqrt(1e-14)
-    p = _roots_poly(0.0, 1e-9)
-    assert _count(p, -1, 1) == 2
-    roots = poly.isolate_real_roots(p, -1, 1)
-    assert len(roots) == 2 and roots[0] < roots[1]
-    assert np.all(np.abs(roots) < 2e-7)
-
-
-@pytest.mark.parametrize("m", range(10))
-def test_isolation_agrees_with_count_on_scan_polynomials(m):
-    # pole-scan polynomials p1 * conj(p1), p1 = companion(s (t + shift)):
-    # every real root is a double root; the last shifts put one on the axis
-    base = poly.pseudo_hermite(m)
-    shifts = [0.0, 0.4, 0.3j, -0.25 + 0.1j]
-    for s in (0.7, 1.3, 0.9 * np.exp(0.3j)):
-        shifts_m = shifts + [complex(-z / s + 0.2) for z in poly.pseudo_hermite_zeros(m)]
-        for shift in shifts_m:
-            p1 = poly.compose_linear(base, s, s * shift)
-            scan = poly.multiply(p1, poly.conjugate_coefficients(p1))
-            assert (len(poly.isolate_real_roots(scan, -8, 8))
-                    == len(oracles.isolate_real_roots_ref(scan, -8, 8))), (s, shift)
-
-
-def test_root_interval_must_be_finite_and_ordered():
-    for lo, hi in ((5, -5), (1, 1), (-np.inf, np.inf), (0, np.nan)):
-        with pytest.raises(DomainError):
-            poly.isolate_real_roots(poly.hermite(2), lo, hi)
-
-
-def _bits(p):
-    return [(c.real.hex(), c.imag.hex()) for c in p.coefficients]
-
-
-def test_compose_linear_equals_polynomial_reference():
-    rng = np.random.default_rng(31)
-    polys = ([poly.hermite(n) for n in range(7)] + [poly.pseudo_hermite(m) for m in range(7)]
-             + [Polynomial(tuple(rng.normal(size=k) + 1j * rng.normal(size=k)))
-                for k in (1, 3, 6)]
-             + [Polynomial((0j,)), Polynomial((-0.0, complex(-0.0, -0.0), 1.0))])
-    args = [(0.8, 0.8 * (0.3 + 0.2j)), (1.3, 0.0), (0.5j, -0.25), (0.0, 2.0), (0.0, 0.0),
-            (-0.0, complex(-0.0, -0.0)), (1.0, complex(0.0, -0.0))]
-    args += [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(5)]
-    for p in polys:
-        for alpha, beta in args:
-            assert (_bits(poly.compose_linear(p, alpha, beta))
-                    == _bits(oracles.compose_linear_ref(p, alpha, beta))), (p, alpha, beta)
-
-
-def test_isolate_real_roots_equals_array_reference():
-    rng = np.random.default_rng(37)
-    cases = [(poly.hermite(n), -6.0, 6.0) for n in range(1, 13)]
-    cases += [(poly.exceptional_hermite(2, 3), -4, 4.5), (_roots_poly(1, 3), 0, 64),
-              (_roots_poly(1, 1, -2), -5, 5), (_roots_poly(0.0, 1e-9), -1, 1),
-              (poly.pseudo_hermite(3), -10, 10)]
-    for _ in range(40):
-        m = int(rng.integers(1, 7))
-        s = complex(np.sqrt(complex(rng.uniform(0.5, 2.5), rng.choice([0.0, 0.3])) / 2))
-        shift = complex(rng.normal(), rng.choice([0.0, rng.normal()]))
-        p1 = poly.compose_linear(poly.pseudo_hermite(m), s, s * shift)
-        scan = p1 if s.imag == 0 and shift.imag == 0 else poly.multiply(
-            p1, poly.conjugate_coefficients(p1))
-        cases.append((scan, -8.0, 8.0))
-    # shifts that put a zero of p1 on the real axis: double roots of the scan
-    for m in (2, 3, 4):
-        for s in (0.7, 0.9 * np.exp(0.3j)):
-            for z in poly.pseudo_hermite_zeros(m):
-                p1 = poly.compose_linear(poly.pseudo_hermite(m), s, s * complex(-z / s + 0.2))
-                cases.append((poly.multiply(p1, poly.conjugate_coefficients(p1)), -8.0, 8.0))
-    for p, lo, hi in cases:
-        assert (poly.isolate_real_roots(p, lo, hi)
-                == oracles.isolate_real_roots_ref(p, lo, hi)), (p, lo, hi)
 
 
 def test_pseudo_hermite_zeros_are_cached_and_read_only():

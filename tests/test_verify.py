@@ -808,6 +808,23 @@ def test_pole_scan_even_real_empty():
             assert verify.pole_scan(spec, REConfig((m,))) == []
 
 
+@pytest.mark.parametrize("m, want", [(37, [-0.35]), (38, [])])
+def test_pole_scan_large_codimension(m, want):
+    # shift = 2 * 0.7 / 2**2: an odd companion's one real zero, 0, puts the
+    # pole at -shift; an even one is nodeless
+    hits = verify.pole_scan(spec_1d(CouplingValue.real(0.7)), REConfig((m,)))
+    assert [h.axis for h in hits] == [0] * len(want)
+    assert [h.coordinate for h in hits] == pytest.approx(want, abs=1e-12)
+
+
+def test_pole_scan_box_is_open_below_closed_above():
+    # m = 1 puts the one pole at -shift = -0.5
+    spec, cfg = spec_1d(CouplingValue.real(1.0)), REConfig((1,))
+    hits = verify.pole_scan(spec, cfg, [(-1.0, -0.5)])
+    assert [(h.axis, h.coordinate) for h in hits] == [(0, -0.5)]
+    assert verify.pole_scan(spec, cfg, [(-0.5, 0.0)]) == []
+
+
 def test_regularity_dichotomy_lq_matrix():
     rng = np.random.default_rng(51)
     flavors = ["real", "imaginary"]
