@@ -1,12 +1,14 @@
-"""Hot numerical kernels, in NumPy: the 8th-order stencil and the slab
-Laplacian built on it (both on complex samples), Simpson quadrature, Horner
+"""Hot numerical kernels, in NumPy: the 8th-order stencil, one loop over its
+symmetric tap pairs on the float view of complex samples, which serves the
+second-derivative profile and the fused slab residual V·f - lap(f) - E·f
+(the stencil's centre taps and E folded into V); Simpson quadrature, Horner
 evaluation and a multisection Sturm eigensolver for symmetric tridiagonal
 matrices, whose pivots are counted in blocks of rows; and ``map_slabs``,
 which runs independent slabs of a mesh on threads.
 
-Bit-exactness. Code that works in chunks or slabs (the Laplacian here, psi,
-V and the mesh residual) returns what the whole-array expressions it
-replaces return, bit for bit, under these rules:
+Bit-exactness. Code that works in chunks or slabs (the residual here, psi
+and V) returns what the whole-array expressions it replaces return, bit for
+bit, under these rules:
 
 - An elementwise operation split into chunks is exact: each element meets the
   same operation on the same operands, whatever chunk it falls in. A chunk
@@ -40,7 +42,7 @@ import numpy as np
 __all__ = [
     "any_abs_below",
     "horner",
-    "laplacian",
+    "laplacian_residual",
     "second_derivative_profile",
     "simpson",
     "tridiagonal_smallest",
@@ -53,8 +55,9 @@ STENCIL8 = np.array(
 )
 
 
-# Input bytes per slab of ``laplacian``: a few axis-0 planes of a 3D mesh, so
-# that the 9 shifted reads of each plane and the slab's buffers stay in cache.
+# Input bytes per slab of ``laplacian_residual``: a few axis-0 planes of a 3D
+# mesh, so that the shifted reads of each plane and the slab's buffers stay
+# in cache.
 _SLAB_BYTES = 2**19
 
 
@@ -64,29 +67,36 @@ def _real_view(f: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(f.real, f.shape + (2,), f.strides + (8,))
 
 
-def _stencil(f: np.ndarray, spacing: float, axis: int, out: np.ndarray,
-             term: np.ndarray) -> None:
-    """The 9-tap loop: f'' along ``axis`` of the (re, im) view ``f`` into
-    ``out``, with ``term`` as a work buffer (both of the trimmed shape)."""
+def _taps(f: np.ndarray, axis: int, step: int = 1) -> list:
+    """The 9 windows of ``f`` along ``axis`` that the stencil's taps read:
+    tap j starts j*``step`` elements in, and all are equally long."""
     n = f.shape[axis]
     window = [slice(None)] * f.ndim
-    for j, c in enumerate(STENCIL8):
-        window[axis] = slice(j, n - 8 + j)
-        if j == 0:
-            np.multiply(c, f[tuple(window)], out=out)
-        else:
-            np.multiply(c, f[tuple(window)], out=term)
-            out += term
-    # numpy divides a complex number by a real one as a product with the
-    # reciprocal, so the (re, im) view is scaled the same way
-    out *= 1.0 / spacing**2
+    taps = []
+    for j in range(9):
+        window[axis] = slice(j * step, n - (8 - j) * step)
+        taps.append(f[tuple(window)])
+    return taps
+
+
+def _pairs(taps, spacing: float, acc: np.ndarray, term: np.ndarray, accumulate) -> None:
+    """The one stencil loop: the symmetric pairs of f'' at spacing h,
+    sum_{j<4} (c_j/h^2)(f_j + f_{8-j}) of the float windows ``taps``
+    (``_taps``), added into ``acc`` (``accumulate`` is ``np.add``) or
+    subtracted from it (``np.subtract``), with ``term`` as a work buffer.
+    The centre tap c_4/h^2 f_4 is the caller's."""
+    for j in range(4):
+        np.add(taps[j], taps[8 - j], out=term)
+        term *= STENCIL8[j] / spacing**2
+        accumulate(acc, term, out=acc)
 
 
 def second_derivative_profile(samples: np.ndarray, spacing: float,
                               axis: int = 0) -> np.ndarray:
     """Second derivative along ``axis`` at all interior points of that axis
     (4 trimmed per side; the other axes keep their length), as complex
-    values; the stencil runs on their float64 (re, im) view."""
+    values: the centre tap, then the symmetric pairs (``_pairs``) on their
+    float64 (re, im) view."""
     f = np.asarray(samples, dtype=complex)
     axis = range(f.ndim)[axis]
     if f.shape[axis] < 9:
@@ -95,47 +105,98 @@ def second_derivative_profile(samples: np.ndarray, spacing: float,
     shape[axis] -= 8
     out = np.empty(shape, complex)
     dst = _real_view(out)
-    _stencil(_real_view(f), spacing, axis, dst, np.empty_like(dst))
+    taps = _taps(_real_view(f), axis)
+    np.multiply(STENCIL8[4] / spacing**2, taps[4], out=dst)
+    _pairs(taps, spacing, dst, np.empty_like(dst), np.add)
     return out
 
 
-def laplacian(samples: np.ndarray, spacings, out=None, work=None) -> np.ndarray:
-    """Sum over the axes of ``second_derivative_profile`` on the common
-    interior (4 trimmed per side of every axis), bit for bit.
+def _wide_shape(shape) -> tuple:
+    """The shape of ``laplacian_residual``'s ``out`` for samples of
+    ``shape``: the interior (4 trimmed per side) of every axis but the last
+    of two or more, which is kept whole."""
+    inner = tuple(n - 8 for n in shape)
+    return inner if len(shape) == 1 else inner[:-1] + tuple(shape[-1:])
 
-    The sum is built slab by slab along axis 0, each slab about
-    ``_SLAB_BYTES`` of input; every axis's stencil reads only the interior
-    of the other axes. The sum goes into ``out`` (complex, of the trimmed
-    shape) and the slab's profile and stencil term into the two complex
-    arrays ``work`` (of one shape, r rows by the trimmed shape's other axes:
-    the slab is then r rows), each allocated when not given.
+
+def laplacian_residual(samples: np.ndarray, spacings, potential, energy,
+                       out=None, work=None) -> np.ndarray:
+    """V·f - lap(f) - E·f on the common interior of ``samples`` (1 to 3
+    axes; 4 points trimmed per side of every axis), given V there
+    (``potential``) and the scalar E (``energy``).
+
+    The stencil's centre taps and E fold into V: with C = c_4 sum_a h_a^-2,
+    each slab of axis-0 rows s is
+
+        (V[s] - (E + C)) · f[s] - sum_a sum_{j<4} (c_j/h_a^2)(f_j + f_{8-j}),
+
+    its product in this operand order and its pairs subtracted axis by axis
+    (``_pairs``) on the float (re, im) view. The slab reads its rows of
+    ``samples`` plus a halo of 4 rows per side. Slabs hold about
+    ``_SLAB_BYTES`` of input.
+
+    The residual accumulates in ``out`` (complex, C-contiguous, of the shape
+    ``_wide_shape`` gives): on two or more axes its last axis is whole, so
+    that every pass runs along whole rows of the samples, and the last
+    axis's pairs are shifts of the flattened rows. The 4 points at each end
+    of that axis hold scratch values, finite for finite samples. The return
+    value is the
+    residual, a view of ``out``. ``work`` holds the slab's diagonal
+    V - (E + C) (the interior's other axes) and pair term (C-contiguous,
+    ``out``'s other axes), r rows each: the slab is then r rows. Each array
+    is allocated when not given.
     """
-    f = np.asarray(samples, dtype=complex)
+    f = np.ascontiguousarray(samples, dtype=complex)
     if len(spacings) != f.ndim:
         raise ValueError("one spacing per axis required")
+    if not 1 <= f.ndim <= 3:
+        raise ValueError("samples of 1 to 3 axes required")
     if min(f.shape) < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
+    inner, wide = tuple(n - 8 for n in f.shape), _wide_shape(f.shape)
+    v = np.asarray(potential, dtype=complex)
+    if v.shape != inner:
+        raise ValueError(f"the potential must have the interior shape {inner}")
     if out is None:
-        out = np.empty([n - 8 for n in f.shape], complex)
+        out = np.empty(wide, complex)
     if work is None:
-        rows = min(max(1, _SLAB_BYTES // f[0].nbytes), out.shape[0])
-        work = [np.empty((rows,) + out.shape[1:], complex) for _ in range(2)]
-    src, dst = _real_view(f), _real_view(out)
-    profile, term = map(_real_view, work)
-    rows = profile.shape[0]
-    interior = [slice(4, n - 4) for n in f.shape]
-    for start in range(0, out.shape[0], rows):
-        stop = min(start + rows, out.shape[0])
-        block = dst[start:stop]
+        rows = min(max(1, _SLAB_BYTES // f[0].nbytes), inner[0])
+        work = [np.empty((rows,) + inner[1:], complex), np.empty((rows,) + wide[1:], complex)]
+    diagonal, term = work
+    if out.shape != wide or not (out.flags.c_contiguous and term.flags.c_contiguous):
+        raise ValueError(f"out must be C-contiguous of shape {wide}, and the term C-contiguous")
+    edge = 0 if f.ndim == 1 else 4  # scratch points at each end of out's last axis
+    last = slice(edge, wide[-1] - edge) if edge else slice(None)
+    interior = [slice(4, n - 4) for n in f.shape[1:]]
+    src = f.view(float)
+    shift = energy + STENCIL8[4] * sum(1.0 / h**2 for h in spacings)
+    rows = diagonal.shape[0]
+    for start in range(0, inner[0], rows):
+        stop = min(start + rows, inner[0])
         k = stop - start
-        _stencil(src[(slice(start, stop + 8), *interior[1:])], spacings[0], 0,
-                 block, term[:k])
-        for axis in range(1, f.ndim):
-            window = [slice(start + 4, stop + 4), *interior[1:]]
-            window[axis] = slice(None)
-            _stencil(src[tuple(window)], spacings[axis], axis, profile[:k], term[:k])
-            block += profile[:k]
-    return out
+        acc, vb = out[start:stop], diagonal[:k]
+        np.subtract(v[start:stop], shift, out=vb)
+        np.multiply(vb, f[(slice(start + 4, stop + 4), *interior)], out=acc[..., last])
+        if edge:
+            acc[..., :edge] = 0
+            acc[..., -edge:] = 0
+        accf, termf = acc.view(float), term[:k].view(float)
+        # every axis but the last, on whole rows of the last
+        for axis in range(f.ndim - 1):
+            window = [slice(start + 4, stop + 4), *interior[:-1], slice(None)]
+            window[axis] = slice(start, stop + 8) if axis == 0 else slice(None)
+            _pairs(_taps(src[tuple(window)], axis), spacings[axis], accf, termf, np.subtract)
+        # the last axis: shifts by whole (re, im) pairs along each slab row's
+        # flattened interior rows (in 1D, along the slab and its halo)
+        if f.ndim == 1:
+            block = src[2 * start:2 * (stop + 8)].reshape(1, -1)
+        else:
+            block = src[(slice(start + 4, stop + 4), *interior[:-1])].reshape(k, -1)
+        m = block.shape[1] - 16
+        _pairs(_taps(block, 1, 2), spacings[-1],
+               accf.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m],
+               termf.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m], np.subtract)
+    return out[..., last]
 
 
 # Most threads a ``map_slabs`` call runs, the calling one included. Two, on a

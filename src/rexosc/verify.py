@@ -124,14 +124,16 @@ def _interior(f: np.ndarray) -> np.ndarray:
 
 
 def _slabs(shape) -> list:
-    """Axis-0 slices of a complex array of ``shape``: the stencil interior in
-    slabs of about ``_kernels._SLAB_BYTES``, the first and last widened to
-    the mesh faces. Each holds two planes at least, of the mesh and of the
-    interior, so that no slab of a sub-mesh array, V's included, is one
-    element long (see ``_kernels``)."""
+    """Axis-0 slices of a complex array of ``shape``: a slab of the 4 face
+    planes at each end, and the stencil interior between them in slabs of
+    about ``_kernels._SLAB_BYTES``. An interior of one slab is widened to the
+    whole mesh instead. Each slab holds two planes at least, and its interior
+    planes number none or two at least, so that no slab of a sub-mesh array,
+    V's included, is one element long (see ``_kernels``)."""
     n, reach = shape[0], STENCIL_REACH
     step = max(2, _kernels._SLAB_BYTES // (16 * math.prod(shape[1:])))
-    starts = [0] + [i for i in range(reach + step, n - reach, step) if n - reach - i > 1]
+    cuts = [i for i in range(reach + step, n - reach, step) if n - reach - i > 1]
+    starts = [0, reach, *cuts, n - reach] if cuts else [0]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
@@ -433,25 +435,28 @@ class MeshPlan(SlabPlan):
         spacings = [g.spacing for g in self.grids]
         p = _interior(psi)
         # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in slabs of
-        # axis 0, each Laplacian from its rows of psi and a halo of the
-        # stencil reach: no mesh-sized temporary
+        # axis 0, each residual from its rows of psi and a halo of the
+        # stencil reach (``_kernels.laplacian_residual``): no mesh-sized
+        # temporary
         step = max(1, _kernels._SLAB_BYTES // psi[0].nbytes)
         rows = min(step, p.shape[0])
+        wide = _kernels._wide_shape(psi.shape)
 
         def buffers():
-            # the Laplacian and its two work arrays, which then hold V·psi and
-            # E·psi and, in their real parts, the magnitudes
-            return [np.empty((rows,) + p.shape[1:], complex) for _ in range(3)]
+            # the residual in the kernel's layout, and its two work arrays:
+            # the diagonal, whose real and imaginary parts then hold the
+            # magnitudes, and the pair term
+            return [np.empty((rows,) + shape, complex)
+                    for shape in (wide[1:], p.shape[1:], wide[1:])]
 
         def slab(i, own):
             s, k = slice(i, i + step), min(step, p.shape[0] - i)
-            lap, vp, ep = (b[:k] for b in own)
-            r = _kernels.laplacian(psi[i:i + step + 2 * STENCIL_REACH], spacings, lap, own[1:])
-            rs = np.subtract(np.multiply(self.potential[s], p[s], out=vp), r, out=r)
-            rs -= np.multiply(energy, p[s], out=ep)
+            res, vb, term = (b[:k] for b in own)
+            r = _kernels.laplacian_residual(psi[i:i + step + 2 * STENCIL_REACH], spacings,
+                                            self.potential[s], energy, res, [vb, term])
             keep = self.keep[s]
-            err = np.max(np.abs(rs, out=vp.real), where=keep, initial=0.0)
-            top = np.max(np.abs(p[s], out=ep.real), where=keep, initial=0.0)
+            err = np.max(np.abs(r, out=vb.real), where=keep, initial=0.0)
+            top = np.max(np.abs(p[s], out=vb.imag), where=keep, initial=0.0)
             return err, top
 
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,8 +1,9 @@
-"""NumPy kernels: quadrature, stencil, slab Laplacian, the leaf-by-leaf
+"""NumPy kernels: quadrature, stencil, the fused slab residual, the leaf-by-leaf
 pairwise sum against ``np.sum``, Horner, and the multisection
 eigensolver against dense ``eigvalsh`` on adversarial matrices; the blocked
 Sturm count against its row-by-row reference, zero pivots included; and
 ``map_slabs`` against the serial loop."""
+import math
 import os
 import signal
 import sys
@@ -52,24 +53,41 @@ def test_in_place_kernels_equal_their_out_of_place_loops():
             ref = ref * z + c[k]
         np.testing.assert_array_equal(_kernels.horner(c, z), ref)
         for axis in (0, 1):
-            ref = None
+            # the centre tap, then the symmetric pairs (c_j/h^2)(z_j + z_{8-j})
             n = z.shape[axis]
-            for j, w in enumerate(_kernels.STENCIL8):
-                term = w * np.take(z, range(j, n - 8 + j), axis=axis)
-                ref = term if ref is None else ref + term
-            np.testing.assert_array_equal(
-                _kernels.second_derivative_profile(z, 0.3, axis), ref / 0.3**2)
+            ref = (_kernels.STENCIL8[4] / 0.3**2) * np.take(z, range(4, n - 4), axis=axis)
+            for j in range(4):
+                pair = np.take(z, range(j, n - 8 + j), axis=axis) + \
+                    np.take(z, range(8 - j, n - j), axis=axis)
+                ref = ref + pair * (_kernels.STENCIL8[j] / 0.3**2)
+            np.testing.assert_array_equal(_kernels.second_derivative_profile(z, 0.3, axis), ref)
 
 
-def _profile_sum(f, spacings):
-    """The Laplacian as per-axis profiles trimmed to the common interior."""
-    lap = None
+def _folded_residual(f, spacings, v, energy):
+    """V·f - lap(f) - E·f in whole-array complex expressions, in the order of
+    ``_kernels.laplacian_residual``: (V - (E + C))·f with C = c_4 sum_a h_a^-2,
+    minus each axis's pair terms (c_j/h_a^2)(f_j + f_{8-j}) on the interior."""
+    c = _kernels.STENCIL8
+    f = np.asarray(f, dtype=complex)
+    inner = tuple(slice(4, n - 4) for n in f.shape)
+    r = (np.asarray(v, dtype=complex) - (energy + c[4] * sum(1.0 / h**2 for h in spacings))) \
+        * f[inner]
     for axis, h in enumerate(spacings):
-        d2 = _kernels.second_derivative_profile(f, h, axis)
-        trim = tuple(slice(None) if a == axis else slice(4, n - 4)
-                     for a, n in enumerate(f.shape))
-        lap = d2[trim] if lap is None else lap + d2[trim]
-    return lap
+        n = f.shape[axis]
+        low, high = list(inner), list(inner)
+        for j in range(4):
+            low[axis], high[axis] = slice(j, n - 8 + j), slice(8 - j, n - j)
+            r -= (f[tuple(low)] + f[tuple(high)]) * (c[j] / h**2)
+    return r
+
+
+def _residual_inputs(rng, shape, dtype):
+    """Samples, V on their interior and E, all real for a real ``dtype``."""
+    def draw(size):
+        x = rng.normal(size=size)
+        return x + 1j * rng.normal(size=size) if dtype is complex else x
+
+    return draw(shape), draw(tuple(n - 8 for n in shape)), complex(draw(None))
 
 
 @pytest.mark.parametrize("shape", [(41,), (23, 17), (19, 12, 14)])
@@ -77,42 +95,79 @@ def _profile_sum(f, spacings):
 @pytest.mark.parametrize("slab_rows", [1, 4, None])
 def test_laplacian_equals_the_sum_of_axis_profiles_bitwise(monkeypatch, shape, dtype,
                                                            slab_rows):
-    # slabs of 4 rows leave a partial last slab on every interior length here
+    # the fused residual kernel against the folded sum of the axis pair
+    # profiles over the whole array; slabs of 4 rows leave a partial last
+    # slab on every interior length here
     rng = np.random.default_rng(sum(shape))
-    f = rng.normal(size=shape)
-    if dtype is complex:
-        f = f + 1j * rng.normal(size=shape)
+    f, v, energy = _residual_inputs(rng, shape, dtype)
     if slab_rows is not None:
-        monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_rows * f[0].nbytes)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_rows * 16 * math.prod(shape[1:]))
     spacings = [0.1 * (a + 1) for a in range(f.ndim)]
-    got = _kernels.laplacian(f, spacings)
-    want = _profile_sum(f, spacings)
+    got = _kernels.laplacian_residual(f, spacings, v, energy)
+    want = _folded_residual(f, spacings, v, energy)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     # a non-contiguous view: reversed and transposed
-    g = np.flip(f, axis=0).T
+    g, vg = np.flip(f, axis=0).T, np.flip(v, axis=0).T
     assert not g.flags.c_contiguous
-    assert _kernels.laplacian(g, spacings[::-1]).tobytes() == \
-        _profile_sum(np.ascontiguousarray(g), spacings[::-1]).tobytes()
+    assert _kernels.laplacian_residual(g, spacings[::-1], vg, energy).tobytes() == \
+        _folded_residual(np.ascontiguousarray(g), spacings[::-1], vg, energy).tobytes()
 
 
 def test_laplacian_writes_into_the_given_buffers():
-    # out and work arrays of a caller: slabs of their rows, the same sum
+    # out and work arrays of a caller: slabs of their rows, the same residual
+    # as a view of out (whose last axis is whole), and the inputs untouched
     rng = np.random.default_rng(5)
-    f = rng.normal(size=(19, 12, 14)) + 1j * rng.normal(size=(19, 12, 14))
+    f, v, energy = _residual_inputs(rng, (19, 12, 14), complex)
+    f0, v0 = f.copy(), v.copy()
     spacings = [0.1, 0.2, 0.3]
-    out = np.empty((11, 4, 6), complex)
+    out = np.empty((11, 4, 14), complex)
+    assert _kernels._wide_shape(f.shape) == out.shape
     for rows in (1, 4, 11):
-        work = [np.empty((rows, 4, 6), complex) for _ in range(2)]
-        assert _kernels.laplacian(f, spacings, out, work) is out
-        assert out.tobytes() == _profile_sum(f, spacings).tobytes()
+        work = [np.empty((rows, 4, 6), complex), np.empty((rows, 4, 14), complex)]
+        got = _kernels.laplacian_residual(f, spacings, v, energy, out, work)
+        assert got.base is out and got.shape == (11, 4, 6)
+        assert np.isfinite(out).all()
+        assert got.tobytes() == _folded_residual(f, spacings, v, energy).tobytes()
+    assert f.tobytes() == f0.tobytes() and v.tobytes() == v0.tobytes()
 
 
 def test_laplacian_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        _kernels.laplacian(np.zeros((9, 9)), [0.1])
-    with pytest.raises(ValueError):
-        _kernels.laplacian(np.zeros((9, 8)), [0.1, 0.1])
+    with pytest.raises(ValueError, match="one spacing per axis"):
+        _kernels.laplacian_residual(np.zeros((9, 9)), [0.1], np.zeros((1, 1)), 0.0)
+    with pytest.raises(ValueError, match="1 to 3 axes"):
+        _kernels.laplacian_residual(np.zeros((9,) * 4), [0.1] * 4, np.zeros((1,) * 4), 0.0)
+    with pytest.raises(ValueError, match="at least 9 samples"):
+        _kernels.laplacian_residual(np.zeros((9, 8)), [0.1, 0.1], np.zeros((1, 0)), 0.0)
+    with pytest.raises(ValueError, match="interior shape"):
+        _kernels.laplacian_residual(np.zeros((10, 9)), [0.1, 0.1], np.zeros((1, 1)), 0.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _kernels.laplacian_residual(np.zeros((10, 9)), [0.1, 0.1], np.zeros((2, 1)), 0.0,
+                                    np.zeros((2, 18), complex)[:, ::2])
+
+
+def test_folded_stencil_is_exact_on_polynomials_of_degree_9():
+    # the 8th-order weights differentiate degree <= 9 exactly: with V = 0 and
+    # E = 0 the residual is -lap(p), and each axis's profile is d2p/dx_a^2,
+    # up to rounding, on unequal spacings and lengths
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(37)
+    spacings = [0.11, 0.13, 0.17]
+    axes = [h * (np.arange(n) - n // 2) for h, n in zip(spacings, (13, 15, 11))]
+    x = np.meshgrid(*axes, indexing="ij")
+    coef = rng.normal(size=(10, 10, 10))
+    p = P.polyval3d(*x, coef)
+    d2 = [P.polyval3d(*x, P.polyder(coef, 2, axis=a)) for a in range(3)]
+    inner = tuple(slice(4, n - 4) for n in p.shape)
+    lap = (d2[0] + d2[1] + d2[2])[inner]
+    got = _kernels.laplacian_residual(p, spacings, np.zeros(lap.shape), 0.0)
+    assert np.max(np.abs(got + lap)) <= 1e-10 * np.max(np.abs(lap))
+    for axis, h in enumerate(spacings):
+        trim = tuple(slice(4, n - 4) if a == axis else slice(None)
+                     for a, n in enumerate(p.shape))
+        want = d2[axis][trim]
+        got = _kernels.second_derivative_profile(p, h, axis)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_eigenvalues_match_dense():

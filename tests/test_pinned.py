@@ -143,7 +143,7 @@ def test_cli_output_pinned(argv):
 
 @pytest.mark.parametrize("argv", [a for a in INVOCATIONS if a[0] == "verify"], ids=" ".join)
 def test_verify_output_pinned_at_the_smallest_slab(argv, monkeypatch):
-    # one axis-0 plane per ``_SLAB_BYTES``: the Laplacian runs a plane at a
+    # one axis-0 plane per ``_SLAB_BYTES``: the residual runs a plane at a
     # time and the mesh plan two planes at a time, and every byte stays
     dim, points = int(argv[argv.index("--dim") + 1]), int(argv[argv.index("--points") + 1])
     monkeypatch.setattr(_kernels, "_SLAB_BYTES", 16 * points ** (dim - 1))
