@@ -1,10 +1,10 @@
 """Hot numerical kernels, in NumPy: the 8th-order stencil, one loop over its
 symmetric tap pairs on the float view of complex samples, which serves the
 second-derivative profile and the fused slab residual V·f - lap(f) - E·f
-(the stencil's centre taps and E folded into V); Simpson quadrature, Horner
-evaluation and a multisection Sturm eigensolver for symmetric tridiagonal
-matrices, whose pivots are counted in blocks of rows; and ``map_slabs``,
-which runs independent slabs of a mesh on threads.
+(the stencil's centre taps and E folded into V); Simpson quadrature; a
+multisection Sturm eigensolver for symmetric tridiagonal matrices, whose
+pivots are counted in blocks of rows; and ``map_slabs``, which runs
+independent slabs of a mesh on threads.
 
 Bit-exactness. Code that works in chunks or slabs (the residual here, psi
 and V) returns what the whole-array expressions it replaces return, bit for
@@ -40,8 +40,6 @@ import threading
 import numpy as np
 
 __all__ = [
-    "any_abs_below",
-    "horner",
     "laplacian_residual",
     "second_derivative_profile",
     "simpson",
@@ -322,14 +320,6 @@ def map_slabs(fn, items, buffers=None) -> list:
     return results
 
 
-def any_abs_below(values, bound: float) -> bool:
-    """Whether |v| < bound anywhere in ``values``, checked a slab of about
-    ``_SLAB_BYTES`` at a time: no temporary the size of ``values``."""
-    flat = np.reshape(values, -1)
-    step = max(1, _SLAB_BYTES // flat.itemsize)
-    return any(np.any(np.abs(flat[i:i + step]) < bound) for i in range(0, flat.size, step))
-
-
 def simpson(samples: np.ndarray, spacing: float) -> complex:
     """Composite Simpson rule over uniformly spaced samples.
 
@@ -349,17 +339,6 @@ def simpson(samples: np.ndarray, spacing: float) -> complex:
         tail = spacing * 3.0 / 8.0 * (f[n - 4] + 3.0 * f[n - 3] + 3.0 * f[n - 2] + f[n - 1])
     s = core[0] + core[-1] + 4.0 * core[1:-1:2].sum() + 2.0 * core[2:-2:2].sum()
     return complex(spacing * s / 3.0 + tail)
-
-
-def horner(coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a dense polynomial (ascending coefficients) at many points."""
-    c = np.asarray(coefficients, dtype=complex)
-    z = np.asarray(points, dtype=complex)
-    out = np.full(z.shape, c[-1], dtype=complex)
-    for k in range(c.shape[0] - 2, -1, -1):
-        out *= z
-        out += c[k]
-    return out
 
 
 # Interior probes per bracket and sweep: each sweep shrinks a bracket

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels, poly, transform
+from . import poly, transform
 from .errors import DomainError, ShapeError, SingularityError
 from .transform import CouplingValue, DecoupledSystem
 
@@ -343,28 +343,21 @@ def rational_term_1d(omega, m: int, xt):
                           * np.asarray(xt, dtype=complex))
 
 
-def _rational_term(omega, m: int, u, h=None):
-    """The rational term at the scaled parameter u = sqrt(omega/2)*xt. ``h``
-    is the denominator H_m(u) when the caller has evaluated and checked it."""
-    pm = poly.pseudo_hermite(m)
-    s = np.sqrt(complex(omega) / 2)
-    if h is None:
-        h = poly.evaluate(pm, u)
-        if _kernels.any_abs_below(h, _TINY):
-            raise SingularityError("rational term evaluated at a denominator zero")
-    # -2 * (d2 / h - (d1 / h)**2 + omega / 2), in the buffers of d1 and d2
-    d2 = poly.evaluate(poly.derivative(poly.derivative(pm)), u)
-    d2 *= s
-    d2 *= s
-    d2 /= h
-    d1 = poly.evaluate(poly.derivative(pm), u)
-    d1 *= s
-    d1 /= h
-    d1 **= 2
-    d2 -= d1
-    d2 += complex(omega) / 2
-    d2 *= -2.0
-    return d2
+def _rational_term(omega, m: int, u, r=None):
+    """The rational term at the scaled parameter u = sqrt(omega/2)*xt.
+
+    With p = p_m(u) and r = p'/p = 2m p_{m-1}/p (``_log_derivative``), the ODE
+    p'' = 2m p - 2u p' folds both derivatives into r: the term
+    -omega (p''/p - r**2 + 1) is -omega (2m + 1 - r (2u + r)). ``r`` is
+    given when the caller has evaluated it and checked the denominator."""
+    if r is None:
+        r = _log_derivative(m, u, "rational term")
+    out = np.multiply(u, 2.0)
+    out += r
+    out *= r
+    out -= 2 * m + 1
+    out *= complex(omega)
+    return out
 
 
 def admissible_codimensions(spec: OscillatorSpec) -> tuple:
@@ -523,17 +516,55 @@ def _pair_gaussians(system: DecoupledSystem, points) -> list:
             for w, row, s in zip(system.tilde_frequencies, cmap.linear, cmap.shift)]
 
 
+# Points per chunk of the numerator's two ladders (``_chunks``): a slab's
+# psi holds its u and numerator beside their work arrays, which stay small
+# against them (64 KiB each). The denominator's one ladder runs in the plan
+# build, which holds fewer slab arrays, on chunks 4 times as long: the
+# slab threads then make a quarter of the NumPy calls, each of which
+# releases and retakes the interpreter lock (verify3d ran about 10% slower
+# on 4096-point chunks there).
+_CHUNK = 4096
+
+
+def _chunks(size: int, points: int = _CHUNK) -> list:
+    """Slices of a flattened array of ``size`` points, ``points`` at a time;
+    a last chunk of one point joins the one before it (see ``_kernels``)."""
+    starts = list(range(0, size, points))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
+
+
+def _log_derivative(m: int, u, what: str, gauss=None):
+    """The logarithmic derivative r = p_m'/p_m = 2m p_{m-1}/p_m of the pseudo
+    companion at every u, by the ladder in chunks of the flattened u;
+    ``gauss`` (a C-contiguous array of u's shape), if given, is divided by
+    the denominator h = p_m(u) in place. A zero of h raises, naming ``what``
+    was evaluated."""
+    flat = np.reshape(u, -1)
+    r = np.empty(flat.shape, complex)
+    g = None if gauss is None else gauss.reshape(-1)
+    for s in _chunks(flat.size, 4 * _CHUNK):
+        h, q = poly.ladder(m, flat[s], 1)
+        if np.abs(h).min() < _TINY:
+            raise SingularityError(f"{what} evaluated at a denominator zero")
+        np.divide(q, h, out=r[s])
+        if g is not None:
+            g[s] /= h
+        del h, q  # before the next chunk's ladder runs
+    r *= 2.0 * m
+    return r.reshape(np.shape(u))
+
+
 def _axis_factor(omega, m: int, t, gauss):
-    """(u, h, gauss/h) of one tilde axis, from its coordinate t and its
+    """(u, r, gauss/h) of one tilde axis, from its coordinate t and its
     Gaussian: the scaled parameter u = sqrt(omega/2)*t, written over an array
-    t; the pseudo-Hermite denominator h = H_m(u); and the state-independent
-    factor gauss/h, formed in ``gauss``."""
+    t; the ratio r = p_m'/p_m of the pseudo companion, which the rational
+    term takes; and the state-independent factor gauss/h with h = p_m(u),
+    formed in ``gauss`` (``_log_derivative``)."""
     u = scaled_parameter(omega, t, t if np.ndim(t) else None)
-    h = poly.evaluate(poly.pseudo_hermite(m), u)
-    if _kernels.any_abs_below(h, _TINY):
-        raise SingularityError("eigenfunction evaluated at a denominator zero")
-    gauss /= h
-    return u, h, gauss
+    gauss = np.asarray(gauss)  # an array even at one point without axes
+    return u, _log_derivative(m, u, "eigenfunction", gauss), gauss
 
 
 def _axis_terms(spec: OscillatorSpec, config: REConfig, axis: int, points, gaussian):
@@ -553,11 +584,22 @@ _PHASES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 def _numerator(m: int, level, u):
     """The state-dependent factor of one tilde axis: the phase i^m on the
     ground level (so that parity-time eigenvalues of imaginary-shift
-    configurations come out +1 there), else the exceptional Hermite
-    polynomial at u."""
+    configurations come out +1 there), else on level n the exceptional
+    Hermite numerator N = p_m H_j + p_m' H_{j-1} with j = n + 1 and
+    p_m' = 2m p_{m-1}, its ladders run in chunks of the flattened u."""
     if level is None:
         return _PHASES[m % 4]
-    return poly.evaluate(poly.exceptional_hermite(m, level + 1), u)
+    flat = np.reshape(u, -1)
+    out = np.empty(flat.shape, complex)
+    for s in _chunks(flat.size):
+        p, q = poly.ladder(m, flat[s], 1)
+        hj, hj1 = poly.ladder(level + 1, flat[s], -1)
+        np.multiply(p, hj, out=out[s])
+        q *= 2.0 * m
+        np.multiply(q, hj1, out=hj)
+        out[s] += hj
+        del p, q, hj, hj1  # before the next chunk's ladders run
+    return out.reshape(np.shape(u))
 
 
 def axis_eigenfunction(omega, m: int, level, t):

@@ -16,8 +16,9 @@ compiles its state-independent work once into a ``MeshPlan``, built a slab
 of axis-0 planes at a time and a tilde axis at a time: it keeps the
 eigenfunction prefactor on its open mesh, and V and the pole mask on the
 stencil interior, never the mesh-sized scaled parameters u_i. Each axis's
-denominator h_i serves its prefactor factor and its rational term of V, and
-its Gaussian takes exp on 2D sub-meshes only (``model._PairGaussian``). The
+denominator h_i is evaluated once: it divides the prefactor factor, and its
+ratio r_i = h_i'/h_i gives the rational term of V. Each axis's Gaussian
+takes exp on 2D sub-meshes only (``model._PairGaussian``). The
 residual scan and the parity-time fits share each state's eigenfunction on
 it. A parity operator that maps the grids onto themselves reads psi on its
 image off the mesh psi by reversing and permuting axes; any other gets a
@@ -276,7 +277,7 @@ class SlabPlan:
         # a plan of several slabs forms the product in its own rows
         prefactor = None if self.scaled is not None else self.prefactor[rows]
         for axis, gaussian in enumerate(gaussians):
-            u, h, ratio = model._axis_terms(self.spec, self.config, axis, slab, gaussian)
+            u, r, ratio = model._axis_terms(self.spec, self.config, axis, slab, gaussian)
             if self.scaled is not None:
                 prefactor = model._times(prefactor, ratio)
             elif axis == 0:
@@ -284,10 +285,10 @@ class SlabPlan:
             else:
                 prefactor *= ratio
             del ratio  # before V's temporaries are formed
-            extra = self._add_axis(rows, slab, axis, u, h, extra)
+            extra = self._add_axis(rows, slab, axis, u, r, extra)
             if self.scaled is not None:
                 self.scaled.append(u)
-            del u, h  # no slab-sized array outlives its axis
+            del u, r  # no slab-sized array outlives its axis
         finite = np.isfinite(prefactor)
         if not finite.all() and any(g is not None for g in gaussians):
             # a pair factor can pass exp's range where the whole Gaussian
@@ -314,10 +315,11 @@ class SlabPlan:
         """Allocate what the slabs write besides the prefactor, before any
         slab is built: nothing here."""
 
-    def _add_axis(self, rows: slice, points, axis: int, u, h, extra):
+    def _add_axis(self, rows: slice, points, axis: int, u, r, extra):
         """What the plan keeps of a tilde axis on a slab besides its factor of
-        the prefactor, given its u and h there and what the slab's earlier
-        axes returned: nothing here."""
+        the prefactor, given its u and r = p_m'/p_m there
+        (``model._log_derivative``) and what the slab's earlier axes
+        returned: nothing here."""
         return None
 
     def _scaled_on(self, points, axis: int):
@@ -380,9 +382,10 @@ class MeshPlan(SlabPlan):
     mask ``keep`` there.
 
     Each slab of the build also forms V and the pole-guard hits on its
-    interior planes, each axis's share from the u_i and h_i its prefactor
-    factor was formed from, so every denominator is evaluated and checked
-    once. The job holds 16 B per mesh point and 17 B per interior point.
+    interior planes, each axis's share from the u_i and r_i = h_i'/h_i
+    formed with its prefactor factor, so every denominator is evaluated and
+    checked once. The job holds 16 B per mesh point and 17 B per interior
+    point.
     Each state then costs one ``psi``, which ``residual`` and the parity-time
     fits (through a ``ParityImage`` per operator) share.
     """
@@ -399,11 +402,11 @@ class MeshPlan(SlabPlan):
         self._hits = np.zeros(shape, dtype=bool)
         self.potential = np.empty(shape, complex) if len(self.slabs) > 1 else None
 
-    def _add_axis(self, rows: slice, points, axis: int, u, h, v):
+    def _add_axis(self, rows: slice, points, axis: int, u, r, v):
         """V and the pole-guard hits on the slab's interior planes: V as
         ``model._potential`` forms it on the mesh, trimmed, starts from the
         base potential at axis 0, takes each axis's rational term from the
-        slab's u and h, and is stored after the last axis. Returns V so far,
+        slab's u and r, and is stored after the last axis. Returns V so far,
         None when the slab has no interior planes."""
         n = self.grids[0].n_points
         lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
@@ -413,9 +416,9 @@ class MeshPlan(SlabPlan):
         target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
         if axis == 0:
             v = model.base_potential(self.spec, [_window(x, local) for x in points])
-        u, h = _window(u, local), _window(h, local)
+        u, r = _window(u, local), _window(r, local)
         w, m = self.spec.system.tilde_frequencies[axis], self.config.codimensions[axis]
-        v = model._rational_term(w, m, u, h) + v
+        v = model._rational_term(w, m, u, r) + v
         _pole_hits(self._hits[target], [u], [m])
         if axis == len(self.grids) - 1:
             if self.potential is None:

@@ -2,7 +2,9 @@
 
 Everything here is computed independently of the package internals: printed
 closed-form rows are transcribed literally, Hermite values come from
-numpy.polynomial, and counting oracles use brute-force enumeration.
+numpy.polynomial or, exactly, from integer coefficients (``int_hermite``,
+``int_pseudo_hermite``, ``int_numerator``, evaluated by ``exact_value``),
+and counting oracles use brute-force enumeration.
 ``spectrum_ref`` is the two-rule level grouping whose tables the one pass of
 ``model.spectrum`` must reproduce exactly. The reference kernel at the end
 is the plain loop that the eigensolver's blocked Sturm count must reproduce
@@ -23,6 +25,84 @@ def hermite_ref(n, x):
     c = np.zeros(n + 1)
     c[n] = 1.0
     return hermval(np.asarray(x, dtype=complex), c)
+
+
+# -- the exact Hermite family: integer coefficients, ascending ----------------
+
+def int_hermite(n):
+    """H_n by its recurrence H_{k+1} = 2x H_k - 2k H_{k-1}, in integers."""
+    a = [1]
+    if n == 0:
+        return a
+    b = [0, 2]
+    for k in range(1, n):
+        c = [0] + [2 * x for x in b]  # 2x * H_k
+        for i, x in enumerate(a):
+            c[i] -= 2 * k * x
+        a, b = b, c
+    return b
+
+
+def int_pseudo_hermite(m):
+    """The pseudo companion p_m(x) = i^-m H_m(ix): H_m's coefficient of x^k
+    times (-1)^((m-k)/2), in integers."""
+    h = int_hermite(m)
+    out = [0] * len(h)
+    for k in range(m % 2, len(h), 2):
+        # k <= m: a non-negative exponent keeps the sign an integer
+        out[k] = h[k] * (-1) ** ((m - k) // 2)
+    return out
+
+
+def int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def int_add(*terms):
+    out = [0] * max(map(len, terms))
+    for t in terms:
+        for i, x in enumerate(t):
+            out[i] += x
+    return out
+
+
+def int_scale(c, a):
+    return [c * x for x in a]
+
+
+def int_derivative(a):
+    return [k * a[k] for k in range(1, len(a))] or [0]
+
+
+def int_numerator(m, j):
+    """The exceptional Hermite numerator: 1 for j = 0 (the ground level),
+    else p_m H_j + p_m' H_{j-1} (level j - 1)."""
+    if j == 0:
+        return [1]
+    pm = int_pseudo_hermite(m)
+    return int_add(int_mul(pm, int_hermite(j)),
+                   int_mul(int_derivative(pm), int_hermite(j - 1)))
+
+
+def exact_value(coeffs, u):
+    """The integer polynomial ``coeffs`` at the float or complex ``u``,
+    evaluated exactly and rounded once: with u = (x + iy)/d for integers x,
+    y and a power of two d, d^n P(u) is Horner's rule on x + iy with the
+    coefficients c_k d^(n-k), in integers."""
+    u = complex(u)
+    (a, da), (b, db) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+    d = max(da, db)
+    x, y = a * (d // da), b * (d // db)
+    n = len(coeffs) - 1
+    re = im = 0
+    for k in range(n, -1, -1):
+        re, im = re * x - im * y + coeffs[k] * d ** (n - k), re * y + im * x
+    return complex(float(Fraction(re, d**n)), float(Fraction(im, d**n)))
 
 
 def zeta(om, xt):

@@ -86,6 +86,24 @@ def test_verify_1d_imaginary_m3(capsys):
     assert vals[1]["re"] == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("points", [2001, 8001])
+@pytest.mark.parametrize("linear, codimensions", [
+    ([], (0, 2, 4, 8)),
+    (["--linear", "imaginary:1"], (1, 2, 3, 8)),
+], ids=["oscillator", "imaginary_linear"])
+def test_verify_1d_residual_stays_at_rounding_up_to_level_63(points, linear, codimensions,
+                                                              capsys):
+    # levels 0, 10, ..., 60 and 63 of the 1D probe: at most 3.2e-10 with the
+    # ladders; 0.06 to 285 with monomial coefficients, whose cancellation
+    # grows as the spacing falls
+    states = [arg for level in (*range(0, 61, 10), 63) for arg in ("--state", str(level))]
+    for m in codimensions:
+        code, out, _ = run(["verify", "--dim", "1", "--omega", "2", *linear, "--m", str(m),
+                            *states, "--points", str(points)], capsys)
+        assert code == 0
+        assert json.loads(out)["max_residual"] <= 1e-8, m
+
+
 def test_verify_rejects_inadmissible(capsys):
     code, _, err = run(["verify", "--dim", "1", "--omega", "2",
                         "--linear", "real:1", "--m", "3"], capsys)

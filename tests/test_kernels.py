@@ -1,6 +1,6 @@
 """NumPy kernels: quadrature, stencil, the fused slab residual, the leaf-by-leaf
-pairwise sum against ``np.sum``, Horner, and the multisection
-eigensolver against dense ``eigvalsh`` on adversarial matrices; the blocked
+pairwise sum against ``np.sum``, and the multisection eigensolver against
+dense ``eigvalsh`` on adversarial matrices; the blocked
 Sturm count against its row-by-row reference, zero pivots included; and
 ``map_slabs`` against the serial loop."""
 import math
@@ -47,11 +47,6 @@ def test_in_place_kernels_equal_their_out_of_place_loops():
     rng = np.random.default_rng(11)
     for shape in ((40, 30), (300, 200)):
         z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        c = rng.normal(size=6) + 1j * rng.normal(size=6)
-        ref = np.full(z.shape, c[-1])
-        for k in range(len(c) - 2, -1, -1):
-            ref = ref * z + c[k]
-        np.testing.assert_array_equal(_kernels.horner(c, z), ref)
         for axis in (0, 1):
             # the centre tap, then the symmetric pairs (c_j/h^2)(z_j + z_{8-j})
             n = z.shape[axis]
@@ -178,14 +173,6 @@ def test_eigenvalues_match_dense():
     ref = np.sort(np.linalg.eigvalsh(mat))[:5]
     np.testing.assert_allclose(_kernels.tridiagonal_smallest(d, e, 5), ref,
                                rtol=1e-11, atol=1e-11)
-
-
-def test_horner_matches_numpy():
-    rng = np.random.default_rng(5)
-    c = rng.normal(size=12) + 1j * rng.normal(size=12)
-    z = rng.normal(size=50) + 1j * rng.normal(size=50)
-    ref = np.polyval(c[::-1], z)
-    np.testing.assert_allclose(_kernels.horner(c, z), ref, rtol=1e-12)
 
 
 def _box(n):

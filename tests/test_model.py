@@ -81,6 +81,43 @@ def test_rational_term_singularity():
         model.rational_term_1d(2.0, 1, np.array([0.0 + 0j]))
 
 
+def _extension_defect(m, j, eps=None, numerator=None):
+    """h^3 e^(u^2/2) (-psi'' + (u^2 - 2(h''/h - h'^2/h^2 + 1)) psi - eps psi)
+    for psi = N/h e^(-u^2/2), as integer coefficients: h = p_m, N the
+    numerator of index j (1 on the ground level, j = 0), and eps = -(2m+1)
+    there and 2n+1 on level n = j - 1, unless given. With phi = N/h, each
+    f_k = h^3 phi^(k) is a polynomial."""
+    add, mul, scale = oracles.int_add, oracles.int_mul, oracles.int_scale
+    d = oracles.int_derivative
+    h = oracles.int_pseudo_hermite(m)
+    n = oracles.int_numerator(m, j) if numerator is None else numerator
+    if eps is None:
+        eps = -(2 * m + 1) if j == 0 else 2 * j - 1
+    h1, h2, n1, n2 = d(h), d(d(h)), d(n), d(d(n))
+    hh, hh1 = mul(h, h), mul(h, h1)
+    f0 = mul(hh, n)
+    f1 = add(mul(hh, n1), scale(-1, mul(hh1, n)))
+    f2 = add(mul(hh, n2), scale(-2, mul(hh1, n1)), scale(-1, mul(mul(h, h2), n)),
+             scale(2, mul(mul(h1, h1), n)))
+    # e^(u^2/2) psi'' = phi'' - 2u phi' + (u^2 - 1) phi
+    kinetic = add(scale(-1, f2), scale(2, [0] + f1), scale(-1, mul([-1, 0, 1], f0)))
+    # h^3 (h''/h - h'^2/h^2) phi = (h h'' - h'^2) N
+    potential = add(mul([-2, 0, 1], f0),
+                    scale(-2, mul(add(mul(h, h2), scale(-1, mul(h1, h1))), n)))
+    return add(kinetic, potential, scale(-eps, f0))
+
+
+def test_extension_is_an_exact_integer_identity():
+    # the closed forms of the extension in u, certified with no grid and no
+    # tolerance: the rational term, the numerators and both energy ladders
+    for m in range(0, 65, 4):
+        for j in (*range(8), 30, 64):
+            assert not any(_extension_defect(m, j)), (m, j)
+    # and it sees a wrong energy or a wrong numerator
+    assert any(_extension_defect(2, 3, eps=7))
+    assert any(_extension_defect(2, 3, numerator=oracles.int_hermite(3)))
+
+
 # --------------------------------------------------------------- re_potential
 
 def test_re_potential_1d_m0():
