@@ -30,7 +30,8 @@ bit, under these rules:
 - Slabs run on several threads (``map_slabs``) are exact too: each slab meets
   the serial loop's operations, writes its own rows and returns its own
   values, and what is combined across slabs is a maximum, which does not
-  depend on order.
+  depend on order, or the sums of whole axis-0 planes, added in plane order
+  (the parity-time fit).
 """
 from __future__ import annotations
 

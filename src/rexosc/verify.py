@@ -25,7 +25,7 @@ image off the mesh psi by reversing and permuting axes; any other gets a
 ``SlabPlan`` on the image mesh.
 
 The slabs of the build, of each psi, of each residual and of each PT
-reference are independent, and run on up to one thread per CPU
+reference and fit are independent, and run on up to one thread per CPU
 (``_kernels.map_slabs``), the calling thread included: every output and
 every error is the serial loop's, bit for bit.
 """
@@ -49,9 +49,10 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at about 55-60 B per point while
-# a 3D verify job with two states runs (peak RSS above the interpreter's),
-# plus a few MB per extra slab thread (one slab's temporaries at a time).
+# Largest mesh the CLI builds: 161^3 fits, at about 48 B per point while a
+# 3D verify job with two states runs (peak RSS above the interpreter's, set
+# by the residual), plus a few MB per extra slab thread (one slab's
+# temporaries at a time).
 MAX_MESH_POINTS = 2**22
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 _QUADRATURE_POINTS = 4001  # points per tilde axis of the Rayleigh and Gram integrals
@@ -553,37 +554,90 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     return pt_fit(pt_reference(psi), image.psi(state, psi))
 
 
+def _planes(f: np.ndarray) -> np.ndarray:
+    """``f`` by axis-0 planes, a view: ``f`` itself, or a 1D ``f`` as one
+    plane. A parity-time fit runs on the ``_slabs`` of this view, so a 1D
+    array is one slab."""
+    return f if f.ndim > 1 else f[None]
+
+
+def _in_plane_order(sums) -> np.number:
+    """The plane sums of every slab (``np.add.reduceat`` over each plane's
+    kept points), in slab order, added one after another."""
+    return np.cumsum(np.concatenate(sums))[-1]
+
+
 def pt_reference(psi: np.ndarray):
-    """What a parity-time fit keeps of psi on the mesh: the mask of points
-    where |psi| exceeds 1e-8 of its maximum, psi there, and that maximum.
-    The fits of one state under several operators share it. |psi| is formed
-    a slab at a time, twice: no mesh-sized real temporary."""
-    slabs = _slabs(psi.shape)
-    scale = np.max(_kernels.map_slabs(lambda s: np.max(np.abs(psi[s])), slabs))
+    """What the parity-time fits of psi on the mesh share, whatever their
+    operator: (psi, keep, scale, slabs, norm). psi is kept, not copied;
+    ``keep`` masks the points where |psi| exceeds 1e-8 of its maximum,
+    ``scale``; ``slabs`` pairs each slab of the fit with the indices, among
+    its kept points, of the first kept point of each of its axis-0 planes
+    that keeps any (``np.add.reduceat``'s indices); ``norm`` is sum |psi|^2
+    over the kept points, summed as ``pt_fit`` sums. |psi| is formed a slab
+    at a time, twice, and no array of the kept points is formed: the
+    temporaries are a slab's, but for a 1D psi, which is one plane."""
     keep = np.empty(psi.shape, dtype=bool)
-    _kernels.map_slabs(lambda s: np.greater(np.abs(psi[s]), 1e-8 * scale, out=keep[s]), slabs)
-    return keep, psi[keep], scale
+    by_planes, mask = _planes(psi), _planes(keep)
+    slabs = _slabs(by_planes.shape)
+    scale = np.max(_kernels.map_slabs(lambda rows: np.max(np.abs(by_planes[rows])), slabs))
+
+    def slab(rows):
+        a = np.abs(by_planes[rows])
+        np.greater(a, 1e-8 * scale, out=mask[rows])
+        # a count per plane runs faster than count_nonzero(axis=1), which
+        # casts the mask
+        counts = np.array([np.count_nonzero(plane) for plane in mask[rows]])
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        a = a[mask[rows]]
+        a *= a
+        return starts, np.add.reduceat(a, starts)
+
+    starts, norms = zip(*_kernels.map_slabs(slab, slabs))
+    norm = _in_plane_order(norms) if any(s.size for s in starts) else 0.0
+    return psi, keep, scale, list(zip(slabs, starts)), norm
 
 
 def pt_fit(reference, psi_p: np.ndarray) -> complex:
     """The fit of ``pt_parity_eigenvalue`` from the ``pt_reference`` of psi
-    and psi on the parity image of the mesh."""
-    keep, pk, scale = reference
-    # conj(psi_p) * s against psi at the kept points, in two buffers of their
-    # size; each product keeps the operand order of
-    # sum(conj(pk) * w) / sum(|pk|**2) and |w - s * pk|, and one kept point
-    # is not multiplied in place (see ``_kernels``)
-    w = psi_p[keep]
-    np.conj(w, out=w)
-    t = np.conj(pk)
-    t = np.multiply(t, w, out=t if t.size > 1 else None)
-    a = np.abs(pk)
-    a **= 2
-    s = np.sum(t) / np.sum(a)
-    np.multiply(s, pk, out=t)
-    np.subtract(w, t, out=t)
-    resid = float(np.max(np.abs(t, out=a)) / scale)
-    if resid > PT_FIT_TOLERANCE:
+    and psi on the parity image of the mesh.
+
+    With pk and w the kept points of psi and psi_p,
+    s = sum conj(pk) conj(w) / sum |pk|^2 and the fit residual is
+    max |conj(w) - s pk| / max |psi|. Each sum is taken over the kept points
+    of each axis-0 plane (``np.add.reduceat``) and the plane sums are added
+    in plane order, so s depends neither on the slabs nor on the threads.
+    Two passes over the slabs, on ``_kernels.map_slabs``'s threads, gather
+    each slab's kept points: the sums, then the residual's maximum. Raises
+    IndeterminateError when no point is kept, the norm vanishes, or the
+    residual exceeds PT_FIT_TOLERANCE or is NaN."""
+    psi, keep, scale, slabs, norm = reference
+    if not any(starts.size for _, starts in slabs):
+        raise IndeterminateError("the parity-time fit keeps no point: psi vanishes on the mesh")
+    if not norm > 0:
+        raise IndeterminateError("the norm of psi in the parity-time fit vanishes")
+    by_planes, image, mask = _planes(psi), _planes(psi_p), _planes(keep)
+
+    def kept(rows):
+        return by_planes[rows][mask[rows]], image[rows][mask[rows]]
+
+    # products in place, but for one kept point (see ``_kernels``)
+    def sums(slab):
+        # conj(pk) * conj(w) is conj(pk * w) bit for bit, and so is a sum of
+        # such products
+        rows, starts = slab
+        pk, w = kept(rows)
+        return np.add.reduceat(np.multiply(pk, w, out=pk if pk.size > 1 else None), starts)
+
+    def worst(slab):
+        pk, w = kept(slab[0])
+        d = np.multiply(s, pk, out=pk if pk.size > 1 else None)
+        np.subtract(np.conj(w, out=w), d, out=d)
+        return np.max(np.abs(d), initial=0.0)
+
+    s = np.conj(_in_plane_order(_kernels.map_slabs(sums, slabs))) / norm
+    resid = float(np.max(_kernels.map_slabs(worst, slabs)) / scale)
+    if not resid <= PT_FIT_TOLERANCE:
         raise IndeterminateError(
             f"parity-time fit residual {resid:.3e} exceeds {PT_FIT_TOLERANCE:.0e}")
     return complex(s)

@@ -19,7 +19,8 @@ Regenerate the golden files only for an intended output change:
     PYTHONPATH=src python tests/test_pinned.py
 
 ``--diff`` recomputes them without writing them and prints each entry that
-would change, with the largest relative change among its numbers:
+would change, with the largest relative change among its numbers and the
+largest absolute change over its largest-magnitude number (argv aside):
 
     PYTHONPATH=src python tests/test_pinned.py --diff
 """
@@ -375,6 +376,9 @@ _NUMBER = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+|-?\d+(?:\.\d*)?(?:e
 
 
 def _numbers(entry) -> list:
+    """The numbers of an entry, in order; a CLI entry's argv is left out."""
+    if isinstance(entry, dict) and "argv" in entry:
+        entry = {k: v for k, v in entry.items() if k != "argv"}
     return [float.fromhex(t) if "x" in t else float(t)
             for t in _NUMBER.findall(json.dumps(entry))]
 
@@ -395,7 +399,10 @@ def _entries(name: str, data) -> dict:
 
 def _largest_change(old, new) -> str:
     """The largest relative change between the numbers of two versions of
-    an entry, paired in order, with the pair that shows it."""
+    an entry, paired in order, with the pair that shows it; and the
+    largest absolute change over the entry's largest-magnitude number, which
+    reads as rounding when the relative change sits on a number far smaller
+    than the others."""
     a, b = _numbers(old), _numbers(new)
     if len(a) != len(b):
         return f"{len(a)} numbers before, {len(b)} after"
@@ -403,7 +410,10 @@ def _largest_change(old, new) -> str:
                 default=None)
     if worst is None:
         return "no number changed"
-    return f"largest relative change {worst[0]:.2e} ({worst[1]!r} -> {worst[2]!r})"
+    scale = max(abs(x) for x in a + b)
+    spread = max(abs(x - y) for x, y in zip(a, b)) / scale
+    return (f"largest relative change {worst[0]:.2e} ({worst[1]!r} -> {worst[2]!r}); "
+            f"largest absolute change {spread:.2e} of the largest number ({scale!r})")
 
 
 def regenerate() -> dict:

@@ -1,6 +1,7 @@
 """Residuals, Rayleigh quotients, PT measurement, Gram, poles, grid oracle."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,20 +420,84 @@ def test_image_plan_equals_the_whole_mesh_plan_on_the_image_bitwise(one_plane, m
             assert _bits(plan.psi(state)) == _bits(whole.psi(state))
 
 
-@pytest.mark.parametrize("kept", [1, 2, 5, 40_000])
-def test_pt_fit_equals_the_whole_array_fit_bitwise(kept):
-    # the fit as first written, with fresh arrays, on kept points of random
-    # phase whose image is conj(c * psi); 40 000 points pass NumPy's
-    # temporary-elision threshold
+def _plane_fit(psi, psi_p):
+    """The parity-time fit of psi against psi_p, plane by plane: each axis-0
+    plane's sums of conj(pk) * conj(w) and |pk|**2 over its kept points, by
+    ``np.add.reduceat`` alone, and the plane sums added in plane order; and
+    the whole-array fit, with one sum over every kept point."""
+    scale = np.max(np.abs(psi))
+    keep = np.abs(psi) > 1e-8 * scale
+    nums, norms = [], []
+    for p, q, k in zip(psi, psi_p, keep):
+        if k.any():
+            pk, w = p[k], np.conj(q[k])
+            nums.append(np.add.reduceat(np.conj(pk) * w, [0])[0])
+            norms.append(np.add.reduceat(np.abs(pk) ** 2, [0])[0])
+    num, norm = nums[0], norms[0]
+    for x, y in zip(nums[1:], norms[1:]):
+        num, norm = num + x, norm + y
+    pk, w = psi[keep], np.conj(psi_p[keep])
+    return complex(num / norm), complex(np.sum(np.conj(pk) * w) / np.sum(np.abs(pk) ** 2))
+
+
+_FIT_SHAPES = {1: (3, 5), 2: (4, 5), 5: (6, 7), 40_000: (200, 250)}
+
+
+@pytest.mark.parametrize("kept", list(_FIT_SHAPES))
+def test_pt_fit_equals_the_plane_by_plane_fit_bitwise(kept, monkeypatch):
+    # ``kept`` points of random phase and modulus, the others 0, on a 2D
+    # psi whose image is conj(c * psi), read through a flipped view; and
+    # on a 1D psi, one plane. The fit is the same at the default slabs and
+    # at slabs of two planes, and within a few ulps of the whole-array fit
     rng = np.random.default_rng(kept)
+    shape = _FIT_SHAPES[kept]
     for _ in range(20):
-        psi = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+        psi = np.zeros(shape, complex)
+        at = rng.choice(psi.size, kept, replace=False)
+        psi.flat[at] = rng.uniform(0.5, 1.5, kept) * np.exp(1j * rng.uniform(0, 2 * np.pi, kept))
         c = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        keep = np.ones(kept, dtype=bool)
-        w = np.conj(np.conj(c * psi)[keep])
-        want = np.sum(np.conj(psi) * w) / np.sum(np.abs(psi) ** 2)
-        got = verify.pt_fit((keep, psi.copy(), np.max(np.abs(psi))), np.conj(c * psi))
-        assert repr(got) == repr(complex(want))
+        psi_p = np.conj(c * psi[::-1, ::-1])[::-1, ::-1]
+        want, whole = _plane_fit(psi, psi_p)
+        assert abs(want - whole) <= 8 * np.finfo(float).eps
+        flat = psi.ravel()
+        for slab_bytes in (2**19, 16 * shape[1]):
+            monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
+            assert repr(verify.pt_fit(verify.pt_reference(psi), psi_p)) == repr(want)
+            got = verify.pt_fit(verify.pt_reference(flat), np.conj(c * flat))
+            assert repr(got) == repr(_plane_fit(flat[None], np.conj(c * flat)[None])[0])
+
+
+def test_pt_fit_with_no_kept_point_is_indeterminate():
+    # psi underflows to 0 on a mesh 85 widths off the oscillator's centre;
+    # 50 widths off, max |psi| is 1.8e-230 and |psi|^2 underflows to 0
+    spec, config = OscillatorSpec.oscillator(1.0, 1.0), REConfig((0, 0))
+    flip = transform.parity_operators(2)[0]
+    for center, message in ((85.0, "keeps no point"), (50.0, "norm of psi .* vanishes")):
+        grids = [verify.Grid(center, 4.0, 41), verify.Grid(0.0, 4.0, 41)]
+        with pytest.raises(IndeterminateError, match=message):
+            verify.pt_parity_eigenvalue(spec, config, Eigenstate((None, None)), flip, grids)
+
+
+def test_pt_fit_holds_no_array_of_the_kept_points(monkeypatch):
+    # every point of a 1001^2 psi is kept: a copy of the kept points would
+    # be 16 MB. Above psi, the reference holds its 1 B-per-point mask and
+    # a few slabs' temporaries, and the fit those temporaries only
+    _workers(monkeypatch, 2)
+    psi = np.full((1001, 1001), 1 + 1j)
+    bound = 8 * _kernels._SLAB_BYTES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reference = verify.pt_reference(psi)
+        reference_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert verify.pt_fit(reference, psi[::-1, ::-1]) == -1j
+        fit_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert reference_peak <= psi.size + bound
+    assert fit_peak <= bound
 
 
 def test_mesh_plan_holds_its_prefactor_potential_and_mask_only():
@@ -601,15 +666,23 @@ _SWAPS = {2: transform.parity_operators(2)[2],
 
 
 def _slab_outputs(spec, config, grids):
-    """Every array a verify job forms slab by slab, with its residuals."""
+    """Every array a verify job forms slab by slab, with its residuals, and
+    each state's parity-time fit under every operator of the spec."""
     job = verify.MeshPlan(spec, config, grids)
     image = verify.SlabPlan(spec, config, grids, _SWAPS[spec.dimension])
+    images = [verify.ParityImage(job, op) for op in model.pt_classification(spec)]
     out = [_bits(job.prefactor), _bits(job.potential), _bits(job.keep), _bits(image.prefactor)]
     for state in _states(spec.dimension):
         psi = job.psi(state)
-        keep, kept, scale = verify.pt_reference(psi)
-        out += [_bits(psi), job.residual(state, psi), _bits(keep), _bits(kept), repr(scale),
-                _bits(image.psi(state))]
+        reference = verify.pt_reference(psi)
+        _, keep, scale, slabs, norm = reference
+        out += [_bits(psi), job.residual(state, psi), _bits(keep), repr(scale), repr(norm),
+                [_bits(starts) for _, starts in slabs], _bits(image.psi(state))]
+        for im in images:
+            try:
+                out.append(repr(verify.pt_fit(reference, im.psi(state, psi))))
+            except IndeterminateError as exc:
+                out.append(str(exc))
     return out
 
 
