@@ -354,7 +354,7 @@ def cmd_verify(args) -> int:
         # parity fit against psi on the operator's image
         psi = job_plan.psi(state)
         residual, _ = job_plan.residual(state, psi)
-        reference = verify.pt_reference(psi) if images else None
+        reference = verify.pt_reference(psi, job_plan.psi_max()) if images else None
         fits = []
         for image in images:
             try:

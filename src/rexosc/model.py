@@ -474,33 +474,30 @@ class _PairGaussian:
     2 y_j y_k + (y_j**2 + y_k**2)/2, so the Gaussian is the broadcast product
     of one factor per pair, each formed on the 2D sub-mesh of its pair. Each
     tilde axis keeps its own product: exponents summed across axes could
-    cancel one axis's overflow against another's decay. A pair constant
-    along mesh axis 0 has its factor formed once, here, for any rows of that
-    axis (``verify``'s slabs).
+    cancel one axis's overflow against another's decay. The three factors
+    are formed once, here, and serve any rows of mesh axis 0 (``verify``'s
+    slabs): an element of a factor does not depend on the rows it is formed
+    with.
     """
 
     _PAIRS = ((0, 1), (0, 2), (1, 2))
 
     def __init__(self, omega, row, shift, mesh):
-        self.scale = -complex(omega) / 4
-        self.row, self.third = row, shift / 3
-        self.fixed = {pair: self._factor(mesh, pair) for pair in self._PAIRS
-                      if all(np.shape(mesh[j])[0] == 1 for j in pair)}
+        scale, third = -complex(omega) / 4, shift / 3
+        self.factors = []
+        for pair in self._PAIRS:
+            yj, yk = (row[j] * mesh[j] + third for j in pair)
+            e = yj * yk
+            e *= 2
+            e += yj**2 / 2
+            e += yk**2 / 2
+            e *= scale
+            self.factors.append(np.exp(e, out=e))
 
-    def _factor(self, mesh, pair):
-        yj, yk = (self.row[j] * mesh[j] + self.third for j in pair)
-        e = yj * yk
-        e *= 2
-        e += yj**2 / 2
-        e += yk**2 / 2
-        e *= self.scale
-        return np.exp(e, out=e)
-
-    def __call__(self, mesh):
-        """The Gaussian on ``mesh``: the open mesh it was built on, or rows
-        of that mesh's axis 0."""
-        first, second, third = (self.fixed[p] if p in self.fixed else self._factor(mesh, p)
-                                for p in self._PAIRS)
+    def __call__(self, rows=slice(None)):
+        """The Gaussian on the open mesh it was built on, or on ``rows`` of
+        that mesh's axis 0."""
+        first, second, third = (f if f.shape[0] == 1 else f[rows] for f in self.factors)
         return _times(np.multiply(first, second), third)
 
 
@@ -517,12 +514,12 @@ def _pair_gaussians(system: DecoupledSystem, points) -> list:
 
 
 # Points per chunk of the numerator's two ladders (``_chunks``): a slab's
-# psi holds its u and numerator beside their work arrays, which stay small
-# against them (64 KiB each). The denominator's one ladder runs in the plan
-# build, which holds fewer slab arrays, on chunks 4 times as long: the
-# slab threads then make a quarter of the NumPy calls, each of which
-# releases and retakes the interpreter lock (verify3d ran about 10% slower
-# on 4096-point chunks there).
+# psi holds its u, Gaussian and numerator beside their work arrays, which
+# stay small against them (64 KiB each). The denominator's ladder alone (in
+# a plan build, and in psi on a ground axis) runs on chunks 4 times as
+# long: the slab threads then make a quarter of the NumPy calls, each of
+# which releases and retakes the interpreter lock (verify3d's build ran
+# about 10% slower on 4096-point chunks).
 _CHUNK = 4096
 
 
@@ -569,10 +566,11 @@ def _axis_factor(omega, m: int, t, gauss):
 
 def _axis_terms(spec: OscillatorSpec, config: REConfig, axis: int, points, gaussian):
     """``_axis_factor`` of tilde axis ``axis`` at ``points``, with the
-    Gaussian from ``gaussian`` (a ``_PairGaussian``) unless it is None."""
+    Gaussian from ``gaussian`` (a ``_PairGaussian`` built on ``points``)
+    unless it is None."""
     w = spec.system.tilde_frequencies[axis]
     t = spec.system.coordinate_map.forward_axis(axis, points)
-    gauss = _gaussian(w, t) if gaussian is None else gaussian(points)
+    gauss = _gaussian(w, t) if gaussian is None else gaussian()
     return _axis_factor(w, config.codimensions[axis], t, gauss)
 
 
@@ -592,14 +590,38 @@ def _numerator(m: int, level, u):
     flat = np.reshape(u, -1)
     out = np.empty(flat.shape, complex)
     for s in _chunks(flat.size):
-        p, q = poly.ladder(m, flat[s], 1)
-        hj, hj1 = poly.ladder(level + 1, flat[s], -1)
-        np.multiply(p, hj, out=out[s])
-        q *= 2.0 * m
-        np.multiply(q, hj1, out=hj)
-        out[s] += hj
-        del p, q, hj, hj1  # before the next chunk's ladders run
+        _numerator_from(m, level, flat[s], *poly.ladder(m, flat[s], 1), out[s])
     return out.reshape(np.shape(u))
+
+
+def _numerator_from(m: int, level: int, u, p, q, out) -> None:
+    """The numerator p_m H_j + 2m p_{m-1} H_{j-1} (j = level + 1) at u, into
+    ``out``, given p = p_m(u) and q = p_{m-1}(u); q is scaled in place."""
+    hj, hj1 = poly.ladder(level + 1, u, -1)
+    np.multiply(p, hj, out=out)
+    q *= 2.0 * m
+    np.multiply(q, hj1, out=hj)
+    out += hj
+
+
+def _ratio_and_numerator(m: int, level, u, gauss, what: str | None):
+    """(gauss/h, ``_numerator(m, level, u)``) with h = p_m(u), from one
+    ladder of the pseudo companion per chunk of the flattened u: its p_m is
+    both h and the numerator's. gauss/h is formed in ``gauss``, a
+    C-contiguous array of u's shape. With ``what``, a zero of h raises as in
+    ``_log_derivative``; without, the caller has checked h."""
+    flat, g = np.reshape(u, -1), gauss.reshape(-1)
+    out = None if level is None else np.empty(flat.shape, complex)
+    # a ground axis runs one ladder, on the denominator's longer chunks
+    for s in _chunks(flat.size, 4 * _CHUNK if out is None else _CHUNK):
+        p, q = poly.ladder(m, flat[s], 1)
+        if what is not None and np.abs(p).min() < _TINY:
+            raise SingularityError(f"{what} evaluated at a denominator zero")
+        g[s] /= p
+        if out is not None:
+            _numerator_from(m, level, flat[s], p, q, out[s])
+        del p, q  # before the next chunk's ladders run
+    return gauss, _PHASES[m % 4] if out is None else out.reshape(np.shape(u))
 
 
 def axis_eigenfunction(omega, m: int, level, t):
@@ -629,8 +651,9 @@ class Plan:
     (``_two_copies``).
 
     A plan holds its u_i and the prefactor at every point. ``verify.SlabPlan``
-    builds the same factors a slab of a mesh at a time instead and keeps only
-    the prefactor, so a 3D job never holds mesh-sized u_i.
+    forms the same factors a slab of a mesh at a time instead, in psi, and
+    keeps neither on a mesh of several slabs, so a 3D job never holds
+    mesh-sized u_i or prefactor.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, points):

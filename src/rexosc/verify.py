@@ -13,15 +13,17 @@ check rather than a tautology.
 
 Every check reads the spec's one decoupling, ``spec.system``. A verify job
 compiles its state-independent work once into a ``MeshPlan``, built a slab
-of axis-0 planes at a time and a tilde axis at a time: it keeps the
-eigenfunction prefactor on its open mesh, and V and the pole mask on the
-stencil interior, never the mesh-sized scaled parameters u_i. Each axis's
-denominator h_i is evaluated once: it divides the prefactor factor, and its
-ratio r_i = h_i'/h_i gives the rational term of V. Each axis's Gaussian
-takes exp on 2D sub-meshes only (``model._PairGaussian``). The
-residual scan and the parity-time fits share each state's eigenfunction on
-it. A parity operator that maps the grids onto themselves reads psi on its
-image off the mesh psi by reversing and permuting axes; any other gets a
+of axis-0 planes at a time and a tilde axis at a time: it keeps V and the
+pole mask on the stencil interior, never the mesh-sized scaled parameters
+u_i. On a mesh of several slabs it keeps no eigenfunction prefactor either:
+each psi forms it slab by slab in its own rows. The build evaluates and
+checks each axis's denominator h_i, whose ratio r_i = h_i'/h_i gives the
+rational term of V; psi evaluates h_i again, from the ladder that also
+gives its numerator. Each axis's Gaussian takes exp on 2D sub-meshes only
+(``model._PairGaussian``). The residual scan and the parity-time fits share
+each state's eigenfunction, and its maximum modulus, which psi's slab pass
+takes. A parity operator that maps the grids onto themselves reads psi on
+its image off the mesh psi by reversing and permuting axes; any other gets a
 ``SlabPlan`` on the image mesh.
 
 The slabs of the build, of each psi, of each residual and of each PT
@@ -49,11 +51,12 @@ from .numerics import Grid, STENCIL_REACH, TridiagonalMatrix
 
 _POLE_GUARD = 0.35   # exclusion radius around denominator zeros (scaled units)
 _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reach
-# Largest mesh the CLI builds: 161^3 fits, at about 48 B per point while a
-# 3D verify job with two states runs (peak RSS above the interpreter's, set
-# by the residual), plus a few MB per extra slab thread (one slab's
-# temporaries at a time).
+# Largest mesh the CLI builds: 161^3 fits, at about 33 B per point while a
+# 3D verify job with two states runs (psi, V and the masks; the traced peak
+# at 101^3, set by psi's or the residual's slab temporaries), plus a few MB
+# per extra slab thread (one slab's temporaries at a time).
 MAX_MESH_POINTS = 2**22
+_OVERFLOW = "the eigenfunction prefactor overflows on the mesh"
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 _QUADRATURE_POINTS = 4001  # points per tilde axis of the Rayleigh and Gram integrals
 
@@ -228,21 +231,33 @@ class SlabPlan:
     ``grids``, or on its image P·mesh under a ``parity`` operator P (which
     permutes and flips the open mesh).
 
-    The plan is built a slab of axis-0 planes at a time (``_slabs``): each
-    slab forms the factors gauss_i/h_i of a ``model.Plan`` there, tilde axis
-    by tilde axis (``model._axis_terms``), and leaves their product in the
-    mesh-sized prefactor, which is all the plan keeps (16 B per point). A
-    Gaussian built from 2D pair factors (``model._PairGaussian``) forms the
-    factor that no slab changes once, for the whole plan. ``psi(state)``
-    recomputes each slab's scaled parameters u_i of the state's excited axes
-    only, an affine map, and multiplies the prefactor by the phases and
-    numerators there. A mesh that is one slab keeps its u_i. Every value is
-    the whole-mesh ``model.Plan``'s bit for bit: each point meets the same
-    operations in the same operand order. Where that prefactor is not
-    finite on a slab whose Gaussians come from pair factors, it is formed
-    with the direct Gaussian instead (``_slab``). The slabs are built, and
-    psi formed, on ``_kernels.map_slabs``'s threads.
+    A mesh of one slab (``_slabs``) is built as a whole-mesh ``model.Plan``
+    is: the plan keeps the u_i and the prefactor prod_i gauss_i/h_i, and
+    ``psi(state)`` multiplies the prefactor by the phases and numerators.
+    A plan of several slabs keeps no mesh-sized array: ``psi(state)`` forms
+    the prefactor slab by slab and tilde axis by tilde axis, straight into
+    the rows of its psi buffer, then multiplies in the numerators. An axis
+    on every mesh axis runs the p_m ladder once per slab for both h_i and
+    its numerator (``model._ratio_and_numerator``). An axis whose sub-mesh
+    leaves out a mesh axis (at most n^2 points of an n^3 mesh) has its u_i
+    and gauss_i/h_i formed there once, by the build, and its numerator once
+    per psi; each slab reads their rows. A Gaussian built from 2D pair
+    factors (``model._PairGaussian``) forms its three factors once. Every
+    value is the whole-mesh ``model.Plan``'s bit for bit: each point meets
+    the same operations in the same operand order, ((r_0 r_1) r_2) N_0 N_1
+    N_2 with r_i = gauss_i/h_i. Where the prefactor is not finite on a slab
+    whose Gaussians come from pair factors, it is formed with the direct
+    Gaussian instead (``_finite``). A prefactor that overflows all the same
+    raises, from the build of a plan of one slab and from ``psi`` on a plan
+    of several. A zero of h_i raises where h_i is first evaluated: in the
+    build (that of a ``MeshPlan`` evaluates every h_i), else in psi. The
+    slabs are built, and psi formed, on ``_kernels.map_slabs``'s threads.
     """
+
+    # whether the build of a plan of several slabs evaluates every
+    # denominator h_i and checks it for zeros; where it does not, it checks
+    # those of the axes on sub-meshes, and psi those of the others
+    _checks_denominators = False
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
         self.spec, self.config, self.parity = spec, config, parity
@@ -250,59 +265,90 @@ class SlabPlan:
         if len(self.grids) != spec.dimension:
             raise ShapeError("one grid per axis required")
         model.validate_config(spec, config)
-        shape = tuple(g.n_points for g in self.grids)
-        self.slabs = _slabs(shape)
-        one = len(self.slabs) == 1
-        self.scaled = [] if one else None  # u_i, kept only when the mesh is one slab
-        self.prefactor = None if one else np.empty(shape, complex)
-        self._psi = None
+        self.shape = tuple(g.n_points for g in self.grids)
+        self.slabs = _slabs(self.shape)
+        self.scaled = self.prefactor = self._psi = self._max = None
         self._allocate()
         points = self._points()
         with np.errstate(over="ignore", invalid="ignore"):
-            gaussians = model._pair_gaussians(spec.system, points)
-            finite = _kernels.map_slabs(lambda rows: self._slab(points, gaussians, rows),
-                                        self.slabs)
+            self._gaussians = model._pair_gaussians(spec.system, points)
+            if len(self.slabs) == 1:
+                prefactor, extra = self._whole(points)
+            else:
+                # the prefactor is formed, and checked, in psi
+                self._sub_meshes = [self._sub_mesh_terms(points, axis)
+                                    for axis in range(spec.dimension)]
+                prefactor, extra = True, all(_kernels.map_slabs(
+                    lambda rows: self._slab(points, rows),
+                    self.slabs if self._checks_denominators else []))
         # checked after the last slab, as on the whole mesh: a denominator
         # zero in any slab is reported first
-        if not all(prefactor for prefactor, _ in finite):
-            # an overflowing Gaussian would make psi NaN on the whole mesh
-            raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
-        if not all(extra for _, extra in finite):
+        if not prefactor:
+            raise NumericalFailureError(_OVERFLOW)
+        if not extra:
             raise NumericalFailureError("V overflows on the mesh")
 
-    def _slab(self, points, gaussians, rows: slice) -> tuple:
-        """Build the slab ``rows``: its prefactor, stored in the plan's, and
-        what ``_add_axis`` forms there (a ``MeshPlan``'s V); return whether
-        each is finite."""
-        slab, extra = _on_rows(points, rows), None
-        # a plan of several slabs forms the product in its own rows
-        prefactor = None if self.scaled is not None else self.prefactor[rows]
-        for axis, gaussian in enumerate(gaussians):
-            u, r, ratio = model._axis_terms(self.spec, self.config, axis, slab, gaussian)
-            if self.scaled is not None:
-                prefactor = model._times(prefactor, ratio)
-            elif axis == 0:
-                prefactor[...] = ratio
-            else:
-                prefactor *= ratio
+    def _whole(self, points) -> tuple:
+        """Build a mesh of one slab: the prefactor and u_i, which the plan
+        keeps, and what ``_add_axis`` forms; return whether each is finite."""
+        extra, prefactor, self.scaled = None, None, []
+        for axis, gaussian in enumerate(self._gaussians):
+            u, r, ratio = model._axis_terms(self.spec, self.config, axis, points, gaussian)
+            prefactor = model._times(prefactor, ratio)
             del ratio  # before V's temporaries are formed
+            extra = self._add_axis(self.slabs[0], points, axis, u, r, extra)
+            self.scaled.append(u)
+            del u, r  # no array outlives its axis but u
+        self.prefactor = prefactor
+        return self._finite(points, prefactor), extra is None or bool(np.isfinite(extra).all())
+
+    def _slab(self, points, rows: slice) -> bool:
+        """Build the slab ``rows`` of a plan of several slabs: per tilde axis,
+        u_i and r_i = h_i'/h_i with h_i checked for zeros (rows of the
+        sub-mesh terms, where the axis has them), for what ``_add_axis``
+        forms, and no Gaussian; return whether that is finite."""
+        slab, extra = _on_rows(points, rows), None
+        sys = self.spec.system
+        for axis, (m, terms) in enumerate(zip(self.config.codimensions, self._sub_meshes)):
+            if terms is not None:
+                u, _, r = _on_rows(terms, rows)
+            else:
+                t = sys.coordinate_map.forward_axis(axis, slab)
+                u = model.scaled_parameter(sys.tilde_frequencies[axis], t, out=t)
+                r = model._log_derivative(m, u, "eigenfunction")
             extra = self._add_axis(rows, slab, axis, u, r, extra)
-            if self.scaled is not None:
-                self.scaled.append(u)
             del u, r  # no slab-sized array outlives its axis
+        return extra is None or bool(np.isfinite(extra).all())
+
+    def _sub_mesh_terms(self, points, axis: int):
+        """(u_i, gauss_i/h_i, r_i) of tilde axis ``axis`` on the sub-mesh of
+        the mesh axes it depends on, with h_i checked for zeros, formed once
+        for every slab when that leaves out a mesh axis (at most n^2 points
+        of an n^3 mesh); None for an axis on every mesh axis, which psi forms
+        slab by slab. r_i = h_i'/h_i is kept only where the build reads it."""
+        sys = self.spec.system
+        if np.count_nonzero(sys.coordinate_map.linear[axis]) == len(self.grids):
+            return None
+        w = sys.tilde_frequencies[axis]
+        t = sys.coordinate_map.forward_axis(axis, points)
+        gauss = model._gaussian(w, t)
+        u = model.scaled_parameter(w, t, out=t)
+        r = model._log_derivative(self.config.codimensions[axis], u, "eigenfunction", gauss)
+        return u, gauss, r if self._checks_denominators else None
+
+    def _finite(self, points, prefactor) -> bool:
+        """Whether ``prefactor`` at ``points`` is finite, once formed with the
+        direct Gaussian where a pair factor passes exp's range and the whole
+        Gaussian does not (``model._PairGaussian``)."""
         finite = np.isfinite(prefactor)
-        if not finite.all() and any(g is not None for g in gaussians):
-            # a pair factor can pass exp's range where the whole Gaussian
-            # does not (``model._PairGaussian``): there the direct one is used
+        if not finite.all() and any(g is not None for g in self._gaussians):
             direct = None
-            for axis in range(len(gaussians)):
-                _, _, ratio = model._axis_terms(self.spec, self.config, axis, slab, None)
+            for axis in range(len(self._gaussians)):
+                _, _, ratio = model._axis_terms(self.spec, self.config, axis, points, None)
                 direct = model._times(direct, ratio)
             np.copyto(prefactor, direct, where=~finite)
             finite = np.isfinite(prefactor)
-        if self.scaled is not None:
-            self.prefactor = prefactor
-        return bool(finite.all()), extra is None or bool(np.isfinite(extra).all())
+        return bool(finite.all())
 
     def _points(self) -> list:
         """The per-axis point arrays: the open mesh, or its parity image."""
@@ -313,24 +359,14 @@ class SlabPlan:
         return [s * mesh[p] for p, s in zip(perm, signs)]
 
     def _allocate(self) -> None:
-        """Allocate what the slabs write besides the prefactor, before any
-        slab is built: nothing here."""
+        """Allocate what the slabs write besides psi, before any slab is
+        built: nothing here."""
 
     def _add_axis(self, rows: slice, points, axis: int, u, r, extra):
-        """What the plan keeps of a tilde axis on a slab besides its factor of
-        the prefactor, given its u and r = p_m'/p_m there
-        (``model._log_derivative``) and what the slab's earlier axes
-        returned: nothing here."""
+        """What the plan keeps of a tilde axis on a slab, given its u and
+        r = p_m'/p_m there (``model._log_derivative``) and what the slab's
+        earlier axes returned: nothing here."""
         return None
-
-    def _scaled_on(self, points, axis: int):
-        """u_axis on the slab ``points``, as the build formed it."""
-        if self.scaled is not None:
-            return self.scaled[axis]
-        sys = self.spec.system
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = sys.coordinate_map.forward_axis(axis, points)
-            return model.scaled_parameter(sys.tilde_frequencies[axis], t, out=t)
 
     def psi(self, state: Eigenstate) -> np.ndarray:
         """Closed-form eigenfunction (unnormalized) of ``state`` on the mesh,
@@ -338,22 +374,101 @@ class SlabPlan:
         if len(state.levels) != len(self.config.codimensions):
             raise DomainError("one level per axis required")
         if self._psi is None:
-            self._psi = np.empty(self.prefactor.shape, complex)
-        points = self._points() if self.scaled is None else None
-
-        def slab(rows):
-            out, src = self._psi[rows], self.prefactor[rows]
-            on_rows = None if points is None else _on_rows(points, rows)
-            for axis, (m, lv) in enumerate(zip(self.config.codimensions, state.levels)):
-                # a ground axis contributes its phase alone, with no u;
-                # (prefactor, numerator) in this order, then in place (see
-                # ``model.Plan.psi``)
-                u = None if lv is None else self._scaled_on(on_rows, axis)
-                np.multiply(src, model._numerator(m, lv, u), out=out)
-                src = out
-
-        _kernels.map_slabs(slab, self.slabs)
+            self._psi = np.empty(self.shape, complex)
+        if self.prefactor is not None:
+            # one slab: the kept prefactor times the ground phases and the
+            # numerators of the excited axes, in this order, then in place
+            # (see ``model.Plan.psi``)
+            src = self.prefactor
+            for u, m, lv in zip(self.scaled, self.config.codimensions, state.levels):
+                np.multiply(src, model._numerator(m, lv, u), out=self._psi)
+                src = self._psi
+            self._max = None  # taken by ``psi_max`` when asked for
+            return self._psi
+        points = self._points()
+        # an axis on a sub-mesh takes its numerator there, once
+        fixed = [None if terms is None else (terms[1], model._numerator(m, lv, terms[0]))
+                 for terms, m, lv in zip(self._sub_meshes, self.config.codimensions,
+                                         state.levels)]
+        tops = _kernels.map_slabs(lambda rows: self._slab_psi(state, fixed, points, rows),
+                                  self.slabs)
+        # checked after the last slab, as the build of one slab checks: a
+        # denominator zero in any slab is reported first
+        if any(top is None for top in tops):
+            raise NumericalFailureError(_OVERFLOW)
+        self._max = np.max(tops)
         return self._psi
+
+    def _slab_psi(self, state: Eigenstate, fixed, points, rows: slice):
+        """psi of a plan of several slabs on ``rows``, in psi's rows; return
+        max |psi| there, or None where the prefactor is not finite. ``fixed``
+        holds (gauss_i/h_i, numerator) of each axis on a sub-mesh, None for
+        the others.
+
+        A product with a non-finite factor is not finite, so where max |psi|
+        is finite the prefactor was finite at every point of the slab; only
+        where it is not is the prefactor formed again and checked
+        (``_finite``), and the numerators multiplied in outside the ignored
+        floating-point errors, as on a plan of one slab."""
+        out, slab = self._psi[rows], _on_rows(points, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for numerator in self._form_prefactor(state, fixed, slab, rows, out):
+                np.multiply(out, numerator, out=out)
+            top = np.max(np.abs(out))
+            if math.isfinite(top):
+                return top
+            numerators = self._form_prefactor(state, fixed, slab, rows, out)
+            if not self._finite(slab, out):
+                return None
+        for numerator in numerators:
+            np.multiply(out, numerator, out=out)
+        return np.max(np.abs(out))
+
+    def _form_prefactor(self, state: Eigenstate, fixed, slab, rows: slice, out) -> list:
+        """Form the prefactor at the points ``slab``, on ``rows`` of the mesh,
+        in ``out``, tilde axis by tilde axis, and return each axis's
+        numerator of ``state`` (its phase on the ground level), in axis
+        order: rows of ``fixed`` where it has them, else formed here."""
+        sys, numerators, prefactor, owned = self.spec.system, [], None, False
+        for axis, (gaussian, m, lv, terms) in enumerate(zip(
+                self._gaussians, self.config.codimensions, state.levels, fixed)):
+            if terms is not None:
+                ratio, numerator = (x if np.ndim(x) == 0 or x.shape[0] == 1 else x[rows]
+                                    for x in terms)
+            else:
+                w = sys.tilde_frequencies[axis]
+                t = sys.coordinate_map.forward_axis(axis, slab)
+                gauss = model._gaussian(w, t) if gaussian is None else gaussian(rows)
+                u = model.scaled_parameter(w, t, out=t)
+                ratio, numerator = model._ratio_and_numerator(
+                    m, lv, u, gauss, None if self._checks_denominators else "eigenfunction")
+                del t, u, gauss
+            # each product on the sub-mesh its factors span, as
+            # ``model._times`` forms it, in place only in an array of this
+            # slab's; the first that spans the slab goes into ``out``
+            if prefactor is None:
+                prefactor, owned = ratio, terms is None
+            else:
+                shape = np.broadcast_shapes(prefactor.shape, ratio.shape)
+                if shape == out.shape and prefactor is not out:
+                    prefactor = np.multiply(prefactor, ratio, out=out)
+                elif shape == prefactor.shape and owned:
+                    prefactor *= ratio
+                else:
+                    prefactor = np.multiply(prefactor, ratio)
+                owned = True
+            del ratio  # before the next axis's temporaries are formed
+            numerators.append(numerator)
+        if prefactor is not out:
+            out[...] = prefactor
+        return numerators
+
+    def psi_max(self):
+        """max |psi| over the mesh, of the last ``psi``: taken in its slab
+        pass on a plan of several slabs, and here, once, on a plan of one."""
+        if self._max is None:
+            self._max = np.max(np.abs(self._psi))
+        return self._max
 
 
 class ParityImage:
@@ -378,18 +493,20 @@ class ParityImage:
 
 
 class MeshPlan(SlabPlan):
-    """A verify job compiled once for its open mesh: the eigenfunction
-    prefactor (a ``SlabPlan``), V on the stencil interior and the pole-guard
-    mask ``keep`` there.
+    """A verify job compiled once for its open mesh: the eigenfunctions of a
+    ``SlabPlan``, V on the stencil interior and the pole-guard mask ``keep``
+    there.
 
-    Each slab of the build also forms V and the pole-guard hits on its
-    interior planes, each axis's share from the u_i and r_i = h_i'/h_i
-    formed with its prefactor factor, so every denominator is evaluated and
-    checked once. The job holds 16 B per mesh point and 17 B per interior
-    point.
-    Each state then costs one ``psi``, which ``residual`` and the parity-time
-    fits (through a ``ParityImage`` per operator) share.
+    Each slab of the build forms V and the pole-guard hits on its interior
+    planes, each axis's share from its u_i and r_i = h_i'/h_i, so every
+    denominator is evaluated and checked there, once; ``psi`` does not check
+    them again. On a mesh of several slabs the build forms no Gaussian and
+    no prefactor, and the job holds 17 B per interior point (V and the
+    mask), and psi. Each state then costs one ``psi``, which ``residual``
+    and the parity-time fits (through a ``ParityImage`` per operator) share.
     """
+
+    _checks_denominators = True
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
         super().__init__(spec, config, grids)
@@ -551,7 +668,7 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     plan = SlabPlan(spec, config, grids)
     psi = plan.psi(state)
     image = ParityImage(plan, parity)
-    return pt_fit(pt_reference(psi), image.psi(state, psi))
+    return pt_fit(pt_reference(psi, plan.psi_max()), image.psi(state, psi))
 
 
 def _planes(f: np.ndarray) -> np.ndarray:
@@ -567,20 +684,20 @@ def _in_plane_order(sums) -> np.number:
     return np.cumsum(np.concatenate(sums))[-1]
 
 
-def pt_reference(psi: np.ndarray):
+def pt_reference(psi: np.ndarray, scale):
     """What the parity-time fits of psi on the mesh share, whatever their
     operator: (psi, keep, scale, slabs, norm). psi is kept, not copied;
-    ``keep`` masks the points where |psi| exceeds 1e-8 of its maximum,
-    ``scale``; ``slabs`` pairs each slab of the fit with the indices, among
-    its kept points, of the first kept point of each of its axis-0 planes
-    that keeps any (``np.add.reduceat``'s indices); ``norm`` is sum |psi|^2
-    over the kept points, summed as ``pt_fit`` sums. |psi| is formed a slab
-    at a time, twice, and no array of the kept points is formed: the
-    temporaries are a slab's, but for a 1D psi, which is one plane."""
+    ``scale`` is max |psi| (``SlabPlan.psi_max``), and ``keep`` masks the
+    points where |psi| exceeds 1e-8 of it; ``slabs`` pairs each slab of the
+    fit with the indices, among its kept points, of the first kept point of
+    each of its axis-0 planes that keeps any (``np.add.reduceat``'s
+    indices); ``norm`` is sum |psi|^2 over the kept points, summed as
+    ``pt_fit`` sums. |psi| is formed a slab at a time, once, and no array
+    of the kept points is formed: the temporaries are a slab's, but for a
+    1D psi, which is one plane."""
     keep = np.empty(psi.shape, dtype=bool)
     by_planes, mask = _planes(psi), _planes(keep)
     slabs = _slabs(by_planes.shape)
-    scale = np.max(_kernels.map_slabs(lambda rows: np.max(np.abs(by_planes[rows])), slabs))
 
     def slab(rows):
         a = np.abs(by_planes[rows])

@@ -544,23 +544,23 @@ def _peak_per_point_61(argv, capsys):
 
 
 def test_3d_verify_peak_memory_per_mesh_point(capsys):
-    # a guard on the temporaries of a 3D verify job, 10% over the 53.0 B per
-    # point it peaked at when the guard was last set. The plan keeps the
-    # prefactor (16 B per mesh point), V and the mask (17 B per interior
-    # point). This q2 job peaks at 54.6-54.8 B per point, as helper threads
-    # interleave, in a residual, with psi held; its parity-time fits peak at
-    # 46.0-46.7 B (98.6 B, at its plan build, when the plan held mesh-sized
-    # scaled parameters)
+    # a guard on the temporaries of a 3D verify job, 10% over the 47.9 B per
+    # point it peaked at when the guard was last set. The plan keeps V and
+    # the mask (17 B per interior point) and psi (16 B per mesh point), and
+    # forms the prefactor in psi slab by slab. This q2 job peaks at
+    # 45.2-47.9 B per point, as helper threads interleave, in psi's slab
+    # temporaries; its residual at 41.7 B (55.3-56.4 B, in a residual, when
+    # the plan kept a mesh-sized prefactor)
     argv = ["--case", "q2", "--omega", "1,1,1", "--lambda1", "real:0.5", "--coupling",
             f"real:{math.sqrt(7.5) / 4!r}", "--m", "2,2,2", "--state", "g,g,g",
             "--state", "g,0,g"]
-    assert _peak_per_point_61(argv, capsys) <= 1.1 * 53.0
+    assert _peak_per_point_61(argv, capsys) <= 1.1 * 47.9
 
 
 def test_3d_verify_peak_memory_per_mesh_point_lq3d(capsys):
-    # the verify3d lq3d job: 54.6-54.9 B per point in a residual; its
-    # parity-time fits peak at 45.7-46.8 B (56.3 B, in a fit, when the guard
-    # was set)
+    # the verify3d lq3d job: 40.9-41.9 B per point in a residual; its psi
+    # peaks at 31.5 B (55.3-56.0 B, in a residual, when the plan kept a
+    # mesh-sized prefactor)
     argv = ["--case", "lq", "--omega", "1,2,1.5", "--linear", "imaginary:0.5", "--coupling",
             "real:1", "--m", "2,2,1", "--state", "0,g,1", "--state", "g,g,g"]
-    assert _peak_per_point_61(argv, capsys) <= 1.1 * 56.3
+    assert _peak_per_point_61(argv, capsys) <= 1.1 * 41.9

@@ -135,7 +135,8 @@ def test_mesh_plan_unchanged_by_its_states():
     def work(state):
         psi = plan.psi(state)
         return plan.residual(state, psi), [
-            verify.pt_fit(verify.pt_reference(psi), im.psi(state)) for im in images]
+            verify.pt_fit(verify.pt_reference(psi, plan.psi_max()), im.psi(state))
+            for im in images]
 
     # a 41^2 mesh is one slab, whose scaled parameters the plan keeps
     arrays = [plan.potential, plan.keep, plan.prefactor, *plan.scaled]
@@ -371,12 +372,12 @@ def test_mesh_plan_does_not_depend_on_the_slab_size(spec, monkeypatch):
     monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**40)
     whole = verify.MeshPlan(spec, config, grids)
     assert len(whole.slabs) == 1
-    want = [_bits(whole.potential), _bits(whole.keep), _bits(whole.prefactor)]
+    want = [_bits(whole.potential), _bits(whole.keep)]
     want += [(_bits(whole.psi(st)), whole.residual(st, whole.psi(st))) for st in states]
     _one_plane(monkeypatch, grids)
     job = verify.MeshPlan(spec, config, grids)
     assert len(job.slabs) == (points - 8) // 2 + 2
-    got = [_bits(job.potential), _bits(job.keep), _bits(job.prefactor)]
+    got = [_bits(job.potential), _bits(job.keep)]
     got += [(_bits(job.psi(st)), job.residual(st, job.psi(st))) for st in states]
     assert got == want
 
@@ -462,8 +463,10 @@ def test_pt_fit_equals_the_plane_by_plane_fit_bitwise(kept, monkeypatch):
         flat = psi.ravel()
         for slab_bytes in (2**19, 16 * shape[1]):
             monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
-            assert repr(verify.pt_fit(verify.pt_reference(psi), psi_p)) == repr(want)
-            got = verify.pt_fit(verify.pt_reference(flat), np.conj(c * flat))
+            reference = verify.pt_reference(psi, np.max(np.abs(psi)))
+            assert repr(verify.pt_fit(reference, psi_p)) == repr(want)
+            got = verify.pt_fit(verify.pt_reference(flat, np.max(np.abs(flat))),
+                                np.conj(c * flat))
             assert repr(got) == repr(_plane_fit(flat[None], np.conj(c * flat)[None])[0])
 
 
@@ -488,7 +491,7 @@ def test_pt_fit_holds_no_array_of_the_kept_points(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        reference = verify.pt_reference(psi)
+        reference = verify.pt_reference(psi, abs(1 + 1j))
         reference_peak = tracemalloc.get_traced_memory()[1] - base
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -500,15 +503,36 @@ def test_pt_fit_holds_no_array_of_the_kept_points(monkeypatch):
     assert fit_peak <= bound
 
 
-def test_mesh_plan_holds_its_prefactor_potential_and_mask_only():
-    # 16 B per mesh point (the prefactor) and 17 B per interior point (V and
-    # the mask): no scaled parameter or other mesh-sized array is kept
+def _held_arrays(value, seen=None) -> list:
+    """The arrays ``value`` holds, in its attributes, lists, tuples and
+    dicts, at any depth."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+    else:
+        items = list(getattr(value, "__dict__", {}).values())
+    return [a for item in items for a in _held_arrays(item, seen)]
+
+
+def test_mesh_plan_holds_its_potential_and_mask_only():
+    # 17 B per interior point (V and the mask) and a few arrays on 2D
+    # sub-meshes (two pair Gaussians' three factors each, u, gauss/h and
+    # h'/h of the axis on a sub-mesh, and the grid points): a plan of several slabs
+    # keeps no prefactor, scaled parameter or other mesh-sized array
     spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6))
     job = verify.MeshPlan(spec, REConfig((2, 2, 2)), verify.suggest_grids(spec, n_points=41))
     assert len(job.slabs) > 1
-    held = [a for v in vars(job).values()
-            for a in (v if isinstance(v, (list, tuple)) else [v]) if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in held) <= 16 * 41**3 + 17 * 33**3
+    assert job.potential.shape == job.keep.shape == (33, 33, 33)
+    others = [a for a in _held_arrays(job) if a is not job.potential and a is not job.keep]
+    assert max(a.size for a in others) <= 41**2
+    assert sum(a.nbytes for a in others) <= 10 * 16 * 41**2
 
 
 def _guard_oracle(spec, config, grids):
@@ -567,10 +591,9 @@ _PAIR_SPECS = [s for s in _every_flavor() if s.case in ("q1_3d", "q2_3d")]
 
 @pytest.mark.parametrize("spec", _PAIR_SPECS, ids=_spec_id)
 def test_mesh_plan_runs_exp_on_2d_sub_meshes_only(spec, monkeypatch):
-    # per axis on all three grid axes: the pair constant along axis 0 once
-    # (41^2 values), the two others slab by slab (2 * 41^2 in all); the
-    # axis on a 2D sub-mesh 41^2 at most: 7 * 41^2 (83 * 41^2 with exp on
-    # the full mesh)
+    # per axis on all three grid axes, its three pair factors (3 * 41^2
+    # values), and the axis on a 2D sub-mesh (41^2 at most), all in the
+    # build: 7 * 41^2, and none in psi (83 * 41^2 with exp on the full mesh)
     sizes = []
     exp = np.exp
 
@@ -583,6 +606,9 @@ def test_mesh_plan_runs_exp_on_2d_sub_meshes_only(spec, monkeypatch):
     job = verify.MeshPlan(spec, REConfig((2, 2, 2)), grids)
     assert len(job.slabs) > 1
     assert max(sizes) <= 41**2 and sum(sizes) <= 7 * 41**2
+    built = len(sizes)
+    job.psi(Eigenstate.ground(3))
+    assert len(sizes) == built
 
 
 @pytest.mark.parametrize("spec", _PAIR_SPECS, ids=_spec_id)
@@ -597,7 +623,7 @@ def test_pair_gaussian_equals_the_direct_gaussian(spec):
             continue
         t = sys.coordinate_map.forward_axis(axis, mesh)
         want = model._gaussian(sys.tilde_frequencies[axis], t)
-        got = g(mesh)
+        got = g()
         assert got.shape == want.shape
         big = np.abs(want) > 1e-250
         assert big.any()
@@ -612,12 +638,12 @@ def test_pair_gaussian_overflow_at_one_corner_raises():
     grids = [verify.Grid(36.5, 36.5, 9), verify.Grid(36.5, 36.5, 9), verify.Grid(20.0, 20.0, 9)]
     mesh = verify._mesh(grids)
     sys = spec.system
-    pair = model._pair_gaussians(sys, mesh)[1]
-    assert pair is not None
     with np.errstate(over="ignore", invalid="ignore"):
+        pair = model._pair_gaussians(sys, mesh)[1]
+        assert pair is not None
         t = sys.coordinate_map.forward_axis(1, mesh)
         direct = model._gaussian(sys.tilde_frequencies[1], t)
-        got = pair(mesh)
+        got = pair()
     for g in (direct, got):
         assert np.argwhere(~np.isfinite(g)).tolist() == [[8, 8, 0]]
     config = REConfig((0, 0, 0))
@@ -630,23 +656,23 @@ def test_pair_gaussian_overflow_at_one_corner_raises():
 def test_pair_gaussian_overflow_takes_the_direct_gaussian(half_width):
     # on these wide cubes a pair factor of tilde axis 2 passes exp's range
     # where the whole Gaussian does not (the pair exponents cancel where
-    # x = -y): those points take the prefactor with the direct Gaussian,
-    # and every other point keeps the pair path's, bit for bit
+    # x = -y): there ground-state psi takes the prefactor with the direct
+    # Gaussian, and every other point keeps the pair path's, bit for bit
     spec = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
                                 CouplingValue.imaginary(0.3))
-    config = REConfig((2, 2, 2))
+    config, ground = REConfig((2, 2, 2)), Eigenstate.ground(3)
     grids = [verify.Grid(0.0, half_width, 41)] * 3
     mesh = verify._mesh(grids)
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = model.Plan(spec, config, mesh).prefactor
+        pair = model.Plan(spec, config, mesh).psi(ground)
     overflowed = ~np.isfinite(pair)
     assert overflowed.any()
     stacked = np.stack(np.broadcast_arrays(*mesh)).astype(complex)
-    direct = model.Plan(spec, config, stacked).prefactor
+    direct = model.Plan(spec, config, stacked).psi(ground)
     assert np.isfinite(direct).all()
     job = verify.MeshPlan(spec, config, grids)
     assert len(job.slabs) > 1
-    got = job.prefactor
+    got = job.psi(ground)
     assert got[~overflowed].tobytes() == pair[~overflowed].tobytes()
     big = np.abs(direct) > 1e-250
     assert np.max(np.abs(got - direct)[big] / np.abs(direct)[big]) <= 1e-12
@@ -671,10 +697,10 @@ def _slab_outputs(spec, config, grids):
     job = verify.MeshPlan(spec, config, grids)
     image = verify.SlabPlan(spec, config, grids, _SWAPS[spec.dimension])
     images = [verify.ParityImage(job, op) for op in model.pt_classification(spec)]
-    out = [_bits(job.prefactor), _bits(job.potential), _bits(job.keep), _bits(image.prefactor)]
+    out = [_bits(job.potential), _bits(job.keep)]
     for state in _states(spec.dimension):
         psi = job.psi(state)
-        reference = verify.pt_reference(psi)
+        reference = verify.pt_reference(psi, job.psi_max())
         _, keep, scale, slabs, norm = reference
         out += [_bits(psi), job.residual(state, psi), _bits(keep), repr(scale), repr(norm),
                 [_bits(starts) for _, starts in slabs], _bits(image.psi(state))]
@@ -699,10 +725,19 @@ def test_slabs_on_threads_equal_the_serial_loop_bitwise(spec, monkeypatch):
         assert _slab_outputs(spec, config, grids) == want
 
 
-def _build_error(spec, config, grids):
+def _error(run, *args):
     with pytest.raises(Exception) as info:
-        verify.MeshPlan(spec, config, grids)
+        run(*args)
     return type(info.value), str(info.value)
+
+
+def _build_error(spec, config, grids):
+    return _error(verify.MeshPlan, spec, config, grids)
+
+
+def _psi_error(spec, config, grids):
+    return _error(lambda: verify.MeshPlan(spec, config, grids).psi(
+        Eigenstate.ground(spec.dimension)))
 
 
 _EARLY_OR_LATE = pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["early", "late"])
@@ -724,25 +759,62 @@ def test_slabs_on_threads_raise_the_serial_denominator_error(sign, monkeypatch):
         assert _build_error(spec, config, grids) == want
 
 
+# meshes where |H~_2(u)| = |4u^2 + 2| falls below a raised _TINY of 2.5 (where
+# |u| < 0.35): that of test_slabs_on_threads_raise_the_serial_denominator_error,
+# whose axes each lie on a sub-mesh, and a q2 mesh where only the two tilde
+# axes on all three mesh axes come that close (x - y >= 2 keeps the third
+# off its zeros), which psi forms and checks slab by slab
+_DENOMINATOR_CASES = {
+    sign_id: (OscillatorSpec.oscillator(2.0, 2.0), REConfig((2, 0)),
+              [verify.Grid(-4.0 * sign, 4.5, 41), verify.Grid(0.0, 4.0, 21)])
+    for sign_id, sign in (("early", -1.0), ("late", 1.0))}
+_DENOMINATOR_CASES["q2"] = (
+    OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6)),
+    REConfig((2, 2, 2)),
+    [verify.Grid(3.0, 2.0, 21), verify.Grid(-3.0, 2.0, 21), verify.Grid(0.0, 5.0, 41)])
+
+
+@pytest.mark.parametrize("case", list(_DENOMINATOR_CASES))
+def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypatch):
+    # through pt_parity_eigenvalue and psi of a SlabPlan, which is no
+    # MeshPlan: what its build does not check, its psi does
+    monkeypatch.setattr(model, "_TINY", 2.5)
+    spec, config, grids = _DENOMINATOR_CASES[case]
+    ground, parity = Eigenstate.ground(spec.dimension), transform.parity_operators(spec.dimension)[0]
+    _one_plane(monkeypatch, grids)
+    assert len(verify._slabs(tuple(g.n_points for g in grids))) > 1
+
+    def errors():
+        return [_error(verify.pt_parity_eigenvalue, spec, config, ground, parity, grids),
+                _error(lambda: verify.SlabPlan(spec, config, grids).psi(ground))]
+
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        assert errors() == [(SingularityError, "eigenfunction evaluated at a denominator zero")] * 2
+
+
 @_EARLY_OR_LATE
 def test_slabs_on_threads_raise_the_serial_overflow_errors(sign, monkeypatch):
     # the prefactor overflows at one corner of the q1 mesh (see
     # test_pair_gaussian_overflow_at_one_corner_raises), at x = y = -73 or
-    # +73; V = omega^2 x^2 / 4 overflows where |x| > 26.8
+    # +73, which psi reports on a mesh of several slabs; the build reports
+    # V = omega^2 x^2 / 4, which overflows where |x| > 26.8
     q1 = OscillatorSpec.q1_3d(1.4, 1.0, CouplingValue.imaginary(0.2),
                               CouplingValue.imaginary(0.3))
     corner = [verify.Grid(36.5 * sign, 36.5, 17)] * 2 + [verify.Grid(20.0, 20.0, 17)]
     wide = [verify.Grid(20.0 * sign, 12.0, 41), verify.Grid(0.0, 4.0, 21)]
-    cases = [(q1, REConfig((0, 0, 0)), corner, "the eigenfunction prefactor overflows"),
-             (OscillatorSpec.oscillator(1e153, 1.0), REConfig((0, 0)), wide, "V overflows")]
-    for spec, config, grids, message in cases:
+    cases = [(q1, REConfig((0, 0, 0)), corner, _psi_error,
+              "the eigenfunction prefactor overflows"),
+             (OscillatorSpec.oscillator(1e153, 1.0), REConfig((0, 0)), wide, _build_error,
+              "V overflows")]
+    for spec, config, grids, error, message in cases:
         _one_plane(monkeypatch, grids)
         _workers(monkeypatch, 1)
-        want = _build_error(spec, config, grids)
+        want = error(spec, config, grids)
         assert want[0] is NumericalFailureError and want[1].startswith(message)
         for n in (2, 3):
             _workers(monkeypatch, n)
-            assert _build_error(spec, config, grids) == want
+            assert error(spec, config, grids) == want
 
 
 # ------------------------------------------------------------------ Rayleigh
