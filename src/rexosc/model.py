@@ -652,8 +652,7 @@ class Plan:
 
     A plan holds its u_i and the prefactor at every point. ``verify.SlabPlan``
     forms the same factors a slab of a mesh at a time instead, in psi, and
-    keeps neither on a mesh of several slabs, so a 3D job never holds
-    mesh-sized u_i or prefactor.
+    keeps neither, so no verify job holds mesh-sized u_i or prefactor.
     """
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, points):

@@ -15,7 +15,7 @@ Every check reads the spec's one decoupling, ``spec.system``. A verify job
 compiles its state-independent work once into a ``MeshPlan``, built a slab
 of axis-0 planes at a time and a tilde axis at a time: it keeps V and the
 pole mask on the stencil interior, never the mesh-sized scaled parameters
-u_i. On a mesh of several slabs it keeps no eigenfunction prefactor either:
+u_i or the eigenfunction prefactor, on a mesh of one slab or several:
 each psi forms it slab by slab in its own rows. The build evaluates and
 checks each axis's denominator h_i, whose ratio r_i = h_i'/h_i gives the
 rational term of V; psi evaluates h_i again, from the ladder that also
@@ -56,7 +56,6 @@ _GUARD_POINTS = 5    # extra guard band, in grid spacings, past the stencil reac
 # at 101^3, set by psi's or the residual's slab temporaries), plus a few MB
 # per extra slab thread (one slab's temporaries at a time).
 MAX_MESH_POINTS = 2**22
-_OVERFLOW = "the eigenfunction prefactor overflows on the mesh"
 PT_FIT_TOLERANCE = 1e-4  # largest accepted residual of a parity-time fit
 _QUADRATURE_POINTS = 4001  # points per tilde axis of the Rayleigh and Gram integrals
 
@@ -231,32 +230,29 @@ class SlabPlan:
     ``grids``, or on its image P·mesh under a ``parity`` operator P (which
     permutes and flips the open mesh).
 
-    A mesh of one slab (``_slabs``) is built as a whole-mesh ``model.Plan``
-    is: the plan keeps the u_i and the prefactor prod_i gauss_i/h_i, and
-    ``psi(state)`` multiplies the prefactor by the phases and numerators.
-    A plan of several slabs keeps no mesh-sized array: ``psi(state)`` forms
-    the prefactor slab by slab and tilde axis by tilde axis, straight into
-    the rows of its psi buffer, then multiplies in the numerators. An axis
-    on every mesh axis runs the p_m ladder once per slab for both h_i and
-    its numerator (``model._ratio_and_numerator``). An axis whose sub-mesh
-    leaves out a mesh axis (at most n^2 points of an n^3 mesh) has its u_i
-    and gauss_i/h_i formed there once, by the build, and its numerator once
-    per psi; each slab reads their rows. A Gaussian built from 2D pair
-    factors (``model._PairGaussian``) forms its three factors once. Every
-    value is the whole-mesh ``model.Plan``'s bit for bit: each point meets
-    the same operations in the same operand order, ((r_0 r_1) r_2) N_0 N_1
-    N_2 with r_i = gauss_i/h_i. Where the prefactor is not finite on a slab
-    whose Gaussians come from pair factors, it is formed with the direct
-    Gaussian instead (``_finite``). A prefactor that overflows all the same
-    raises, from the build of a plan of one slab and from ``psi`` on a plan
-    of several. A zero of h_i raises where h_i is first evaluated: in the
-    build (that of a ``MeshPlan`` evaluates every h_i), else in psi. The
-    slabs are built, and psi formed, on ``_kernels.map_slabs``'s threads.
+    The plan keeps no mesh-sized array. ``psi(state)`` forms the prefactor
+    prod_i gauss_i/h_i slab by slab (``_slabs``; a small mesh is one slab)
+    and tilde axis by tilde axis, straight into the rows of its psi buffer,
+    then multiplies in the numerators. An axis on every mesh axis runs the
+    p_m ladder once per slab for both h_i and its numerator
+    (``model._ratio_and_numerator``). An axis whose sub-mesh leaves out a
+    mesh axis (at most n^2 points of an n^3 mesh) has its u_i, gauss_i/h_i
+    and h_i'/h_i formed there once, by the build, with h_i checked for
+    zeros, and its numerator once per psi; each slab reads their rows. A
+    Gaussian built from 2D pair factors (``model._PairGaussian``) forms its
+    three factors once. Every value is the whole-mesh ``model.Plan``'s bit
+    for bit: each point meets the same operations in the same operand
+    order, ((r_0 r_1) r_2) N_0 N_1 N_2 with r_i = gauss_i/h_i. Where the
+    prefactor is not finite on a slab whose Gaussians come from pair
+    factors, it is formed with the direct Gaussian instead (``_finite``); a
+    prefactor that overflows all the same raises from ``psi``. psi checks
+    the other axes' h_i for zeros unless the build has (a ``MeshPlan``'s
+    does). psi's slabs run on ``_kernels.map_slabs``'s threads.
     """
 
-    # whether the build of a plan of several slabs evaluates every
-    # denominator h_i and checks it for zeros; where it does not, it checks
-    # those of the axes on sub-meshes, and psi those of the others
+    # whether the build evaluates every denominator h_i and checks it for
+    # zeros; where it does not, it checks those of the axes on sub-meshes,
+    # and psi those of the others
     _checks_denominators = False
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
@@ -267,65 +263,19 @@ class SlabPlan:
         model.validate_config(spec, config)
         self.shape = tuple(g.n_points for g in self.grids)
         self.slabs = _slabs(self.shape)
-        self.scaled = self.prefactor = self._psi = self._max = None
-        self._allocate()
+        self._psi = self._max = None
         points = self._points()
         with np.errstate(over="ignore", invalid="ignore"):
             self._gaussians = model._pair_gaussians(spec.system, points)
-            if len(self.slabs) == 1:
-                prefactor, extra = self._whole(points)
-            else:
-                # the prefactor is formed, and checked, in psi
-                self._sub_meshes = [self._sub_mesh_terms(points, axis)
-                                    for axis in range(spec.dimension)]
-                prefactor, extra = True, all(_kernels.map_slabs(
-                    lambda rows: self._slab(points, rows),
-                    self.slabs if self._checks_denominators else []))
-        # checked after the last slab, as on the whole mesh: a denominator
-        # zero in any slab is reported first
-        if not prefactor:
-            raise NumericalFailureError(_OVERFLOW)
-        if not extra:
-            raise NumericalFailureError("V overflows on the mesh")
-
-    def _whole(self, points) -> tuple:
-        """Build a mesh of one slab: the prefactor and u_i, which the plan
-        keeps, and what ``_add_axis`` forms; return whether each is finite."""
-        extra, prefactor, self.scaled = None, None, []
-        for axis, gaussian in enumerate(self._gaussians):
-            u, r, ratio = model._axis_terms(self.spec, self.config, axis, points, gaussian)
-            prefactor = model._times(prefactor, ratio)
-            del ratio  # before V's temporaries are formed
-            extra = self._add_axis(self.slabs[0], points, axis, u, r, extra)
-            self.scaled.append(u)
-            del u, r  # no array outlives its axis but u
-        self.prefactor = prefactor
-        return self._finite(points, prefactor), extra is None or bool(np.isfinite(extra).all())
-
-    def _slab(self, points, rows: slice) -> bool:
-        """Build the slab ``rows`` of a plan of several slabs: per tilde axis,
-        u_i and r_i = h_i'/h_i with h_i checked for zeros (rows of the
-        sub-mesh terms, where the axis has them), for what ``_add_axis``
-        forms, and no Gaussian; return whether that is finite."""
-        slab, extra = _on_rows(points, rows), None
-        sys = self.spec.system
-        for axis, (m, terms) in enumerate(zip(self.config.codimensions, self._sub_meshes)):
-            if terms is not None:
-                u, _, r = _on_rows(terms, rows)
-            else:
-                t = sys.coordinate_map.forward_axis(axis, slab)
-                u = model.scaled_parameter(sys.tilde_frequencies[axis], t, out=t)
-                r = model._log_derivative(m, u, "eigenfunction")
-            extra = self._add_axis(rows, slab, axis, u, r, extra)
-            del u, r  # no slab-sized array outlives its axis
-        return extra is None or bool(np.isfinite(extra).all())
+            self._sub_meshes = [self._sub_mesh_terms(points, axis)
+                                for axis in range(spec.dimension)]
 
     def _sub_mesh_terms(self, points, axis: int):
-        """(u_i, gauss_i/h_i, r_i) of tilde axis ``axis`` on the sub-mesh of
-        the mesh axes it depends on, with h_i checked for zeros, formed once
-        for every slab when that leaves out a mesh axis (at most n^2 points
-        of an n^3 mesh); None for an axis on every mesh axis, which psi forms
-        slab by slab. r_i = h_i'/h_i is kept only where the build reads it."""
+        """(u_i, gauss_i/h_i, h_i'/h_i) of tilde axis ``axis`` on the sub-mesh
+        of the mesh axes it depends on, with h_i checked for zeros, formed
+        once for every slab when that leaves out a mesh axis (at most n^2
+        points of an n^3 mesh); None for an axis on every mesh axis, which
+        psi forms slab by slab."""
         sys = self.spec.system
         if np.count_nonzero(sys.coordinate_map.linear[axis]) == len(self.grids):
             return None
@@ -334,7 +284,7 @@ class SlabPlan:
         gauss = model._gaussian(w, t)
         u = model.scaled_parameter(w, t, out=t)
         r = model._log_derivative(self.config.codimensions[axis], u, "eigenfunction", gauss)
-        return u, gauss, r if self._checks_denominators else None
+        return u, gauss, r
 
     def _finite(self, points, prefactor) -> bool:
         """Whether ``prefactor`` at ``points`` is finite, once formed with the
@@ -358,16 +308,6 @@ class SlabPlan:
         perm, signs = _signed_permutation(self.parity)
         return [s * mesh[p] for p, s in zip(perm, signs)]
 
-    def _allocate(self) -> None:
-        """Allocate what the slabs write besides psi, before any slab is
-        built: nothing here."""
-
-    def _add_axis(self, rows: slice, points, axis: int, u, r, extra):
-        """What the plan keeps of a tilde axis on a slab, given its u and
-        r = p_m'/p_m there (``model._log_derivative``) and what the slab's
-        earlier axes returned: nothing here."""
-        return None
-
     def psi(self, state: Eigenstate) -> np.ndarray:
         """Closed-form eigenfunction (unnormalized) of ``state`` on the mesh,
         in the plan's one psi buffer, which the next call writes over."""
@@ -375,16 +315,6 @@ class SlabPlan:
             raise DomainError("one level per axis required")
         if self._psi is None:
             self._psi = np.empty(self.shape, complex)
-        if self.prefactor is not None:
-            # one slab: the kept prefactor times the ground phases and the
-            # numerators of the excited axes, in this order, then in place
-            # (see ``model.Plan.psi``)
-            src = self.prefactor
-            for u, m, lv in zip(self.scaled, self.config.codimensions, state.levels):
-                np.multiply(src, model._numerator(m, lv, u), out=self._psi)
-                src = self._psi
-            self._max = None  # taken by ``psi_max`` when asked for
-            return self._psi
         points = self._points()
         # an axis on a sub-mesh takes its numerator there, once
         fixed = [None if terms is None else (terms[1], model._numerator(m, lv, terms[0]))
@@ -392,24 +322,23 @@ class SlabPlan:
                                          state.levels)]
         tops = _kernels.map_slabs(lambda rows: self._slab_psi(state, fixed, points, rows),
                                   self.slabs)
-        # checked after the last slab, as the build of one slab checks: a
-        # denominator zero in any slab is reported first
+        # checked after the last slab: a denominator zero in any slab is
+        # reported first
         if any(top is None for top in tops):
-            raise NumericalFailureError(_OVERFLOW)
+            raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
         self._max = np.max(tops)
         return self._psi
 
     def _slab_psi(self, state: Eigenstate, fixed, points, rows: slice):
-        """psi of a plan of several slabs on ``rows``, in psi's rows; return
-        max |psi| there, or None where the prefactor is not finite. ``fixed``
-        holds (gauss_i/h_i, numerator) of each axis on a sub-mesh, None for
-        the others.
+        """psi on ``rows``, in psi's rows; return max |psi| there, or None
+        where the prefactor is not finite. ``fixed`` holds (gauss_i/h_i,
+        numerator) of each axis on a sub-mesh, None for the others.
 
         A product with a non-finite factor is not finite, so where max |psi|
         is finite the prefactor was finite at every point of the slab; only
         where it is not is the prefactor formed again and checked
         (``_finite``), and the numerators multiplied in outside the ignored
-        floating-point errors, as on a plan of one slab."""
+        floating-point errors."""
         out, slab = self._psi[rows], _on_rows(points, rows)
         with np.errstate(over="ignore", invalid="ignore"):
             for numerator in self._form_prefactor(state, fixed, slab, rows, out):
@@ -464,10 +393,8 @@ class SlabPlan:
         return numerators
 
     def psi_max(self):
-        """max |psi| over the mesh, of the last ``psi``: taken in its slab
-        pass on a plan of several slabs, and here, once, on a plan of one."""
-        if self._max is None:
-            self._max = np.max(np.abs(self._psi))
+        """max |psi| over the mesh, of the last ``psi``, taken in its slab
+        pass."""
         return self._max
 
 
@@ -500,50 +427,65 @@ class MeshPlan(SlabPlan):
     Each slab of the build forms V and the pole-guard hits on its interior
     planes, each axis's share from its u_i and r_i = h_i'/h_i, so every
     denominator is evaluated and checked there, once; ``psi`` does not check
-    them again. On a mesh of several slabs the build forms no Gaussian and
-    no prefactor, and the job holds 17 B per interior point (V and the
-    mask), and psi. Each state then costs one ``psi``, which ``residual``
-    and the parity-time fits (through a ``ParityImage`` per operator) share.
+    them again. The build forms no Gaussian on a slab and no prefactor; the
+    job holds 17 B per interior point (V and the mask), and psi. Each state
+    then costs one ``psi``, which ``residual`` and the parity-time fits
+    (through a ``ParityImage`` per operator) share. The slabs are built on
+    ``_kernels.map_slabs``'s threads; a V that overflows raises after the
+    last slab.
     """
 
     _checks_denominators = True
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
         super().__init__(spec, config, grids)
-        self.keep = ~_guard_band(self._hits)
-        del self._hits
-
-    def _allocate(self) -> None:
-        """The pole-guard hits and, on a mesh of several slabs, V, on the
-        stencil interior (one slab's V is kept as it is)."""
         shape = tuple(g.n_points - 2 * STENCIL_REACH for g in self.grids)
-        self._hits = np.zeros(shape, dtype=bool)
+        hits = np.zeros(shape, dtype=bool)
+        # a mesh of one slab keeps V as its slab forms it
         self.potential = np.empty(shape, complex) if len(self.slabs) > 1 else None
+        points = self._points()
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(_kernels.map_slabs(lambda rows: self._slab(points, rows, hits),
+                                            self.slabs))
+        # checked after the last slab: a denominator zero in any slab is
+        # reported first
+        if not finite:
+            raise NumericalFailureError("V overflows on the mesh")
+        self.keep = ~_guard_band(hits)
 
-    def _add_axis(self, rows: slice, points, axis: int, u, r, v):
-        """V and the pole-guard hits on the slab's interior planes: V as
-        ``model._potential`` forms it on the mesh, trimmed, starts from the
-        base potential at axis 0, takes each axis's rational term from the
-        slab's u and r, and is stored after the last axis. Returns V so far,
-        None when the slab has no interior planes."""
-        n = self.grids[0].n_points
+    def _slab(self, points, rows: slice, hits) -> bool:
+        """Build the slab ``rows``: per tilde axis, u_i and r_i = h_i'/h_i with
+        h_i checked for zeros (rows of the sub-mesh terms, where the axis has
+        them), and on the slab's interior planes, V as ``model._potential``
+        forms it on the mesh, trimmed (the base potential, then each axis's
+        rational term from its u_i and r_i), and the pole-guard hits, marked
+        in ``hits``. Return whether V is finite there."""
+        sys, n = self.spec.system, self.grids[0].n_points
+        slab = _on_rows(points, rows)
         lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
-        if lo >= hi:
-            return None
         local = slice(lo - rows.start, hi - rows.start)
         target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
-        if axis == 0:
-            v = model.base_potential(self.spec, [_window(x, local) for x in points])
-        u, r = _window(u, local), _window(r, local)
-        w, m = self.spec.system.tilde_frequencies[axis], self.config.codimensions[axis]
-        v = model._rational_term(w, m, u, r) + v
-        _pole_hits(self._hits[target], [u], [m])
-        if axis == len(self.grids) - 1:
-            if self.potential is None:
-                self.potential = v
+        v = model.base_potential(self.spec, [_window(x, local) for x in slab]) if lo < hi else None
+        for axis, (w, m, terms) in enumerate(zip(sys.tilde_frequencies, self.config.codimensions,
+                                                 self._sub_meshes)):
+            if terms is not None:
+                u, _, r = _on_rows(terms, rows)
             else:
-                self.potential[target] = v
-        return v
+                t = sys.coordinate_map.forward_axis(axis, slab)
+                u = model.scaled_parameter(w, t, out=t)
+                r = model._log_derivative(m, u, "eigenfunction")
+            if v is not None:
+                u, r = _window(u, local), _window(r, local)
+                v = model._rational_term(w, m, u, r) + v
+                _pole_hits(hits[target], [u], [m])
+            del u, r  # no slab-sized array outlives its axis
+        if v is None:
+            return True
+        if self.potential is None:
+            self.potential = v
+        else:
+            self.potential[target] = v
+        return bool(np.isfinite(v).all())
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, energy) of ``state``, whose eigenfunction on the

@@ -142,12 +142,14 @@ def test_cli_output_pinned(argv):
     assert got["stdout"] == want["stdout"]
 
 
+@pytest.mark.parametrize("one_slab", [False, True], ids=["smallest", "one"])
 @pytest.mark.parametrize("argv", [a for a in INVOCATIONS if a[0] == "verify"], ids=" ".join)
-def test_verify_output_pinned_at_the_smallest_slab(argv, monkeypatch):
+def test_verify_output_pinned_at_the_smallest_slab(argv, one_slab, monkeypatch):
     # one axis-0 plane per ``_SLAB_BYTES``: the residual runs a plane at a
-    # time and the mesh plan two planes at a time, and every byte stays
+    # time and the mesh plan two planes at a time; or the whole mesh as one
+    # slab, the 3D meshes too; and every byte stays
     dim, points = int(argv[argv.index("--dim") + 1]), int(argv[argv.index("--points") + 1])
-    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 16 * points ** (dim - 1))
+    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**62 if one_slab else 16 * points ** (dim - 1))
     assert run_cli(argv) == _golden()[" ".join(argv)]
 
 

@@ -124,27 +124,33 @@ def test_mesh_equals_meshgrid(n_points):
 
 
 def test_mesh_plan_unchanged_by_its_states():
-    # every state reads the plan's arrays and writes none of them, so running
-    # the states again gives the same results
-    spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
-    config, grids = REConfig((2, 2)), verify.suggest_grids(spec, n_points=41)
-    plan = verify.MeshPlan(spec, config, grids)
+    # every state reads the plans' arrays and writes none of them, so running
+    # the states again gives the same results; the rotated axes of the
+    # quadratic spec are formed in psi, the oscillator's on sub-meshes
     states = [Eigenstate(lv) for lv in ((None, None), (0, None), (None, 0), (1, 1))]
-    images = [verify.SlabPlan(spec, config, grids, op) for op in model.pt_classification(spec)]
+    for spec, rotated in ((OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7)), True),
+                          (OscillatorSpec.oscillator(1.0, 3.0), False)):
+        config, grids = REConfig((2, 2)), verify.suggest_grids(spec, n_points=41)
+        plan = verify.MeshPlan(spec, config, grids)
+        images = [verify.SlabPlan(spec, config, grids, op)
+                  for op in model.pt_classification(spec)]
 
-    def work(state):
-        psi = plan.psi(state)
-        return plan.residual(state, psi), [
-            verify.pt_fit(verify.pt_reference(psi, plan.psi_max()), im.psi(state))
-            for im in images]
+        def work(state):
+            psi = plan.psi(state)
+            return plan.residual(state, psi), [
+                verify.pt_fit(verify.pt_reference(psi, plan.psi_max()), im.psi(state))
+                for im in images]
 
-    # a 41^2 mesh is one slab, whose scaled parameters the plan keeps
-    arrays = [plan.potential, plan.keep, plan.prefactor, *plan.scaled]
-    before = [a.copy() for a in arrays]
-    first = [work(st) for st in states]
-    assert [work(st) for st in states] == first
-    for a, b in zip(before, arrays):
-        np.testing.assert_array_equal(a, b)
+        # a 41^2 mesh is one slab: V, the mask and the sub-mesh terms
+        sub_meshes = [a for p in (plan, *images) for terms in p._sub_meshes
+                      if terms is not None for a in terms]
+        assert len(sub_meshes) == (0 if rotated else 6 * (1 + len(images)))
+        arrays = [plan.potential, plan.keep, *sub_meshes]
+        before = [a.copy() for a in arrays]
+        first = [work(st) for st in states]
+        assert [work(st) for st in states] == first
+        for a, b in zip(before, arrays):
+            np.testing.assert_array_equal(a, b)
 
 
 # Frequencies and coupling magnitudes per case, with a real spectrum under
@@ -522,17 +528,26 @@ def _held_arrays(value, seen=None) -> list:
 
 
 def test_mesh_plan_holds_its_potential_and_mask_only():
-    # 17 B per interior point (V and the mask) and a few arrays on 2D
-    # sub-meshes (two pair Gaussians' three factors each, u, gauss/h and
-    # h'/h of the axis on a sub-mesh, and the grid points): a plan of several slabs
-    # keeps no prefactor, scaled parameter or other mesh-sized array
-    spec = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6))
-    job = verify.MeshPlan(spec, REConfig((2, 2, 2)), verify.suggest_grids(spec, n_points=41))
-    assert len(job.slabs) > 1
-    assert job.potential.shape == job.keep.shape == (33, 33, 33)
-    others = [a for a in _held_arrays(job) if a is not job.potential and a is not job.keep]
-    assert max(a.size for a in others) <= 41**2
-    assert sum(a.nbytes for a in others) <= 10 * 16 * 41**2
+    # 17 B per interior point (V and the mask) and arrays of one mesh plane
+    # at most (in 3D, two pair Gaussians' three factors each, and u, gauss/h
+    # and h'/h of the axis on a sub-mesh): a plan keeps no prefactor, scaled
+    # parameter or other mesh-sized array, on a mesh of several slabs (q2,
+    # 41^3) as on a mesh of one (a 1D scan at spacing 1e-3, a rotated 41^2)
+    q2 = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6))
+    linear = OscillatorSpec.linear_1d(2.0, CouplingValue.imaginary(1.0))
+    quadratic = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
+    cases = [(q2, REConfig((2, 2, 2)), verify.suggest_grids(q2, n_points=41), 4),
+             (linear, REConfig((3,)), verify.suggest_grids(linear, spacing=1e-3), 1),
+             (quadratic, REConfig((2, 2)), verify.suggest_grids(quadratic, n_points=41), 1)]
+    for spec, config, grids, slabs in cases:
+        job = verify.MeshPlan(spec, config, grids)
+        shape = tuple(g.n_points for g in grids)
+        assert len(job.slabs) == slabs
+        assert job.potential.shape == job.keep.shape == tuple(n - 8 for n in shape)
+        plane = math.prod(shape[1:])
+        others = [a for a in _held_arrays(job) if a is not job.potential and a is not job.keep]
+        assert max(a.size for a in others) <= plane
+        assert sum(a.nbytes for a in others) <= 10 * 16 * plane
 
 
 def _guard_oracle(spec, config, grids):
@@ -646,10 +661,13 @@ def test_pair_gaussian_overflow_at_one_corner_raises():
         got = pair()
     for g in (direct, got):
         assert np.argwhere(~np.isfinite(g)).tolist() == [[8, 8, 0]]
+    # the mesh is one slab, whose psi reports the overflow
     config = REConfig((0, 0, 0))
     for build in (verify.SlabPlan, verify.MeshPlan):
+        plan = build(spec, config, grids)
+        assert len(plan.slabs) == 1
         with pytest.raises(NumericalFailureError, match="prefactor overflows"):
-            build(spec, config, grids)
+            plan.psi(Eigenstate.ground(3))
 
 
 @pytest.mark.parametrize("half_width", [65.0, 70.0])
@@ -791,6 +809,10 @@ def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypat
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
         assert errors() == [(SingularityError, "eigenfunction evaluated at a denominator zero")] * 2
+    # and on a mesh of one slab
+    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**62)
+    assert len(verify._slabs(tuple(g.n_points for g in grids))) == 1
+    assert errors() == [(SingularityError, "eigenfunction evaluated at a denominator zero")] * 2
 
 
 @_EARLY_OR_LATE
