@@ -6,9 +6,9 @@ multisection Sturm eigensolver for symmetric tridiagonal matrices, whose
 pivots are counted in blocks of rows; and ``map_slabs``, which runs
 independent slabs of a mesh on threads.
 
-Bit-exactness. Code that works in chunks or slabs (the residual here, psi
-and V) returns what the whole-array expressions it replaces return, bit for
-bit, under these rules:
+Bit-exactness. Code that works in chunks or slabs (psi, V and the residual
+of a ``verify`` mesh) returns what the whole-array expressions it replaces
+return, bit for bit, under these rules:
 
 - An elementwise operation split into chunks is exact: each element meets the
   same operation on the same operands, whatever chunk it falls in. A chunk
@@ -52,12 +52,6 @@ STENCIL8 = np.array(
     [-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72,
      8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560]
 )
-
-
-# Input bytes per slab of ``laplacian_residual``: a few axis-0 planes of a 3D
-# mesh, so that the shifted reads of each plane and the slab's buffers stay
-# in cache.
-_SLAB_BYTES = 2**19
 
 
 def _real_view(f: np.ndarray) -> np.ndarray:
@@ -110,40 +104,23 @@ def second_derivative_profile(samples: np.ndarray, spacing: float,
     return out
 
 
-def _wide_shape(shape) -> tuple:
-    """The shape of ``laplacian_residual``'s ``out`` for samples of
-    ``shape``: the interior (4 trimmed per side) of every axis but the last
-    of two or more, which is kept whole."""
-    inner = tuple(n - 8 for n in shape)
-    return inner if len(shape) == 1 else inner[:-1] + tuple(shape[-1:])
-
-
-def laplacian_residual(samples: np.ndarray, spacings, potential, energy,
-                       out=None, work=None) -> np.ndarray:
+def laplacian_residual(samples: np.ndarray, spacings, potential, energy) -> np.ndarray:
     """V·f - lap(f) - E·f on the common interior of ``samples`` (1 to 3
     axes; 4 points trimmed per side of every axis), given V there
-    (``potential``) and the scalar E (``energy``).
+    (``potential``) and the scalar E (``energy``). Given a slab of axis-0
+    rows plus a halo of 4 rows per side, it is the residual on those rows.
 
     The stencil's centre taps and E fold into V: with C = c_4 sum_a h_a^-2,
-    each slab of axis-0 rows s is
+    the residual is
 
-        (V[s] - (E + C)) · f[s] - sum_a sum_{j<4} (c_j/h_a^2)(f_j + f_{8-j}),
+        (V - (E + C)) · f - sum_a sum_{j<4} (c_j/h_a^2)(f_j + f_{8-j}),
 
     its product in this operand order and its pairs subtracted axis by axis
-    (``_pairs``) on the float (re, im) view. The slab reads its rows of
-    ``samples`` plus a halo of 4 rows per side. Slabs hold about
-    ``_SLAB_BYTES`` of input.
-
-    The residual accumulates in ``out`` (complex, C-contiguous, of the shape
-    ``_wide_shape`` gives): on two or more axes its last axis is whole, so
-    that every pass runs along whole rows of the samples, and the last
-    axis's pairs are shifts of the flattened rows. The 4 points at each end
-    of that axis hold scratch values, finite for finite samples. The return
-    value is the
-    residual, a view of ``out``. ``work`` holds the slab's diagonal
-    V - (E + C) (the interior's other axes) and pair term (C-contiguous,
-    ``out``'s other axes), r rows each: the slab is then r rows. Each array
-    is allocated when not given.
+    (``_pairs``) on the float (re, im) view. On two or more axes it
+    accumulates with its last axis whole, so that every pass runs along
+    whole rows of the samples, and the last axis's pairs are shifts of the
+    flattened rows; the 4 points at each end of that axis are scratch, and
+    the return value is a view without them.
     """
     f = np.ascontiguousarray(samples, dtype=complex)
     if len(spacings) != f.ndim:
@@ -152,49 +129,32 @@ def laplacian_residual(samples: np.ndarray, spacings, potential, energy,
         raise ValueError("samples of 1 to 3 axes required")
     if min(f.shape) < 9:
         raise ValueError("need at least 9 samples for the 8th-order stencil")
-    inner, wide = tuple(n - 8 for n in f.shape), _wide_shape(f.shape)
+    inner = tuple(n - 8 for n in f.shape)
     v = np.asarray(potential, dtype=complex)
     if v.shape != inner:
         raise ValueError(f"the potential must have the interior shape {inner}")
-    if out is None:
-        out = np.empty(wide, complex)
-    if work is None:
-        rows = min(max(1, _SLAB_BYTES // f[0].nbytes), inner[0])
-        work = [np.empty((rows,) + inner[1:], complex), np.empty((rows,) + wide[1:], complex)]
-    diagonal, term = work
-    if out.shape != wide or not (out.flags.c_contiguous and term.flags.c_contiguous):
-        raise ValueError(f"out must be C-contiguous of shape {wide}, and the term C-contiguous")
-    edge = 0 if f.ndim == 1 else 4  # scratch points at each end of out's last axis
-    last = slice(edge, wide[-1] - edge) if edge else slice(None)
-    interior = [slice(4, n - 4) for n in f.shape[1:]]
-    src = f.view(float)
+    edge = 0 if f.ndim == 1 else 4  # scratch points at each end of the last axis
+    out = np.empty(inner[:-1] + (inner[-1] + 2 * edge,), complex)
+    last = slice(edge, edge + inner[-1])
+    interior = tuple(slice(4, n - 4) for n in f.shape)
     shift = energy + STENCIL8[4] * sum(1.0 / h**2 for h in spacings)
-    rows = diagonal.shape[0]
-    for start in range(0, inner[0], rows):
-        stop = min(start + rows, inner[0])
-        k = stop - start
-        acc, vb = out[start:stop], diagonal[:k]
-        np.subtract(v[start:stop], shift, out=vb)
-        np.multiply(vb, f[(slice(start + 4, stop + 4), *interior)], out=acc[..., last])
-        if edge:
-            acc[..., :edge] = 0
-            acc[..., -edge:] = 0
-        accf, termf = acc.view(float), term[:k].view(float)
-        # every axis but the last, on whole rows of the last
-        for axis in range(f.ndim - 1):
-            window = [slice(start + 4, stop + 4), *interior[:-1], slice(None)]
-            window[axis] = slice(start, stop + 8) if axis == 0 else slice(None)
-            _pairs(_taps(src[tuple(window)], axis), spacings[axis], accf, termf, np.subtract)
-        # the last axis: shifts by whole (re, im) pairs along each slab row's
-        # flattened interior rows (in 1D, along the slab and its halo)
-        if f.ndim == 1:
-            block = src[2 * start:2 * (stop + 8)].reshape(1, -1)
-        else:
-            block = src[(slice(start + 4, stop + 4), *interior[:-1])].reshape(k, -1)
-        m = block.shape[1] - 16
-        _pairs(_taps(block, 1, 2), spacings[-1],
-               accf.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m],
-               termf.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m], np.subtract)
+    np.multiply(v - shift, f[interior], out=out[..., last])
+    out[..., :edge] = 0
+    out[..., last.stop:] = 0
+    src, acc = f.view(float), out.view(float)
+    term = np.empty_like(acc)
+    # every axis but the last, on whole rows of the last
+    for axis in range(f.ndim - 1):
+        window = [*interior[:-1], slice(None)]
+        window[axis] = slice(None)
+        _pairs(_taps(src[tuple(window)], axis), spacings[axis], acc, term, np.subtract)
+    # the last axis: shifts by whole (re, im) pairs along each axis-0 row's
+    # flattened interior rows (in 1D, along the samples)
+    block = src[interior[:-1]].reshape(inner[0] if f.ndim > 1 else 1, -1)
+    m = block.shape[1] - 16
+    _pairs(_taps(block, 1, 2), spacings[-1],
+           acc.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m],
+           term.reshape(block.shape[0], -1)[:, 2 * edge:2 * edge + m], np.subtract)
     return out[..., last]
 
 
@@ -257,7 +217,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def map_slabs(fn, items, buffers=None) -> list:
+def map_slabs(fn, items) -> list:
     """``[fn(item) for item in items]``, the items shared among up to
     ``_MAX_WORKERS`` threads, one per CPU the process may use: the calling
     thread, which claims the first item, and helper threads (``_Helper``).
@@ -267,15 +227,11 @@ def map_slabs(fn, items, buffers=None) -> list:
     error state. After an item raises, no further item is claimed; the items
     already claimed finish, and the exception of the lowest item is raised,
     the one the serial loop raises. With one item or one CPU no helper runs.
-    ``buffers``, if given, is called once by each worker, before its first
-    item, and its result is passed to ``fn`` as a second argument: work
-    arrays that the worker reuses for its items.
     """
     items = list(items)
     workers = min(_cpus(), len(items), _MAX_WORKERS)
     if workers <= 1:
-        args = () if buffers is None or not items else (buffers(),)
-        return [fn(item, *args) for item in items]
+        return [fn(item) for item in items]
     results = [None] * len(items)
     errors = {}
     claimed = 0
@@ -291,13 +247,10 @@ def map_slabs(fn, items, buffers=None) -> list:
             return claimed - 1
 
     def work(i):
-        args = None
         with np.errstate(**errstate):
             while i is not None:
                 try:
-                    if args is None:
-                        args = () if buffers is None else (buffers(),)
-                    results[i] = fn(items[i], *args)
+                    results[i] = fn(items[i])
                 except BaseException as exc:  # raised by the calling thread, below
                     with lock:
                         errors[i] = exc

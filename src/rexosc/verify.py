@@ -122,23 +122,32 @@ def _window(f: np.ndarray, rows: slice) -> np.ndarray:
                    for axis, n in enumerate(f.shape))]
 
 
-def _interior(f: np.ndarray) -> np.ndarray:
-    """The stencil interior of ``f``."""
-    return _window(f, slice(STENCIL_REACH, f.shape[0] - STENCIL_REACH))
+# Bytes of complex values per slab of a mesh (``_slabs``): a few axis-0
+# planes of a 3D mesh, so that a slab's temporaries, and the residual's
+# shifted reads of each plane, stay in cache.
+_SLAB_BYTES = 2**19
 
 
 def _slabs(shape) -> list:
     """Axis-0 slices of a complex array of ``shape``: a slab of the 4 face
     planes at each end, and the stencil interior between them in slabs of
-    about ``_kernels._SLAB_BYTES``. An interior of one slab is widened to the
-    whole mesh instead. Each slab holds two planes at least, and its interior
+    about ``_SLAB_BYTES``. An interior of one slab is widened to the whole
+    mesh instead. Each slab holds two planes at least, and its interior
     planes number none or two at least, so that no slab of a sub-mesh array,
     V's included, is one element long (see ``_kernels``)."""
     n, reach = shape[0], STENCIL_REACH
-    step = max(2, _kernels._SLAB_BYTES // (16 * math.prod(shape[1:])))
+    step = max(2, _SLAB_BYTES // (16 * math.prod(shape[1:])))
     cuts = [i for i in range(reach + step, n - reach, step) if n - reach - i > 1]
     starts = [0, reach, *cuts, n - reach] if cuts else [0]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _interior_planes(rows: slice, n: int) -> tuple:
+    """The planes of the slab ``rows`` of a mesh of ``n`` axis-0 planes that
+    lie in its stencil interior, as planes of the slab and as planes of the
+    interior (of V and the pole mask); both are empty on a face slab."""
+    lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
+    return slice(lo - rows.start, hi - rows.start), slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
 
 
 def _on_rows(points, rows: slice) -> list:
@@ -460,12 +469,10 @@ class MeshPlan(SlabPlan):
         forms it on the mesh, trimmed (the base potential, then each axis's
         rational term from its u_i and r_i), and the pole-guard hits, marked
         in ``hits``. Return whether V is finite there."""
-        sys, n = self.spec.system, self.grids[0].n_points
-        slab = _on_rows(points, rows)
-        lo, hi = max(rows.start, STENCIL_REACH), min(rows.stop, n - STENCIL_REACH)
-        local = slice(lo - rows.start, hi - rows.start)
-        target = slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
-        v = model.base_potential(self.spec, [_window(x, local) for x in slab]) if lo < hi else None
+        sys, slab = self.spec.system, _on_rows(points, rows)
+        local, target = _interior_planes(rows, self.shape[0])
+        v = (model.base_potential(self.spec, [_window(x, local) for x in slab])
+             if target.start < target.stop else None)
         for axis, (w, m, terms) in enumerate(zip(sys.tilde_frequencies, self.config.codimensions,
                                                  self._sub_meshes)):
             if terms is not None:
@@ -489,41 +496,31 @@ class MeshPlan(SlabPlan):
 
     def residual(self, state: Eigenstate, psi: np.ndarray):
         """(max_residual, energy) of ``state``, whose eigenfunction on the
-        mesh is ``psi``; see ``residual_scan``."""
+        mesh is ``psi``; see ``residual_scan``.
+
+        One more pass over the plan's slabs, on ``_kernels.map_slabs``'s
+        threads: on the interior planes of each slab (a face slab has none),
+        |V·psi - lap(psi) - E·psi| from those planes of psi and a halo of the
+        stencil reach (``_kernels.laplacian_residual``), and its maximum and
+        that of |psi| over the kept points; no temporary is mesh-sized."""
         if not self.keep.any():
             raise SingularityError("no interior points survive the pole guard")
         spec, config = self.spec, self.config
         e_rel = model.relative_energy(config, state, spec.system)
         energy = model.ground_energy(spec, config) + e_rel
         spacings = [g.spacing for g in self.grids]
-        p = _interior(psi)
-        # |V·psi - lap(psi) - E·psi| and |psi| at the kept points, in slabs of
-        # axis 0, each residual from its rows of psi and a halo of the
-        # stencil reach (``_kernels.laplacian_residual``): no mesh-sized
-        # temporary
-        step = max(1, _kernels._SLAB_BYTES // psi[0].nbytes)
-        rows = min(step, p.shape[0])
-        wide = _kernels._wide_shape(psi.shape)
+        planes = [(rows, *_interior_planes(rows, self.shape[0])) for rows in self.slabs]
 
-        def buffers():
-            # the residual in the kernel's layout, and its two work arrays:
-            # the diagonal, whose real and imaginary parts then hold the
-            # magnitudes, and the pair term
-            return [np.empty((rows,) + shape, complex)
-                    for shape in (wide[1:], p.shape[1:], wide[1:])]
-
-        def slab(i, own):
-            s, k = slice(i, i + step), min(step, p.shape[0] - i)
-            res, vb, term = (b[:k] for b in own)
-            r = _kernels.laplacian_residual(psi[i:i + step + 2 * STENCIL_REACH], spacings,
-                                            self.potential[s], energy, res, [vb, term])
+        def slab(item):
+            rows, local, s = item
+            r = _kernels.laplacian_residual(psi[s.start:s.stop + 2 * STENCIL_REACH], spacings,
+                                            self.potential[s], energy)
             keep = self.keep[s]
-            err = np.max(np.abs(r, out=vb.real), where=keep, initial=0.0)
-            top = np.max(np.abs(p[s], out=vb.imag), where=keep, initial=0.0)
-            return err, top
+            return (np.max(np.abs(r), where=keep, initial=0.0),
+                    np.max(np.abs(_window(psi[rows], local)), where=keep, initial=0.0))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            err, top = zip(*_kernels.map_slabs(slab, range(0, p.shape[0], step), buffers))
+            err, top = zip(*_kernels.map_slabs(slab, [p for p in planes if p[2].start < p[2].stop]))
             wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
             res = float(np.max(err) / (np.max(top) * (abs(e_rel) + wmax)))
         if not math.isfinite(res):

@@ -1,10 +1,10 @@
 """The package draws no random numbers and reads no environment variables:
 every result is a function of its inputs alone, and psi and V at a point do
 not depend on how many points are evaluated with it. Every public function
-has a caller outside the tests, or is named as library API. Imports sit at
-module level, and ``transform`` does not import ``model``. Importing the CLI
-loads no process or executor machinery, and threads are started in
-``_kernels`` alone."""
+has a caller outside the tests, or is named as library API, and every
+private module-level function has one. Imports sit at module level, and
+``transform`` does not import ``model``. Importing the CLI loads no process
+or executor machinery, and threads are started in ``_kernels`` alone."""
 import ast
 import os
 import pathlib
@@ -62,16 +62,35 @@ def _names_used(paths) -> set:
     return names
 
 
-def test_every_public_function_has_a_caller_or_is_library_api():
-    modules = sorted(_SRC.rglob("*.py"))
-    callers = modules + [p for p in sorted(_PERFBENCH.rglob("*.py"))
-                         if "tests" not in p.relative_to(_PERFBENCH).parts]
+def _module_functions(private: bool) -> set:
+    """``module.name`` of every module-level function in ``src/`` whose name
+    starts with an underscore (``private``) or does not; dunders aside."""
+    return {f"{path.stem}.{node.name}" for path in sorted(_SRC.rglob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+            and node.name.startswith("_") == private}
+
+
+def _uncalled(functions) -> list:
+    """The ``functions`` whose names no code in ``src/`` or in the benchmark
+    (but its tests) uses."""
+    callers = sorted(_SRC.rglob("*.py")) + [
+        p for p in sorted(_PERFBENCH.rglob("*.py"))
+        if "tests" not in p.relative_to(_PERFBENCH).parts]
     used = _names_used(callers)
-    public = {f"{path.stem}.{node.name}" for path in modules
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return sorted(f for f in functions if f.split(".")[1] not in used)
+
+
+def test_every_public_function_has_a_caller_or_is_library_api():
+    public = _module_functions(private=False)
     assert LIBRARY_API <= public
-    assert sorted(f for f in public - LIBRARY_API if f.split(".")[1] not in used) == []
+    assert _uncalled(public - LIBRARY_API) == []
+
+
+def test_every_private_function_has_a_caller():
+    # a private helper that only tests call is dead code: delete it, or move
+    # it into the tests
+    assert _uncalled(_module_functions(private=True)) == []
 
 
 def _imported_modules(tree) -> set:

@@ -145,11 +145,11 @@ def test_cli_output_pinned(argv):
 @pytest.mark.parametrize("one_slab", [False, True], ids=["smallest", "one"])
 @pytest.mark.parametrize("argv", [a for a in INVOCATIONS if a[0] == "verify"], ids=" ".join)
 def test_verify_output_pinned_at_the_smallest_slab(argv, one_slab, monkeypatch):
-    # one axis-0 plane per ``_SLAB_BYTES``: the residual runs a plane at a
-    # time and the mesh plan two planes at a time; or the whole mesh as one
-    # slab, the 3D meshes too; and every byte stays
+    # one axis-0 plane per ``_SLAB_BYTES``: the mesh plan, the residual
+    # included, runs two planes at a time; or the whole mesh as one slab,
+    # the 3D meshes too; and every byte stays
     dim, points = int(argv[argv.index("--dim") + 1]), int(argv[argv.index("--points") + 1])
-    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**62 if one_slab else 16 * points ** (dim - 1))
+    monkeypatch.setattr(verify, "_SLAB_BYTES", 2**62 if one_slab else 16 * points ** (dim - 1))
     assert run_cli(argv) == _golden()[" ".join(argv)]
 
 

@@ -25,6 +25,12 @@ def spec_1d(l0=None):
             else OscillatorSpec.oscillator(OM))
 
 
+def _interior(f):
+    """The stencil interior of ``f``; an axis of length 1 is a broadcast axis
+    and is kept whole."""
+    return verify._window(f, slice(verify.STENCIL_REACH, f.shape[0] - verify.STENCIL_REACH))
+
+
 @pytest.fixture(scope="module")
 def grid_1d():
     return verify.suggest_grids(spec_1d(), spacing=1e-3)
@@ -104,7 +110,7 @@ def test_pole_mask_stops_at_the_mesh_faces():
     config = REConfig((1, 0))
     plan = model.plan(spec, config, verify._mesh(grids), validate=False)
     bad = np.zeros((93, 13), dtype=bool)
-    verify._pole_hits(bad, [verify._interior(u) for u in plan.scaled], config.codimensions)
+    verify._pole_hits(bad, [_interior(u) for u in plan.scaled], config.codimensions)
     mask = verify._guard_band(bad)
     reach = verify.STENCIL_REACH + verify._GUARD_POINTS
     assert mask.shape == (93, 13)
@@ -308,10 +314,10 @@ def _unblocked_residual(spec, config, grids, keep, potential, state, psi):
     e_rel = model.relative_energy(config, state, spec.system)
     energy = model.ground_energy(spec, config) + e_rel
     centre = _kernels.STENCIL8[4] * sum(1.0 / g.spacing**2 for g in grids)
-    r = (potential - (energy + centre)) * verify._interior(psi)
+    r = (potential - (energy + centre)) * _interior(psi)
     for term in _unblocked_laplacian(psi, grids):
         r -= term
-    pk = verify._interior(psi)[keep]
+    pk = _interior(psi)[keep]
     err = np.abs(r[keep])
     wmax = max(complex(w).real for w in spec.system.tilde_frequencies)
     scale = np.max(np.abs(pk)) * (abs(e_rel) + wmax)
@@ -347,10 +353,10 @@ def test_residual_equals_the_unblocked_loop_bitwise(spec):
         config = REConfig((m,) * spec.dimension)
         job = verify.MeshPlan(spec, config, grids)
         whole = model.plan(spec, config, mesh)
-        potential = verify._interior(whole.potential(mesh))
+        potential = _interior(whole.potential(mesh))
         assert _bits(job.potential) == _bits(potential)
         bad = np.zeros(potential.shape, dtype=bool)
-        verify._pole_hits(bad, [verify._interior(u) for u in whole.scaled],
+        verify._pole_hits(bad, [_interior(u) for u in whole.scaled],
                           config.codimensions)
         assert _bits(job.keep) == _bits(~verify._guard_band(bad))
         assert job.keep.any()
@@ -364,9 +370,9 @@ def test_residual_equals_the_unblocked_loop_bitwise(spec):
 
 
 def _one_plane(monkeypatch, grids):
-    """``_SLAB_BYTES`` of one axis-0 plane: slabs of one plane in ``_kernels``
-    and of two, the fewest a plan's slab holds, in ``verify``."""
-    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 16 * math.prod(g.n_points for g in grids[1:]))
+    """``_SLAB_BYTES`` of one axis-0 plane: slabs of two planes, the fewest a
+    plan's slab holds, for the build, psi and the residual alike."""
+    monkeypatch.setattr(verify, "_SLAB_BYTES", 16 * math.prod(g.n_points for g in grids[1:]))
 
 
 @pytest.mark.parametrize("spec", _every_flavor(), ids=_spec_id)
@@ -375,7 +381,7 @@ def test_mesh_plan_does_not_depend_on_the_slab_size(spec, monkeypatch):
     grids = verify.suggest_grids(spec, n_points=points)
     config = REConfig((2,) * spec.dimension)
     states = _states(spec.dimension)
-    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**40)
+    monkeypatch.setattr(verify, "_SLAB_BYTES", 2**40)
     whole = verify.MeshPlan(spec, config, grids)
     assert len(whole.slabs) == 1
     want = [_bits(whole.potential), _bits(whole.keep)]
@@ -396,7 +402,7 @@ def test_slabs_hold_two_planes_of_the_mesh_and_of_the_interior(n, monkeypatch):
     # none)
     reach = verify.STENCIL_REACH
     for planes in range(1, n + 1):
-        monkeypatch.setattr(_kernels, "_SLAB_BYTES", planes * 16 * n)
+        monkeypatch.setattr(verify, "_SLAB_BYTES", planes * 16 * n)
         slabs = verify._slabs((n, n))
         assert [s.start for s in slabs[1:]] == [s.stop for s in slabs[:-1]]
         assert slabs[0].start == 0 and slabs[-1].stop == n
@@ -468,7 +474,7 @@ def test_pt_fit_equals_the_plane_by_plane_fit_bitwise(kept, monkeypatch):
         assert abs(want - whole) <= 8 * np.finfo(float).eps
         flat = psi.ravel()
         for slab_bytes in (2**19, 16 * shape[1]):
-            monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
+            monkeypatch.setattr(verify, "_SLAB_BYTES", slab_bytes)
             reference = verify.pt_reference(psi, np.max(np.abs(psi)))
             assert repr(verify.pt_fit(reference, psi_p)) == repr(want)
             got = verify.pt_fit(verify.pt_reference(flat, np.max(np.abs(flat))),
@@ -493,7 +499,7 @@ def test_pt_fit_holds_no_array_of_the_kept_points(monkeypatch):
     # a few slabs' temporaries, and the fit those temporaries only
     _workers(monkeypatch, 2)
     psi = np.full((1001, 1001), 1 + 1j)
-    bound = 8 * _kernels._SLAB_BYTES
+    bound = 8 * verify._SLAB_BYTES
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -743,6 +749,40 @@ def test_slabs_on_threads_equal_the_serial_loop_bitwise(spec, monkeypatch):
         assert _slab_outputs(spec, config, grids) == want
 
 
+_PLANE_SPECS = {2: OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.real(0.6)),
+                3: OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5),
+                                        CouplingValue.real(0.6))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residual_runs_on_the_interior_planes_of_the_plan_slabs(dim, workers, monkeypatch):
+    # the residual cuts the mesh as the build and psi do: one kernel call
+    # per slab with interior planes, on exactly those planes of V plus a
+    # halo of the stencil reach per side of psi, claimed in slab order
+    spec = _PLANE_SPECS[dim]
+    grids = verify.suggest_grids(spec, n_points={2: 41, 3: 33}[dim])
+    _one_plane(monkeypatch, grids)
+    _workers(monkeypatch, workers)
+    plan = verify.MeshPlan(spec, REConfig((2,) * dim), grids)
+    kernel, calls = _kernels.laplacian_residual, []
+
+    def recorded(samples, spacings, potential, energy):
+        start = (potential.ctypes.data - plan.potential.ctypes.data) // plan.potential[0].nbytes
+        calls.append((start, start + potential.shape[0], samples.shape[0]))
+        return kernel(samples, spacings, potential, energy)
+
+    monkeypatch.setattr(_kernels, "laplacian_residual", recorded)
+    ground = Eigenstate.ground(dim)
+    plan.residual(ground, plan.psi(ground))
+    n, reach = plan.shape[0], verify.STENCIL_REACH
+    planes = [(max(s.start, reach) - reach, min(s.stop, n - reach) - reach) for s in plan.slabs]
+    want = [(a, b, b - a + 2 * reach) for a, b in planes if a < b]
+    assert len(want) == len(plan.slabs) - 2 > 10
+    # threads record their calls in the order they finish them
+    assert (calls if workers == 1 else sorted(calls)) == want
+
+
 def _error(run, *args):
     with pytest.raises(Exception) as info:
         run(*args)
@@ -810,7 +850,7 @@ def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypat
         _workers(monkeypatch, n)
         assert errors() == [(SingularityError, "eigenfunction evaluated at a denominator zero")] * 2
     # and on a mesh of one slab
-    monkeypatch.setattr(_kernels, "_SLAB_BYTES", 2**62)
+    monkeypatch.setattr(verify, "_SLAB_BYTES", 2**62)
     assert len(verify._slabs(tuple(g.n_points for g in grids))) == 1
     assert errors() == [(SingularityError, "eigenfunction evaluated at a denominator zero")] * 2
 
