@@ -283,11 +283,14 @@ def cmd_table(args) -> int:
                 "re_psi1", "im_psi1"])
     pts = np.array([xs], dtype=complex)
     for m in range(args.max_m + 1):
+        config = REConfig((m,))
         with np.errstate(over="ignore", invalid="ignore"):
-            plan = model.plan(spec, REConfig((m,)), pts, validate=False)
-            v = plan.potential(pts)
-            p0 = plan.psi(Eigenstate((None,)))
+            # psi first, so that a denominator zero is reported as the
+            # eigenfunction's; the second psi writes over the plan's buffer
+            plan = model.plan(spec, config, pts, validate=False)
+            p0 = plan.psi(Eigenstate((None,))).copy()
             p1 = plan.psi(Eigenstate((0,)))
+            v = model.re_potential(spec, config, pts, validate=False)
         _require_finite(v, p0, p1)
         for i, x in enumerate(xs):
             w.writerow([m, f"{x:.12g}", f"{v[i].real:.12g}", f"{v[i].imag:.12g}",
@@ -347,7 +350,7 @@ def cmd_verify(args) -> int:
     poles = [{"axis": p.axis, "coordinate": p.coordinate}
              for p in verify.pole_scan(spec, config)]
     job_plan = verify.MeshPlan(spec, config, grids)
-    images = [verify.ParityImage(job_plan, op) for op in model.pt_classification(spec)]
+    images = [verify.ParityImage(job_plan, grids, op) for op in model.pt_classification(spec)]
 
     def check(state):
         # one pass per state: psi on the mesh once, its residual, then every
@@ -402,9 +405,8 @@ def cmd_plotdata(args) -> int:
     w.writerow(["x", "y", "re_V", "im_V", "re_psi", "im_psi"])
     with np.errstate(over="ignore", invalid="ignore"):
         pts = verify._mesh(grids)
-        plan = model.plan(spec, config, pts, validate=False)
-        v = plan.potential(pts)
-        p = plan.psi(state)
+        p = model.eigenfunction(spec, config, state, pts, validate=False)
+        v = model.re_potential(spec, config, pts, validate=False)
     _require_finite(v, p)
     if spec.dimension == 1:
         for i, x in enumerate(grids[0].points):

@@ -2,6 +2,11 @@
 eigenfunctions, energy ladders, co-dimension admissibility, PT
 classification, and degeneracy-grouped spectrum tables.
 
+``Plan`` is the one evaluator of the closed-form eigenfunctions, at a stack
+of points or on an open mesh, slab by slab: ``verify`` runs it on a mesh's
+slabs, ``eigenfunction`` and the CLI's ``table`` and ``plotdata`` as one
+slab.
+
 ``CASES`` is the one place that knows the perturbation cases: for each it
 names the couplings and CLI flags, the decoupling, reality and degeneracy
 functions of ``transform``, the potential's terms and the parity operators
@@ -18,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import poly, transform
-from .errors import DomainError, ShapeError, SingularityError
+from . import _kernels, poly, transform
+from .errors import DomainError, NumericalFailureError, ShapeError, SingularityError
 from .transform import CouplingValue, DecoupledSystem
 
 EVEN_ONLY = "even_only"
@@ -389,15 +394,21 @@ def _check_axes(spec: OscillatorSpec, config: REConfig, validate: bool) -> None:
         raise DomainError("one co-dimension per axis required")
 
 
-def _potential(spec: OscillatorSpec, config: REConfig, points, scaled):
-    """V literally: the base potential on the original points plus, per tilde
-    axis in order, the rational term at the scaled parameter u_i."""
-    v = base_potential(spec, points)
-    for w, m, u in zip(spec.system.tilde_frequencies, config.codimensions, scaled):
-        # summed into the term's fresh buffer, not into v: the same sum, but
-        # a 1D residual scan then takes about half as many page faults
-        v = _rational_term(w, m, u) + v
-    return v
+def _shape(points) -> tuple:
+    """The shape of a set of points: a stack's, coordinate index first, or
+    the broadcast shape of per-axis arrays (an open mesh)."""
+    if isinstance(points, (list, tuple)):
+        return np.broadcast_shapes(*map(np.shape, points))
+    return np.shape(points)[1:]
+
+
+def _on_rows(points, rows: slice):
+    """A set of points (a stack, or per-axis arrays such as an open mesh or
+    the terms of a sub-mesh) on ``rows`` of axis 0 of its shape; an array of
+    length 1 there, or without axes, is a broadcast array and is kept whole."""
+    if not isinstance(points, (list, tuple)):
+        return points[:, rows]
+    return [x if np.ndim(x) == 0 or np.shape(x)[0] == 1 else x[rows] for x in points]
 
 
 def _two_copies(points):
@@ -408,10 +419,7 @@ def _two_copies(points):
     loop (see ``_kernels``), so a point evaluated alone would differ in the
     last bit from the same point evaluated among others.
     """
-    if isinstance(points, (list, tuple)):
-        shape = np.broadcast_shapes(*map(np.shape, points))
-    else:
-        shape = np.shape(points)[1:]
+    shape = _shape(points)
     if math.prod(shape) != 1:
         return points, None
     one = np.array([np.reshape(x, -1)[0] for x in points], dtype=complex)
@@ -433,9 +441,14 @@ def re_potential(spec: OscillatorSpec, config: REConfig, point,
     """
     _check_axes(spec, config, validate)
     point, shape = _two_copies(point)
-    t = spec.system.coordinate_map.forward(point)
-    return _first(_potential(spec, config, point, [
-        scaled_parameter(w, ti) for w, ti in zip(spec.system.tilde_frequencies, t)]), shape)
+    sys = spec.system
+    # V literally: the base potential on the original points plus, per tilde
+    # axis in order, the rational term at the scaled parameter u_i
+    v = base_potential(spec, point)
+    for w, m, t in zip(sys.tilde_frequencies, config.codimensions,
+                       sys.coordinate_map.forward(point)):
+        v = _rational_term(w, m, scaled_parameter(w, t)) + v
+    return _first(v, shape)
 
 
 def scaled_parameter(omega, t, out=None):
@@ -553,27 +566,6 @@ def _log_derivative(m: int, u, what: str, gauss=None):
     return r.reshape(np.shape(u))
 
 
-def _axis_factor(omega, m: int, t, gauss):
-    """(u, r, gauss/h) of one tilde axis, from its coordinate t and its
-    Gaussian: the scaled parameter u = sqrt(omega/2)*t, written over an array
-    t; the ratio r = p_m'/p_m of the pseudo companion, which the rational
-    term takes; and the state-independent factor gauss/h with h = p_m(u),
-    formed in ``gauss`` (``_log_derivative``)."""
-    u = scaled_parameter(omega, t, t if np.ndim(t) else None)
-    gauss = np.asarray(gauss)  # an array even at one point without axes
-    return u, _log_derivative(m, u, "eigenfunction", gauss), gauss
-
-
-def _axis_terms(spec: OscillatorSpec, config: REConfig, axis: int, points, gaussian):
-    """``_axis_factor`` of tilde axis ``axis`` at ``points``, with the
-    Gaussian from ``gaussian`` (a ``_PairGaussian`` built on ``points``)
-    unless it is None."""
-    w = spec.system.tilde_frequencies[axis]
-    t = spec.system.coordinate_map.forward_axis(axis, points)
-    gauss = _gaussian(w, t) if gaussian is None else gaussian()
-    return _axis_factor(w, config.codimensions[axis], t, gauss)
-
-
 # i^m with unsigned zeros: (1j)**3 is -0-1j, whose negative zero would show
 # in the sign of zero parts of psi
 _PHASES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
@@ -627,64 +619,182 @@ def _ratio_and_numerator(m: int, level, u, gauss, what: str | None):
 def axis_eigenfunction(omega, m: int, level, t):
     """One tilde-axis factor (unnormalized): gauss/h times the numerator."""
     t = np.array(t, dtype=complex)  # a copy, which u is written over
-    u, _, ratio = _axis_factor(omega, m, t, _gaussian(omega, t))
-    return np.multiply(ratio, _numerator(m, level, u))
+    gauss = np.asarray(_gaussian(omega, t))  # an array even at one point without axes
+    u = scaled_parameter(omega, t, t if t.ndim else None)
+    ratio, numerator = _ratio_and_numerator(m, level, u, gauss, "eigenfunction")
+    return np.multiply(ratio, numerator)
 
 
 class Plan:
-    """The state-independent part of the closed-form eigenfunctions at a
-    fixed set of points (a stack, coordinate index first, or an open mesh;
-    see ``CoordinateMap.forward``); ``plan(spec, config, points)`` builds
-    one after the admissibility gate.
+    """The closed-form eigenfunctions at a fixed set of points (a stack,
+    coordinate index first, or an open mesh; see ``CoordinateMap.forward``),
+    formed slab by slab: ``slabs`` are slices of axis 0 of the points' shape
+    that partition it (``verify._slabs`` for a mesh; one slab by default).
+    ``plan(spec, config, points)`` builds one after the admissibility gate.
+    One point is evaluated as two copies of it (``_two_copies``).
 
-    Per tilde axis the plan maps the points to t_i under the spec's
-    decoupling ``spec.system`` and keeps the scaled parameter
-    u_i = sqrt(omega_i/2)*t_i, written over t_i, and it keeps the prefactor
-    prod_i gauss_i/h_i. On an open mesh each t_i, and so u_i, gauss_i/h_i,
-    the numerators and the rational terms, lives on the sub-mesh of the grid
-    axes it depends on; only the prefactor, psi and V take the full shape. An
-    axis that depends on all three axes of a 3D mesh forms gauss_i from 2D
-    pair factors (``_PairGaussian``), so no exp runs on the full mesh.
-    ``psi(state)`` then only multiplies the prefactor by the ground phases
-    and the numerators of the excited axes; ``potential(points)`` reuses the
-    u_i for the rational terms. One point is evaluated as two copies of it
-    (``_two_copies``).
+    Per tilde axis the points map to t_i under the spec's decoupling
+    ``spec.system``, and u_i = sqrt(omega_i/2)*t_i is written over t_i.
+    ``psi(state)`` forms the prefactor prod_i gauss_i/h_i slab by slab and
+    tilde axis by tilde axis, straight into the rows of the plan's one psi
+    buffer, then multiplies in the numerators; besides the points and that
+    buffer the plan keeps no array of the points' shape. An axis that runs
+    its p_m ladder in psi runs it once per slab for both h_i and its
+    numerator (``_ratio_and_numerator``).
+    On an open mesh each t_i lives on the sub-mesh of the mesh axes it
+    depends on. An axis whose sub-mesh leaves out a mesh axis (at most n^2
+    points of an n^3 mesh) has its u_i, gauss_i/h_i and h_i'/h_i formed
+    there once, by the build, with h_i checked for zeros, and its numerator
+    once per psi; each slab reads their rows. An axis that depends on all
+    three axes of a 3D mesh forms gauss_i from 2D pair factors
+    (``_PairGaussian``), formed once, so no exp runs on the full mesh.
 
-    A plan holds its u_i and the prefactor at every point. ``verify.SlabPlan``
-    forms the same factors a slab of a mesh at a time instead, in psi, and
-    keeps neither, so no verify job holds mesh-sized u_i or prefactor.
+    Each point meets the same operations in the same operand order,
+    ((r_0 r_1) r_2) N_0 N_1 N_2 with r_i = gauss_i/h_i, whatever the slabs,
+    so psi does not depend on them, bit for bit. Where the prefactor is not
+    finite on a slab whose Gaussians come from pair factors, it is formed
+    with the direct Gaussian instead (``_finite``); a prefactor that
+    overflows all the same raises from ``psi``. psi checks the other axes'
+    h_i for zeros unless the build has (``verify.MeshPlan``'s does). psi's
+    slabs run on ``_kernels.map_slabs``'s threads.
     """
 
-    def __init__(self, spec: OscillatorSpec, config: REConfig, points):
+    # whether the build evaluates every denominator h_i and checks it for
+    # zeros; where it does not, it checks those of the axes on sub-meshes,
+    # and psi those of the others
+    _checks_denominators = False
+
+    def __init__(self, spec: OscillatorSpec, config: REConfig, points,
+                 slabs=(slice(None),)):
         self.spec, self.config = spec, config
-        points, self._shape = _two_copies(points)
-        self.scaled = []
-        self.prefactor = None
-        for axis, gaussian in enumerate(_pair_gaussians(spec.system, points)):
-            u, _, ratio = _axis_terms(spec, config, axis, points, gaussian)
-            self.scaled.append(u)
-            self.prefactor = _times(self.prefactor, ratio)
+        self.points, self._one = _two_copies(points)
+        self.shape = _shape(self.points)
+        self.slabs = list(slabs)
+        self._psi = self._max = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._gaussians = _pair_gaussians(spec.system, self.points)
+            self._sub_meshes = [self._sub_mesh_terms(axis) for axis in range(spec.dimension)]
+
+    def _terms(self, axis: int, points):
+        """(u_i, gauss_i/h_i, h_i'/h_i) of tilde axis ``axis`` at ``points``,
+        its Gaussian formed from t_i directly, with h_i checked for zeros."""
+        sys = self.spec.system
+        w = sys.tilde_frequencies[axis]
+        t = sys.coordinate_map.forward_axis(axis, points)
+        gauss = _gaussian(w, t)
+        u = scaled_parameter(w, t, out=t)
+        return u, gauss, _log_derivative(self.config.codimensions[axis], u, "eigenfunction", gauss)
+
+    def _sub_mesh_terms(self, axis: int):
+        """``_terms`` of tilde axis ``axis`` on the sub-mesh of the open-mesh
+        axes it depends on, formed once for every slab when that leaves out a
+        mesh axis; None for an axis on every mesh axis, or at a stack of
+        points, which psi forms slab by slab."""
+        row = self.spec.system.coordinate_map.linear[axis]
+        if (not isinstance(self.points, (list, tuple))
+                or np.count_nonzero(row) == len(self.points)):
+            return None
+        return self._terms(axis, self.points)
+
+    def _finite(self, points, prefactor) -> bool:
+        """Whether ``prefactor`` at ``points`` is finite, once formed with the
+        direct Gaussian where a pair factor passes exp's range and the whole
+        Gaussian does not (``_PairGaussian``)."""
+        finite = np.isfinite(prefactor)
+        if not finite.all() and any(g is not None for g in self._gaussians):
+            direct = None
+            for axis in range(len(self._gaussians)):
+                direct = _times(direct, self._terms(axis, points)[1])
+            np.copyto(prefactor, direct, where=~finite)
+            finite = np.isfinite(prefactor)
+        return bool(finite.all())
 
     def psi(self, state: Eigenstate):
-        """Closed-form eigenfunction (unnormalized) of ``state`` at the points."""
-        if len(state.levels) != len(self.scaled):
+        """Closed-form eigenfunction (unnormalized) of ``state`` at the
+        points, in the plan's one psi buffer, which the next call writes
+        over."""
+        if len(state.levels) != len(self.config.codimensions):
             raise DomainError("one level per axis required")
-        out = self.prefactor
-        for u, m, lv in zip(self.scaled, self.config.codimensions, state.levels):
-            # (out, numerator) in this order: numerator * out rounds
-            # differently (see ``_kernels``); once ``out`` is this call's own
-            # array, the product goes into it in place
-            if out is not self.prefactor:
-                np.multiply(out, _numerator(m, lv, u), out=out)
-            else:
-                out = np.multiply(out, _numerator(m, lv, u))
-        return _first(out, self._shape)
+        if self._psi is None:
+            self._psi = np.empty(self.shape, complex)
+        # an axis on a sub-mesh takes its numerator there, once
+        fixed = [None if terms is None else (terms[1], _numerator(m, lv, terms[0]))
+                 for terms, m, lv in zip(self._sub_meshes, self.config.codimensions,
+                                         state.levels)]
+        tops = _kernels.map_slabs(lambda rows: self._slab_psi(state, fixed, rows), self.slabs)
+        # checked after the last slab: a denominator zero in any slab is
+        # reported first
+        if any(top is None for top in tops):
+            raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
+        self._max = np.max(tops)
+        return _first(self._psi, self._one)
 
-    def potential(self, points):
-        """V at the plan's points, given again in the original coordinates."""
-        if self._shape is not None:
-            points, _ = _two_copies(points)
-        return _first(_potential(self.spec, self.config, points, self.scaled), self._shape)
+    def _slab_psi(self, state: Eigenstate, fixed, rows: slice):
+        """psi on ``rows``, in psi's rows; return max |psi| there, or None
+        where the prefactor is not finite. ``fixed`` holds (gauss_i/h_i,
+        numerator) of each axis on a sub-mesh, None for the others.
+
+        A product with a non-finite factor is not finite, so where max |psi|
+        is finite the prefactor was finite at every point of the slab; only
+        where it is not is the prefactor formed again and checked
+        (``_finite``), and the numerators multiplied in outside the ignored
+        floating-point errors."""
+        out, slab = self._psi[rows], _on_rows(self.points, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for numerator in self._form_prefactor(state, fixed, slab, rows, out):
+                np.multiply(out, numerator, out=out)
+            top = np.max(np.abs(out))
+            if math.isfinite(top):
+                return top
+            numerators = self._form_prefactor(state, fixed, slab, rows, out)
+            if not self._finite(slab, out):
+                return None
+        for numerator in numerators:
+            np.multiply(out, numerator, out=out)
+        return np.max(np.abs(out))
+
+    def _form_prefactor(self, state: Eigenstate, fixed, slab, rows: slice, out) -> list:
+        """Form the prefactor at the points ``slab``, on ``rows``, in ``out``,
+        tilde axis by tilde axis, and return each axis's numerator of
+        ``state`` (its phase on the ground level), in axis order: rows of
+        ``fixed`` where it has them, else formed here."""
+        sys, numerators, prefactor, owned = self.spec.system, [], None, False
+        for axis, (gaussian, m, lv, terms) in enumerate(zip(
+                self._gaussians, self.config.codimensions, state.levels, fixed)):
+            if terms is not None:
+                ratio, numerator = _on_rows(terms, rows)
+            else:
+                w = sys.tilde_frequencies[axis]
+                t = sys.coordinate_map.forward_axis(axis, slab)
+                gauss = _gaussian(w, t) if gaussian is None else gaussian(rows)
+                u = scaled_parameter(w, t, out=t)
+                ratio, numerator = _ratio_and_numerator(
+                    m, lv, u, gauss, None if self._checks_denominators else "eigenfunction")
+                del t, u, gauss
+            # each product on the sub-mesh its factors span, as ``_times``
+            # forms it, in place only in an array of this slab's; the first
+            # that spans the slab goes into ``out``
+            if prefactor is None:
+                prefactor, owned = ratio, terms is None
+            else:
+                shape = np.broadcast_shapes(prefactor.shape, ratio.shape)
+                if shape == out.shape and prefactor is not out:
+                    prefactor = np.multiply(prefactor, ratio, out=out)
+                elif shape == prefactor.shape and owned:
+                    prefactor *= ratio
+                else:
+                    prefactor = np.multiply(prefactor, ratio)
+                owned = True
+            del ratio  # before the next axis's temporaries are formed
+            numerators.append(numerator)
+        if prefactor is not out:
+            out[...] = prefactor
+        return numerators
+
+    def psi_max(self):
+        """max |psi| over the points, of the last ``psi``, taken in its slab
+        pass."""
+        return self._max
 
 
 def plan(spec: OscillatorSpec, config: REConfig, points,

@@ -11,20 +11,22 @@ avoid the closed forms: energies are computed as quadrature quotients or read
 off a discretized Hamiltonian, so agreement with the model module is a real
 check rather than a tautology.
 
-Every check reads the spec's one decoupling, ``spec.system``. A verify job
-compiles its state-independent work once into a ``MeshPlan``, built a slab
-of axis-0 planes at a time and a tilde axis at a time: it keeps V and the
-pole mask on the stencil interior, never the mesh-sized scaled parameters
-u_i or the eigenfunction prefactor, on a mesh of one slab or several:
-each psi forms it slab by slab in its own rows. The build evaluates and
-checks each axis's denominator h_i, whose ratio r_i = h_i'/h_i gives the
-rational term of V; psi evaluates h_i again, from the ladder that also
-gives its numerator. Each axis's Gaussian takes exp on 2D sub-meshes only
-(``model._PairGaussian``). The residual scan and the parity-time fits share
-each state's eigenfunction, and its maximum modulus, which psi's slab pass
-takes. A parity operator that maps the grids onto themselves reads psi on
-its image off the mesh psi by reversing and permuting axes; any other gets a
-``SlabPlan`` on the image mesh.
+Every check reads the spec's one decoupling, ``spec.system``, and takes psi
+from ``model.Plan``, the package's one evaluator, on the mesh's slabs
+(``_slabs``). A verify job compiles its state-independent work once into a
+``MeshPlan``, a ``model.Plan`` whose build adds V and the pole mask on the
+stencil interior, a slab of axis-0 planes at a time and a tilde axis at a
+time. It keeps neither the mesh-sized scaled parameters u_i nor the
+eigenfunction prefactor, on a mesh of one slab or several: each psi forms
+the prefactor slab by slab in its own rows. The build evaluates and checks
+each axis's denominator h_i, whose
+ratio r_i = h_i'/h_i gives the rational term of V; psi evaluates h_i again,
+from the ladder that also gives its numerator. Each axis's Gaussian takes
+exp on 2D sub-meshes only (``model._PairGaussian``). The residual scan and
+the parity-time fits share each state's eigenfunction, and its maximum
+modulus, which psi's slab pass takes. A parity operator that maps the grids
+onto themselves reads psi on its image off the mesh psi by reversing and
+permuting axes; any other gets a ``model.Plan`` on the image mesh.
 
 The slabs of the build, of each psi, of each residual and of each PT
 reference and fit are independent, and run on up to one thread per CPU
@@ -150,11 +152,6 @@ def _interior_planes(rows: slice, n: int) -> tuple:
     return slice(lo - rows.start, hi - rows.start), slice(lo - STENCIL_REACH, hi - STENCIL_REACH)
 
 
-def _on_rows(points, rows: slice) -> list:
-    """Per-axis arrays of an open mesh on ``rows`` of axis 0."""
-    return [x if x.shape[0] == 1 else x[rows] for x in points]
-
-
 def _mesh(grids) -> list:
     """The open mesh: one array per axis holding that grid's points along its
     own axis and length 1 along the others (the ``np.ix_`` shape), so that
@@ -173,6 +170,12 @@ def _signed_permutation(parity):
             or np.count_nonzero(mat) != len(perm)):
         raise DomainError(f"parity {parity.name} is not a signed permutation")
     return perm, signs
+
+
+def _image(mesh, parity) -> list:
+    """The per-axis point arrays of the image P·mesh of an open mesh."""
+    perm, signs = _signed_permutation(parity)
+    return [s * mesh[p] for p, s in zip(perm, signs)]
 
 
 def _index_map(grids, parity):
@@ -234,191 +237,29 @@ def _guard_band(bad: np.ndarray) -> np.ndarray:
     return bad
 
 
-class SlabPlan:
-    """The closed-form eigenfunctions of a job's states on the open mesh of
-    ``grids``, or on its image P·mesh under a ``parity`` operator P (which
-    permutes and flips the open mesh).
-
-    The plan keeps no mesh-sized array. ``psi(state)`` forms the prefactor
-    prod_i gauss_i/h_i slab by slab (``_slabs``; a small mesh is one slab)
-    and tilde axis by tilde axis, straight into the rows of its psi buffer,
-    then multiplies in the numerators. An axis on every mesh axis runs the
-    p_m ladder once per slab for both h_i and its numerator
-    (``model._ratio_and_numerator``). An axis whose sub-mesh leaves out a
-    mesh axis (at most n^2 points of an n^3 mesh) has its u_i, gauss_i/h_i
-    and h_i'/h_i formed there once, by the build, with h_i checked for
-    zeros, and its numerator once per psi; each slab reads their rows. A
-    Gaussian built from 2D pair factors (``model._PairGaussian``) forms its
-    three factors once. Every value is the whole-mesh ``model.Plan``'s bit
-    for bit: each point meets the same operations in the same operand
-    order, ((r_0 r_1) r_2) N_0 N_1 N_2 with r_i = gauss_i/h_i. Where the
-    prefactor is not finite on a slab whose Gaussians come from pair
-    factors, it is formed with the direct Gaussian instead (``_finite``); a
-    prefactor that overflows all the same raises from ``psi``. psi checks
-    the other axes' h_i for zeros unless the build has (a ``MeshPlan``'s
-    does). psi's slabs run on ``_kernels.map_slabs``'s threads.
-    """
-
-    # whether the build evaluates every denominator h_i and checks it for
-    # zeros; where it does not, it checks those of the axes on sub-meshes,
-    # and psi those of the others
-    _checks_denominators = False
-
-    def __init__(self, spec: OscillatorSpec, config: REConfig, grids, parity=None):
-        self.spec, self.config, self.parity = spec, config, parity
-        self.grids = _grid_list(grids)
-        if len(self.grids) != spec.dimension:
-            raise ShapeError("one grid per axis required")
-        model.validate_config(spec, config)
-        self.shape = tuple(g.n_points for g in self.grids)
-        self.slabs = _slabs(self.shape)
-        self._psi = self._max = None
-        points = self._points()
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._gaussians = model._pair_gaussians(spec.system, points)
-            self._sub_meshes = [self._sub_mesh_terms(points, axis)
-                                for axis in range(spec.dimension)]
-
-    def _sub_mesh_terms(self, points, axis: int):
-        """(u_i, gauss_i/h_i, h_i'/h_i) of tilde axis ``axis`` on the sub-mesh
-        of the mesh axes it depends on, with h_i checked for zeros, formed
-        once for every slab when that leaves out a mesh axis (at most n^2
-        points of an n^3 mesh); None for an axis on every mesh axis, which
-        psi forms slab by slab."""
-        sys = self.spec.system
-        if np.count_nonzero(sys.coordinate_map.linear[axis]) == len(self.grids):
-            return None
-        w = sys.tilde_frequencies[axis]
-        t = sys.coordinate_map.forward_axis(axis, points)
-        gauss = model._gaussian(w, t)
-        u = model.scaled_parameter(w, t, out=t)
-        r = model._log_derivative(self.config.codimensions[axis], u, "eigenfunction", gauss)
-        return u, gauss, r
-
-    def _finite(self, points, prefactor) -> bool:
-        """Whether ``prefactor`` at ``points`` is finite, once formed with the
-        direct Gaussian where a pair factor passes exp's range and the whole
-        Gaussian does not (``model._PairGaussian``)."""
-        finite = np.isfinite(prefactor)
-        if not finite.all() and any(g is not None for g in self._gaussians):
-            direct = None
-            for axis in range(len(self._gaussians)):
-                _, _, ratio = model._axis_terms(self.spec, self.config, axis, points, None)
-                direct = model._times(direct, ratio)
-            np.copyto(prefactor, direct, where=~finite)
-            finite = np.isfinite(prefactor)
-        return bool(finite.all())
-
-    def _points(self) -> list:
-        """The per-axis point arrays: the open mesh, or its parity image."""
-        mesh = _mesh(self.grids)
-        if self.parity is None:
-            return mesh
-        perm, signs = _signed_permutation(self.parity)
-        return [s * mesh[p] for p, s in zip(perm, signs)]
-
-    def psi(self, state: Eigenstate) -> np.ndarray:
-        """Closed-form eigenfunction (unnormalized) of ``state`` on the mesh,
-        in the plan's one psi buffer, which the next call writes over."""
-        if len(state.levels) != len(self.config.codimensions):
-            raise DomainError("one level per axis required")
-        if self._psi is None:
-            self._psi = np.empty(self.shape, complex)
-        points = self._points()
-        # an axis on a sub-mesh takes its numerator there, once
-        fixed = [None if terms is None else (terms[1], model._numerator(m, lv, terms[0]))
-                 for terms, m, lv in zip(self._sub_meshes, self.config.codimensions,
-                                         state.levels)]
-        tops = _kernels.map_slabs(lambda rows: self._slab_psi(state, fixed, points, rows),
-                                  self.slabs)
-        # checked after the last slab: a denominator zero in any slab is
-        # reported first
-        if any(top is None for top in tops):
-            raise NumericalFailureError("the eigenfunction prefactor overflows on the mesh")
-        self._max = np.max(tops)
-        return self._psi
-
-    def _slab_psi(self, state: Eigenstate, fixed, points, rows: slice):
-        """psi on ``rows``, in psi's rows; return max |psi| there, or None
-        where the prefactor is not finite. ``fixed`` holds (gauss_i/h_i,
-        numerator) of each axis on a sub-mesh, None for the others.
-
-        A product with a non-finite factor is not finite, so where max |psi|
-        is finite the prefactor was finite at every point of the slab; only
-        where it is not is the prefactor formed again and checked
-        (``_finite``), and the numerators multiplied in outside the ignored
-        floating-point errors."""
-        out, slab = self._psi[rows], _on_rows(points, rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for numerator in self._form_prefactor(state, fixed, slab, rows, out):
-                np.multiply(out, numerator, out=out)
-            top = np.max(np.abs(out))
-            if math.isfinite(top):
-                return top
-            numerators = self._form_prefactor(state, fixed, slab, rows, out)
-            if not self._finite(slab, out):
-                return None
-        for numerator in numerators:
-            np.multiply(out, numerator, out=out)
-        return np.max(np.abs(out))
-
-    def _form_prefactor(self, state: Eigenstate, fixed, slab, rows: slice, out) -> list:
-        """Form the prefactor at the points ``slab``, on ``rows`` of the mesh,
-        in ``out``, tilde axis by tilde axis, and return each axis's
-        numerator of ``state`` (its phase on the ground level), in axis
-        order: rows of ``fixed`` where it has them, else formed here."""
-        sys, numerators, prefactor, owned = self.spec.system, [], None, False
-        for axis, (gaussian, m, lv, terms) in enumerate(zip(
-                self._gaussians, self.config.codimensions, state.levels, fixed)):
-            if terms is not None:
-                ratio, numerator = (x if np.ndim(x) == 0 or x.shape[0] == 1 else x[rows]
-                                    for x in terms)
-            else:
-                w = sys.tilde_frequencies[axis]
-                t = sys.coordinate_map.forward_axis(axis, slab)
-                gauss = model._gaussian(w, t) if gaussian is None else gaussian(rows)
-                u = model.scaled_parameter(w, t, out=t)
-                ratio, numerator = model._ratio_and_numerator(
-                    m, lv, u, gauss, None if self._checks_denominators else "eigenfunction")
-                del t, u, gauss
-            # each product on the sub-mesh its factors span, as
-            # ``model._times`` forms it, in place only in an array of this
-            # slab's; the first that spans the slab goes into ``out``
-            if prefactor is None:
-                prefactor, owned = ratio, terms is None
-            else:
-                shape = np.broadcast_shapes(prefactor.shape, ratio.shape)
-                if shape == out.shape and prefactor is not out:
-                    prefactor = np.multiply(prefactor, ratio, out=out)
-                elif shape == prefactor.shape and owned:
-                    prefactor *= ratio
-                else:
-                    prefactor = np.multiply(prefactor, ratio)
-                owned = True
-            del ratio  # before the next axis's temporaries are formed
-            numerators.append(numerator)
-        if prefactor is not out:
-            out[...] = prefactor
-        return numerators
-
-    def psi_max(self):
-        """max |psi| over the mesh, of the last ``psi``, taken in its slab
-        pass."""
-        return self._max
+def _checked_grids(spec: OscillatorSpec, config: REConfig, grids) -> list:
+    """``grids`` as a list of one grid per axis of ``spec``, once ``config``
+    has passed the admissibility gate."""
+    grids = _grid_list(grids)
+    if len(grids) != spec.dimension:
+        raise ShapeError("one grid per axis required")
+    model.validate_config(spec, config)
+    return grids
 
 
 class ParityImage:
     """psi on the image P·mesh of a job's mesh, for one parity operator P.
 
     When P maps the grids onto themselves, psi there is psi on the mesh with
-    its axes reversed and permuted (a view); only otherwise is a ``SlabPlan``
-    built on the image, once, and shared by the job's states.
+    its axes reversed and permuted (a view); only otherwise is a
+    ``model.Plan`` built on the image, on the slabs of ``plan``, the job's
+    plan on the mesh of ``grids``, once, and shared by the job's states.
     """
 
-    def __init__(self, plan: SlabPlan, parity):
+    def __init__(self, plan: model.Plan, grids, parity):
         self.parity = parity
-        self.index_map = _index_map(plan.grids, parity)
-        self.plan = (SlabPlan(plan.spec, plan.config, plan.grids, parity)
+        self.index_map = _index_map(grids, parity)
+        self.plan = (model.Plan(plan.spec, plan.config, _image(plan.points, parity), plan.slabs)
                      if self.index_map is None else None)
 
     def psi(self, state: Eigenstate, psi: np.ndarray) -> np.ndarray:
@@ -428,9 +269,10 @@ class ParityImage:
         return _on_image(psi, self.index_map)
 
 
-class MeshPlan(SlabPlan):
+class MeshPlan(model.Plan):
     """A verify job compiled once for its open mesh: the eigenfunctions of a
-    ``SlabPlan``, V on the stencil interior and the pole-guard mask ``keep``
+    ``model.Plan`` on the mesh's slabs (``_slabs``; a small mesh is one
+    slab), V on the stencil interior and the pole-guard mask ``keep``
     there.
 
     Each slab of the build forms V and the pole-guard hits on its interior
@@ -447,36 +289,36 @@ class MeshPlan(SlabPlan):
     _checks_denominators = True
 
     def __init__(self, spec: OscillatorSpec, config: REConfig, grids):
-        super().__init__(spec, config, grids)
-        shape = tuple(g.n_points - 2 * STENCIL_REACH for g in self.grids)
+        self.grids = _checked_grids(spec, config, grids)
+        super().__init__(spec, config, _mesh(self.grids),
+                         _slabs(tuple(g.n_points for g in self.grids)))
+        shape = tuple(n - 2 * STENCIL_REACH for n in self.shape)
         hits = np.zeros(shape, dtype=bool)
         # a mesh of one slab keeps V as its slab forms it
         self.potential = np.empty(shape, complex) if len(self.slabs) > 1 else None
-        points = self._points()
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(_kernels.map_slabs(lambda rows: self._slab(points, rows, hits),
-                                            self.slabs))
+            finite = all(_kernels.map_slabs(lambda rows: self._slab(rows, hits), self.slabs))
         # checked after the last slab: a denominator zero in any slab is
         # reported first
         if not finite:
             raise NumericalFailureError("V overflows on the mesh")
         self.keep = ~_guard_band(hits)
 
-    def _slab(self, points, rows: slice, hits) -> bool:
+    def _slab(self, rows: slice, hits) -> bool:
         """Build the slab ``rows``: per tilde axis, u_i and r_i = h_i'/h_i with
         h_i checked for zeros (rows of the sub-mesh terms, where the axis has
-        them), and on the slab's interior planes, V as ``model._potential``
+        them), and on the slab's interior planes, V as ``model.re_potential``
         forms it on the mesh, trimmed (the base potential, then each axis's
         rational term from its u_i and r_i), and the pole-guard hits, marked
         in ``hits``. Return whether V is finite there."""
-        sys, slab = self.spec.system, _on_rows(points, rows)
+        sys, slab = self.spec.system, model._on_rows(self.points, rows)
         local, target = _interior_planes(rows, self.shape[0])
         v = (model.base_potential(self.spec, [_window(x, local) for x in slab])
              if target.start < target.stop else None)
         for axis, (w, m, terms) in enumerate(zip(sys.tilde_frequencies, self.config.codimensions,
                                                  self._sub_meshes)):
             if terms is not None:
-                u, _, r = _on_rows(terms, rows)
+                u, _, r = model._on_rows(terms, rows)
             else:
                 t = sys.coordinate_map.forward_axis(axis, slab)
                 u = model.scaled_parameter(w, t, out=t)
@@ -604,9 +446,10 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     Raises IndeterminateError when the fit residual exceeds PT_FIT_TOLERANCE
     (broken symmetry or a parity the state does not respect).
     """
-    plan = SlabPlan(spec, config, grids)
+    grids = _checked_grids(spec, config, grids)
+    plan = model.Plan(spec, config, _mesh(grids), _slabs(tuple(g.n_points for g in grids)))
     psi = plan.psi(state)
-    image = ParityImage(plan, parity)
+    image = ParityImage(plan, grids, parity)
     return pt_fit(pt_reference(psi, plan.psi_max()), image.psi(state, psi))
 
 
@@ -626,7 +469,7 @@ def _in_plane_order(sums) -> np.number:
 def pt_reference(psi: np.ndarray, scale):
     """What the parity-time fits of psi on the mesh share, whatever their
     operator: (psi, keep, scale, slabs, norm). psi is kept, not copied;
-    ``scale`` is max |psi| (``SlabPlan.psi_max``), and ``keep`` masks the
+    ``scale`` is max |psi| (``model.Plan.psi_max``), and ``keep`` masks the
     points where |psi| exceeds 1e-8 of it; ``slabs`` pairs each slab of the
     fit with the indices, among its kept points, of the first kept point of
     each of its axis-0 planes that keeps any (``np.add.reduceat``'s

@@ -6,9 +6,11 @@ numpy.polynomial or, exactly, from integer coefficients (``int_hermite``,
 ``int_pseudo_hermite``, ``int_numerator``, evaluated by ``exact_value``),
 and counting oracles use brute-force enumeration.
 ``spectrum_ref`` is the two-rule level grouping whose tables the one pass of
-``model.spectrum`` must reproduce exactly. The reference kernel at the end
-is the plain loop that the eigensolver's blocked Sturm count must reproduce
-bit for bit.
+``model.spectrum`` must reproduce exactly. ``whole_points_psi`` is psi as
+whole-array expressions over every point at once, which ``model.Plan``'s
+slab passes must reproduce bit for bit. The reference kernel at the end is
+the plain loop that the eigensolver's blocked Sturm count must reproduce
+bit for bit. ``held_arrays`` lists what an object keeps.
 """
 import itertools
 import math
@@ -345,6 +347,53 @@ def spectrum_ref(spec, config, energy_cutoff):
         entries.append(model.SpectrumEntry(energy, len(states), states))
     entries.sort(key=lambda s: s.energy)
     return model.SpectrumTable(tuple(entries), frequencies_real=real)
+
+
+# -- psi over every point at once ---------------------------------------------
+
+def whole_points_psi(spec, config, state, points):
+    """psi of ``state`` at ``points`` (a stack, coordinate index first, or an
+    open mesh) from whole arrays: per tilde axis, t_i at every point, u_i
+    written over it and gauss_i/h_i formed in the Gaussian (from 2D pair
+    factors where ``model._pair_gaussians`` gives them); the prefactor
+    ((r_0 r_1) r_2) in ``model._times`` order; then the numerators, the
+    first into a new array and the others in place, in axis order."""
+    sys = spec.system
+    prefactor, scaled = None, []
+    for axis, gaussian in enumerate(model._pair_gaussians(sys, points)):
+        w, m = sys.tilde_frequencies[axis], config.codimensions[axis]
+        t = sys.coordinate_map.forward_axis(axis, points)
+        gauss = model._gaussian(w, t) if gaussian is None else gaussian()
+        u = model.scaled_parameter(w, t, out=t)
+        model._log_derivative(m, u, "eigenfunction", gauss)
+        scaled.append(u)
+        prefactor = model._times(prefactor, gauss)
+    out = None
+    for u, m, level in zip(scaled, config.codimensions, state.levels):
+        numerator = model._numerator(m, level, u)
+        if out is None:
+            out = np.multiply(prefactor, numerator)
+        else:
+            np.multiply(out, numerator, out=out)
+    return out
+
+
+def held_arrays(value, seen=None) -> list:
+    """The arrays ``value`` holds, in its attributes, lists, tuples and
+    dicts, at any depth."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+    else:
+        items = list(getattr(value, "__dict__", {}).values())
+    return [a for item in items for a in held_arrays(item, seen)]
 
 
 # -- reference Sturm kernel ----------------------------------------------------

@@ -265,14 +265,14 @@ def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
     # themselves: psi on the mesh once per state, and none on an image,
     # which is read off the mesh psi by index reversal
     sizes = []
-    psi = cli.verify.SlabPlan.psi
+    psi = cli.model.Plan.psi
 
     def counted(plan, state):
         out = psi(plan, state)
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(cli.verify.SlabPlan, "psi", counted)
+    monkeypatch.setattr(cli.model.Plan, "psi", counted)
     code, out, _ = run(["verify", "--dim", "2", "--omega", "1,3", "--coupling",
                         f"imaginary:{float(SQ7)!r}", "--m", "2,2", "--state", "g,g",
                         "--state", "0,g", "--state", "g,0", "--state", "1,1",

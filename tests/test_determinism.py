@@ -2,9 +2,10 @@
 every result is a function of its inputs alone, and psi and V at a point do
 not depend on how many points are evaluated with it. Every public function
 has a caller outside the tests, or is named as library API, and every
-private module-level function has one. Imports sit at module level, and
-``transform`` does not import ``model``. Importing the CLI loads no process
-or executor machinery, and threads are started in ``_kernels`` alone."""
+private module-level function and private method has one. Imports sit at
+module level, and ``transform`` does not import ``model``. Importing the CLI
+loads no process or executor machinery, and threads are started in
+``_kernels`` alone."""
 import ast
 import os
 import pathlib
@@ -27,7 +28,6 @@ _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # benchmark job calls them. A function that only tests call is deleted, or
 # moved into tests/oracles.py, rather than listed here.
 LIBRARY_API = {
-    "model.eigenfunction",       # psi at arbitrary points, without a Plan
     "model.unextended_energy",   # closed-form levels of the unextended oscillator
     "transform.eta_metric_2d",   # the paper's pseudo-hermiticity metric
     "verify.pt_parity_eigenvalue",  # one PT fit on its own grids
@@ -71,14 +71,24 @@ def _module_functions(private: bool) -> set:
             and node.name.startswith("_") == private}
 
 
+def _private_methods() -> set:
+    """``module.Class.name`` of every method of a module-level class in
+    ``src/`` whose name starts with an underscore; dunders aside."""
+    return {f"{path.stem}.{cls.name}.{node.name}" for path in sorted(_SRC.rglob("*.py"))
+            for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")}
+
+
 def _uncalled(functions) -> list:
-    """The ``functions`` whose names no code in ``src/`` or in the benchmark
-    (but its tests) uses."""
+    """The ``functions`` (or methods) whose names no code in ``src/`` or in
+    the benchmark (but its tests) uses."""
     callers = sorted(_SRC.rglob("*.py")) + [
         p for p in sorted(_PERFBENCH.rglob("*.py"))
         if "tests" not in p.relative_to(_PERFBENCH).parts]
     used = _names_used(callers)
-    return sorted(f for f in functions if f.split(".")[1] not in used)
+    return sorted(f for f in functions if f.rsplit(".", 1)[1] not in used)
 
 
 def test_every_public_function_has_a_caller_or_is_library_api():
@@ -88,9 +98,11 @@ def test_every_public_function_has_a_caller_or_is_library_api():
 
 
 def test_every_private_function_has_a_caller():
-    # a private helper that only tests call is dead code: delete it, or move
-    # it into the tests
-    assert _uncalled(_module_functions(private=True)) == []
+    # a private helper or method that only tests call is dead code: delete
+    # it, or move it into the tests
+    methods = _private_methods()
+    assert "verify.MeshPlan._slab" in methods
+    assert _uncalled(_module_functions(private=True) | methods) == []
 
 
 def _imported_modules(tree) -> set:

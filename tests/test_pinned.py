@@ -50,6 +50,22 @@ KERNELS = pathlib.Path(__file__).parent / "golden" / "kernels.json"
 SQ2 = repr(math.sqrt(2))
 SQ7 = repr(math.sqrt(7))
 
+
+def _numpy_kernels() -> str:
+    """numpy's version and the SIMD features its dispatched kernels run on
+    here. The golden files hold the last bits of what numpy's complex and
+    transcendental kernels return, which differ between these features; the
+    message of a pinned value that mismatches names them."""
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except TypeError:  # numpy < 1.25 prints its configuration only
+        return f"numpy {np.__version__}, SIMD features unknown"
+    return (f"numpy {np.__version__}, SIMD baseline {simd.get('baseline', [])}, "
+            f"dispatched {simd.get('found', [])}, not found {simd.get('not found', [])}")
+
+
+NUMPY_KERNELS = _numpy_kernels()
+
 INVOCATIONS = [
     # transform: every case and flavor
     ["transform", "--dim", "1", "--omega", "2"],
@@ -137,9 +153,9 @@ def _golden() -> dict:
 def test_cli_output_pinned(argv):
     want = _golden()[" ".join(argv)]
     got = run_cli(argv)
-    assert got["code"] == want["code"]
-    assert got["stderr"] == want["stderr"]
-    assert got["stdout"] == want["stdout"]
+    assert got["code"] == want["code"], NUMPY_KERNELS
+    assert got["stderr"] == want["stderr"], NUMPY_KERNELS
+    assert got["stdout"] == want["stdout"], NUMPY_KERNELS
 
 
 @pytest.mark.parametrize("one_slab", [False, True], ids=["smallest", "one"])
@@ -150,7 +166,7 @@ def test_verify_output_pinned_at_the_smallest_slab(argv, one_slab, monkeypatch):
     # the 3D meshes too; and every byte stays
     dim, points = int(argv[argv.index("--dim") + 1]), int(argv[argv.index("--points") + 1])
     monkeypatch.setattr(verify, "_SLAB_BYTES", 2**62 if one_slab else 16 * points ** (dim - 1))
-    assert run_cli(argv) == _golden()[" ".join(argv)]
+    assert run_cli(argv) == _golden()[" ".join(argv)], NUMPY_KERNELS
 
 
 # ------------------------------------------------------------ 1D residuals
@@ -177,7 +193,7 @@ def residual_suite() -> dict:
 def test_residuals_1d_pinned():
     want = json.loads(RESIDUALS.read_text())
     assert len(want) == 32
-    assert residual_suite() == want
+    assert residual_suite() == want, NUMPY_KERNELS
 
 
 # ------------------------------------------- parity and co-dimension tables
@@ -368,7 +384,7 @@ def test_kernel_outputs_pinned():
     want = json.loads(KERNELS.read_text())
     draws = [{k: v for k, v in d.items() if k != "poles"} for d in want["pole_scans"]]
     assert len(draws) == 40 and any(d["poles"] for d in want["pole_scans"])
-    assert kernel_outputs(draws) == want
+    assert kernel_outputs(draws) == want, NUMPY_KERNELS
 
 
 # ------------------------------------------------------------ regeneration

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from rexosc import _kernels, model, poly, transform, verify
 from rexosc.errors import (
     DomainError,
@@ -29,6 +30,23 @@ def _interior(f):
     """The stencil interior of ``f``; an axis of length 1 is a broadcast axis
     and is kept whole."""
     return verify._window(f, slice(verify.STENCIL_REACH, f.shape[0] - verify.STENCIL_REACH))
+
+
+def _slab_plan(spec, config, grids, op=None):
+    """A ``model.Plan`` on the mesh of ``grids`` and its slabs, as
+    ``pt_parity_eigenvalue`` builds one; with ``op``, on the image of the
+    mesh under that parity operator, as ``verify.ParityImage`` builds one
+    where ``op`` does not map the grids onto themselves."""
+    mesh = verify._mesh(grids)
+    points = mesh if op is None else verify._image(mesh, op)
+    return model.Plan(spec, config, points, verify._slabs(tuple(g.n_points for g in grids)))
+
+
+def _scaled(spec, points):
+    """The scaled parameters u_i of every tilde axis at ``points``."""
+    sys = spec.system
+    return [model.scaled_parameter(w, t)
+            for w, t in zip(sys.tilde_frequencies, sys.coordinate_map.forward(points))]
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +126,9 @@ def test_pole_mask_stops_at_the_mesh_faces():
     spec = OscillatorSpec.oscillator(2.0, 2.0)
     grids = [verify.Grid(5.0, 5.1, 101), verify.Grid(0.0, 5.0, 21)]
     config = REConfig((1, 0))
-    plan = model.plan(spec, config, verify._mesh(grids), validate=False)
     bad = np.zeros((93, 13), dtype=bool)
-    verify._pole_hits(bad, [_interior(u) for u in plan.scaled], config.codimensions)
+    verify._pole_hits(bad, [_interior(u) for u in _scaled(spec, verify._mesh(grids))],
+                      config.codimensions)
     mask = verify._guard_band(bad)
     reach = verify.STENCIL_REACH + verify._GUARD_POINTS
     assert mask.shape == (93, 13)
@@ -138,8 +156,7 @@ def test_mesh_plan_unchanged_by_its_states():
                           (OscillatorSpec.oscillator(1.0, 3.0), False)):
         config, grids = REConfig((2, 2)), verify.suggest_grids(spec, n_points=41)
         plan = verify.MeshPlan(spec, config, grids)
-        images = [verify.SlabPlan(spec, config, grids, op)
-                  for op in model.pt_classification(spec)]
+        images = [_slab_plan(spec, config, grids, op) for op in model.pt_classification(spec)]
 
         def work(state):
             psi = plan.psi(state)
@@ -199,7 +216,7 @@ def _fits_agree(spec, config, grids, op):
     plan = model.plan(spec, config, verify._mesh(grids))
     index_map = verify._index_map(grids, op)
     assert index_map is not None
-    image = verify.SlabPlan(spec, config, grids, op)
+    image = _slab_plan(spec, config, grids, op)
     for state in _states(spec.dimension):
         psi = plan.psi(state)
         want = image.psi(state)
@@ -235,7 +252,7 @@ def test_equal_decay_values_give_equal_grids():
     assert grids[0] == grids[1]
     job = verify.MeshPlan(spec, REConfig((2, 2)), grids)
     for op in transform.parity_operators(2)[2:]:
-        assert verify.ParityImage(job, op).plan is None
+        assert verify.ParityImage(job, grids, op).plan is None
     # equal frequencies alone do not snap: q1_3d's x and y decay differently
     spec = _case_spec("q1_3d", ())
     half_widths = [g.half_width for g in verify.suggest_grids(spec, n_points=41)]
@@ -264,6 +281,8 @@ def test_on_image_reads_a_function_at_the_parity_image():
 
 @pytest.mark.parametrize("spec", _NAMED_PARITY_SPECS, ids=_spec_id)
 def test_open_mesh_plan_equals_stacked_mesh_plan(spec):
+    # each plan equals the whole-points psi at its own points bit for bit,
+    # and the two agree to rounding
     grids = verify.suggest_grids(spec, n_points=_POINTS[spec.dimension])
     config = REConfig((2,) * spec.dimension)
     mesh = verify._mesh(grids)
@@ -273,18 +292,20 @@ def test_open_mesh_plan_equals_stacked_mesh_plan(spec):
     for state in _states(spec.dimension):
         want = stacked_plan.psi(state)
         got = open_plan.psi(state)
-        assert got.shape == want.shape
+        assert _bits(want) == _bits(oracles.whole_points_psi(spec, config, state, stacked))
+        assert _bits(got) == _bits(oracles.whole_points_psi(spec, config, state, mesh))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    want = stacked_plan.potential(stacked)
-    got = open_plan.potential(mesh)
+    want = model.re_potential(spec, config, stacked)
+    got = model.re_potential(spec, config, mesh)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # The residual as whole-array expressions: the stencil's centre taps and E
 # folded into V on the whole mesh, its pair terms as complex passes over the
-# whole mesh, and boolean gathers. MeshPlan must reproduce it, and psi and V
-# from a whole-mesh ``model.Plan``, bit for bit.
+# whole mesh, and boolean gathers. MeshPlan must reproduce it, psi from whole
+# arrays (``oracles.whole_points_psi``) and V from ``model.re_potential``,
+# bit for bit.
 
 def _unblocked_profile(f, spacing, axis):
     """The symmetric pair terms (c_j/h^2)(f_j + f_{8-j}), j < 4, of f'' along
@@ -352,17 +373,16 @@ def test_residual_equals_the_unblocked_loop_bitwise(spec):
     for m in (0, 2):
         config = REConfig((m,) * spec.dimension)
         job = verify.MeshPlan(spec, config, grids)
-        whole = model.plan(spec, config, mesh)
-        potential = _interior(whole.potential(mesh))
+        potential = _interior(model.re_potential(spec, config, mesh))
         assert _bits(job.potential) == _bits(potential)
         bad = np.zeros(potential.shape, dtype=bool)
-        verify._pole_hits(bad, [_interior(u) for u in whole.scaled],
+        verify._pole_hits(bad, [_interior(u) for u in _scaled(spec, mesh)],
                           config.codimensions)
         assert _bits(job.keep) == _bits(~verify._guard_band(bad))
         assert job.keep.any()
         assert job.keep.all() == (m == 0 or not spec.imaginary_couplings)
         for state in _states(spec.dimension):
-            psi = whole.psi(state)
+            psi = oracles.whole_points_psi(spec, config, state, mesh)
             assert _bits(job.psi(state)) == _bits(psi)
             got = job.residual(state, job.psi(state))
             want = _unblocked_residual(spec, config, grids, job.keep, potential, state, psi)
@@ -426,11 +446,11 @@ def test_image_plan_equals_the_whole_mesh_plan_on_the_image_bitwise(one_plane, m
         assert verify._index_map(grids, op) is None
         perm, signs = verify._signed_permutation(op)
         image = [s * mesh[p] for p, s in zip(perm, signs)]
-        whole = model.Plan(spec, config, image)
-        plan = verify.SlabPlan(spec, config, grids, op)
+        plan = verify.ParityImage(_slab_plan(spec, config, grids), grids, op).plan
         assert len(plan.slabs) == (198 if one_plane else 7)
         for state in _states(2):
-            assert _bits(plan.psi(state)) == _bits(whole.psi(state))
+            want = oracles.whole_points_psi(spec, config, state, image)
+            assert _bits(plan.psi(state)) == _bits(want)
 
 
 def _plane_fit(psi, psi_p):
@@ -515,30 +535,13 @@ def test_pt_fit_holds_no_array_of_the_kept_points(monkeypatch):
     assert fit_peak <= bound
 
 
-def _held_arrays(value, seen=None) -> list:
-    """The arrays ``value`` holds, in its attributes, lists, tuples and
-    dicts, at any depth."""
-    seen = set() if seen is None else seen
-    if id(value) in seen:
-        return []
-    seen.add(id(value))
-    if isinstance(value, np.ndarray):
-        return [value]
-    if isinstance(value, dict):
-        items = list(value.values())
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = list(getattr(value, "__dict__", {}).values())
-    return [a for item in items for a in _held_arrays(item, seen)]
-
-
 def test_mesh_plan_holds_its_potential_and_mask_only():
-    # 17 B per interior point (V and the mask) and arrays of one mesh plane
-    # at most (in 3D, two pair Gaussians' three factors each, and u, gauss/h
-    # and h'/h of the axis on a sub-mesh): a plan keeps no prefactor, scaled
-    # parameter or other mesh-sized array, on a mesh of several slabs (q2,
-    # 41^3) as on a mesh of one (a 1D scan at spacing 1e-3, a rotated 41^2)
+    # 17 B per interior point (V and the mask), the open mesh (8 B per grid
+    # point) and arrays of one mesh plane at most (in 3D, two pair Gaussians'
+    # three factors each, and u, gauss/h and h'/h of the axis on a
+    # sub-mesh): a plan keeps no prefactor, scaled parameter or other
+    # mesh-sized array, on a mesh of several slabs (q2, 41^3) as on a mesh of
+    # one (a 1D scan at spacing 1e-3, a rotated 41^2)
     q2 = OscillatorSpec.q2_3d(1.0, 1.0, CouplingValue.real(0.5), CouplingValue.real(0.6))
     linear = OscillatorSpec.linear_1d(2.0, CouplingValue.imaginary(1.0))
     quadratic = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
@@ -551,7 +554,9 @@ def test_mesh_plan_holds_its_potential_and_mask_only():
         assert len(job.slabs) == slabs
         assert job.potential.shape == job.keep.shape == tuple(n - 8 for n in shape)
         plane = math.prod(shape[1:])
-        others = [a for a in _held_arrays(job) if a is not job.potential and a is not job.keep]
+        assert [a.size for a in job.points] == [g.n_points for g in grids]
+        kept = [job.potential, job.keep, *job.points]
+        others = [a for a in oracles.held_arrays(job) if not any(a is b for b in kept)]
         assert max(a.size for a in others) <= plane
         assert sum(a.nbytes for a in others) <= 10 * 16 * plane
 
@@ -669,7 +674,7 @@ def test_pair_gaussian_overflow_at_one_corner_raises():
         assert np.argwhere(~np.isfinite(g)).tolist() == [[8, 8, 0]]
     # the mesh is one slab, whose psi reports the overflow
     config = REConfig((0, 0, 0))
-    for build in (verify.SlabPlan, verify.MeshPlan):
+    for build in (_slab_plan, verify.MeshPlan):
         plan = build(spec, config, grids)
         assert len(plan.slabs) == 1
         with pytest.raises(NumericalFailureError, match="prefactor overflows"):
@@ -688,11 +693,11 @@ def test_pair_gaussian_overflow_takes_the_direct_gaussian(half_width):
     grids = [verify.Grid(0.0, half_width, 41)] * 3
     mesh = verify._mesh(grids)
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = model.Plan(spec, config, mesh).psi(ground)
+        pair = oracles.whole_points_psi(spec, config, ground, mesh)
     overflowed = ~np.isfinite(pair)
     assert overflowed.any()
     stacked = np.stack(np.broadcast_arrays(*mesh)).astype(complex)
-    direct = model.Plan(spec, config, stacked).psi(ground)
+    direct = oracles.whole_points_psi(spec, config, ground, stacked)
     assert np.isfinite(direct).all()
     job = verify.MeshPlan(spec, config, grids)
     assert len(job.slabs) > 1
@@ -719,15 +724,16 @@ def _slab_outputs(spec, config, grids):
     """Every array a verify job forms slab by slab, with its residuals, and
     each state's parity-time fit under every operator of the spec."""
     job = verify.MeshPlan(spec, config, grids)
-    image = verify.SlabPlan(spec, config, grids, _SWAPS[spec.dimension])
-    images = [verify.ParityImage(job, op) for op in model.pt_classification(spec)]
+    image = verify.ParityImage(job, grids, _SWAPS[spec.dimension])
+    assert image.plan is not None
+    images = [verify.ParityImage(job, grids, op) for op in model.pt_classification(spec)]
     out = [_bits(job.potential), _bits(job.keep)]
     for state in _states(spec.dimension):
         psi = job.psi(state)
         reference = verify.pt_reference(psi, job.psi_max())
         _, keep, scale, slabs, norm = reference
         out += [_bits(psi), job.residual(state, psi), _bits(keep), repr(scale), repr(norm),
-                [_bits(starts) for _, starts in slabs], _bits(image.psi(state))]
+                [_bits(starts) for _, starts in slabs], _bits(image.psi(state, psi))]
         for im in images:
             try:
                 out.append(repr(verify.pt_fit(reference, im.psi(state, psi))))
@@ -834,7 +840,7 @@ _DENOMINATOR_CASES["q2"] = (
 
 @pytest.mark.parametrize("case", list(_DENOMINATOR_CASES))
 def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypatch):
-    # through pt_parity_eigenvalue and psi of a SlabPlan, which is no
+    # through pt_parity_eigenvalue and psi of a plan on the mesh that is no
     # MeshPlan: what its build does not check, its psi does
     monkeypatch.setattr(model, "_TINY", 2.5)
     spec, config, grids = _DENOMINATOR_CASES[case]
@@ -844,7 +850,7 @@ def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypat
 
     def errors():
         return [_error(verify.pt_parity_eigenvalue, spec, config, ground, parity, grids),
-                _error(lambda: verify.SlabPlan(spec, config, grids).psi(ground))]
+                _error(lambda: _slab_plan(spec, config, grids).psi(ground))]
 
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
