@@ -159,10 +159,17 @@ def _build_spec(args) -> OscillatorSpec:
     return OscillatorSpec(args.dim, omegas, name, couplings)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -324,8 +331,7 @@ def _job_from_args(args) -> JobConfig:
         grids["spacing"] = args.spacing
     job = JobConfig(spec, config, states, grids)
     if getattr(args, "emit_job", None):
-        with open(args.emit_job, "w") as fh:
-            fh.write(job.to_json())
+        _write(args.emit_job, job.to_json())
     return job
 
 
@@ -349,30 +355,30 @@ def cmd_verify(args) -> int:
     grids = _job_grids(job)
     poles = [{"axis": p.axis, "coordinate": p.coordinate}
              for p in verify.pole_scan(spec, config)]
+    parities = model.pt_classification(spec)
+    views = [verify.parity_view(grids, op) for op in parities]
     job_plan = verify.MeshPlan(spec, config, grids)
-    images = [verify.ParityImage(job_plan, grids, op) for op in model.pt_classification(spec)]
 
     def check(state):
         # one pass per state: psi on the mesh once, its residual, then every
         # parity fit against psi on the operator's image
         psi = job_plan.psi(state)
         residual, _ = job_plan.residual(state, psi)
-        reference = verify.pt_reference(psi, job_plan.psi_max()) if images else None
+        reference = verify.pt_reference(psi, job_plan.psi_max()) if views else None
         fits = []
-        for image in images:
+        for view in views:
             try:
-                fits.append(verify.pt_fit(reference, image.psi(state, psi)))
+                fits.append(verify.pt_fit(reference, view(psi)))
             except IndeterminateError as exc:
                 fits.append(exc)
         return residual, fits
 
     residuals, fits = zip(*map(check, job.states))
     pt_values = {}
-    for image, vals in zip(images, zip(*fits)):
+    for op, vals in zip(parities, zip(*fits)):
         failed = [v for v in vals if isinstance(v, IndeterminateError)]
-        pt_values[image.parity.name] = (str(failed[0]) if failed else
-                                        [_complex_dict(v) for v in vals])
-    del job_plan, images
+        pt_values[op.name] = (str(failed[0]) if failed else [_complex_dict(v) for v in vals])
+    del job_plan
 
     gram = ([[_complex_dict(z) for z in row]
              for row in verify.orthogonality_gram(spec, config, job.states)]

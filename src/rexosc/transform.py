@@ -129,11 +129,12 @@ class CoordinateMap:
         return self._row(axis, _coordinates(point))
 
     def _row(self, axis: int, x):
-        t = None
+        # the shift joins the first term, on an open mesh a 1D array rather
+        # than the broadcast sum
+        t = self.shift[axis]
         for lij, xj in zip(self.linear[axis], x):
             if lij != 0:
-                t = lij * xj if t is None else t + lij * xj
-        t += self.shift[axis]
+                t = t + lij * xj
         return t
 
     def orthogonality_defect(self) -> float:
@@ -236,6 +237,9 @@ def shift_map_1d(omega1: float, lambda0: CouplingValue) -> DecoupledSystem:
     l0 = lambda0.value
     shift = 2.0 * l0 / omega1**2
     const = -(l0 * l0) / omega1**2
+    if not (cmath.isfinite(shift) and cmath.isfinite(const)):
+        raise NumericalFailureError(
+            "the linear coupling's shift or potential constant overflows the float range")
     cmap = CoordinateMap(np.eye(1, dtype=complex), np.array([shift]))
     return DecoupledSystem((complex(omega1),), complex(const), cmap)
 

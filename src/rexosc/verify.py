@@ -24,9 +24,10 @@ ratio r_i = h_i'/h_i gives the rational term of V; psi evaluates h_i again,
 from the ladder that also gives its numerator. Each axis's Gaussian takes
 exp on 2D sub-meshes only (``model._PairGaussian``). The residual scan and
 the parity-time fits share each state's eigenfunction, and its maximum
-modulus, which psi's slab pass takes. A parity operator that maps the grids
-onto themselves reads psi on its image off the mesh psi by reversing and
-permuting axes; any other gets a ``model.Plan`` on the image mesh.
+modulus, which psi's slab pass takes. A fit reads psi on its operator's
+image off the mesh psi by reversing and permuting axes (``parity_view``);
+``suggest_grids`` gives every classified operator grids that it maps onto
+themselves, and any other operator is refused.
 
 The slabs of the build, of each psi, of each residual and of each PT
 reference and fit are independent, and run on up to one thread per CPU
@@ -84,9 +85,14 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
     """Per-axis grids covering the eigenfunction support (tails < 1e-30 in
     probability), centered on the real part of any coordinate shift. Axes
     whose decay values agree within 1e-12 relative get equal half-widths.
-    A mesh above ``MAX_MESH_POINTS`` is refused before any grid is built."""
+    Every operator of ``model.pt_classification`` maps the grids onto
+    themselves (``parity_view``): axes that it permutes get the grid of the
+    lowest of them, and an axis that it flips is centered on 0, whatever
+    tolerance the classification allowed. A mesh above ``MAX_MESH_POINTS``
+    is refused before any grid is built."""
     if spacing is not None and not (np.isfinite(spacing) and spacing > 0):
         raise DomainError(f"the grid spacing must be finite and positive, got {spacing!r}")
+    dim = spec.dimension
     q = _decay_diagonal(spec.system)
     # decay values equal but for rounding take the first such axis's value,
     # so that those axes get equal grids
@@ -95,8 +101,17 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
             if abs(q[i] - q[j]) <= 1e-12 * abs(q[j]):
                 q[i] = q[j]
                 break
-    half_widths = [numerics.default_half_width(x) for x in q]
-    sizes = [n_points] * spec.dimension
+    centers = [-float(np.real(s)) for s in spec.system.coordinate_map.shift]
+    ops = [_signed_permutation(op, dim) for op in model.pt_classification(spec)]
+    first = list(range(dim))  # the lowest axis that the operators link to each axis
+    for _ in range(dim):
+        for perm, _signs in ops:
+            for i, p in enumerate(perm):
+                first[i] = first[p] = min(first[i], first[p])
+    flipped = {first[i] for perm, signs in ops for i in np.flatnonzero(signs < 0)}
+    half_widths = [numerics.default_half_width(q[a]) for a in first]
+    centers = [0.0 if a in flipped else centers[a] for a in first]
+    sizes = [n_points] * dim
     if spacing is not None:
         spans = [2 * float(hw) / spacing for hw in half_widths]
         if not all(map(math.isfinite, spans)):
@@ -107,8 +122,7 @@ def suggest_grids(spec: OscillatorSpec, n_points: int = 2001,
         count = str(points) if points < 10**15 else f"about 1e{len(str(points)) - 1}"
         raise DomainError(f"a mesh of {count} points exceeds the limit of {MAX_MESH_POINTS}; "
                           + ("lower --points" if spacing is None else "raise --spacing"))
-    return [Grid(-float(np.real(shift)), hw, n) for shift, hw, n
-            in zip(spec.system.coordinate_map.shift, half_widths, sizes)]
+    return [Grid(c, hw, n) for c, hw, n in zip(centers, half_widths, sizes)]
 
 
 def _grid_list(grids) -> list:
@@ -161,41 +175,35 @@ def _mesh(grids) -> list:
             for axis, g in enumerate(grids)]
 
 
-def _signed_permutation(parity):
-    """(perm, signs) with (P x)_i = signs[i] * x[perm[i]]."""
+def _signed_permutation(parity, dim: int) -> tuple:
+    """(perm, signs) of a parity operator on ``dim`` axes that is a signed
+    permutation, (P x)_i = signs[i] * x[perm[i]]; any other operator raises
+    DomainError."""
     mat = np.asarray(parity.matrix)
     perm = np.argmax(np.abs(mat), axis=1)
     signs = mat[np.arange(len(perm)), perm]
-    if (sorted(perm) != list(range(len(perm))) or not np.all(np.abs(signs) == 1)
-            or np.count_nonzero(mat) != len(perm)):
-        raise DomainError(f"parity {parity.name} is not a signed permutation")
+    if (mat.shape != (dim, dim) or sorted(perm) != list(range(dim))
+            or not np.all(np.abs(signs) == 1) or np.count_nonzero(mat) != dim):
+        raise DomainError(f"parity {parity.name} is not a signed permutation of {dim} axes")
     return perm, signs
 
 
-def _image(mesh, parity) -> list:
-    """The per-axis point arrays of the image P·mesh of an open mesh."""
-    perm, signs = _signed_permutation(parity)
-    return [s * mesh[p] for p, s in zip(perm, signs)]
+def parity_view(grids, parity):
+    """psi on the image P·mesh of the mesh of ``grids``, read off psi on the
+    mesh: a function of psi that returns a view of it.
 
-
-def _index_map(grids, parity):
-    """How psi on the image P·mesh is read off psi on the mesh, or None.
-
-    When P maps the grids onto themselves (grid i equals grid perm[i], and a
-    flipped axis is centered on 0), the image of mesh point k is the mesh
-    point whose index along axis i is k[perm[i]], reversed where P flips;
-    the map is (flipped axes, axis order) for ``_on_image``."""
-    perm, signs = _signed_permutation(parity)
+    P must be a signed permutation (``_signed_permutation``) that maps the
+    grids onto themselves: grid i equals grid perm[i], and a flipped axis is
+    centered on 0, as on every grid of ``suggest_grids`` for the operators of
+    ``model.pt_classification``. The image of mesh point k is then the mesh
+    point whose index along axis i is k[perm[i]], reversed where P flips. Any
+    other operator raises DomainError, before any psi is formed."""
+    perm, signs = _signed_permutation(parity, len(grids))
     for i, (p, s) in enumerate(zip(perm, signs)):
         if grids[p] != grids[i] or (s < 0 and grids[i].center != 0):
-            return None
-    return tuple(np.flatnonzero(signs < 0)), tuple(np.argsort(perm))
-
-
-def _on_image(psi: np.ndarray, index_map) -> np.ndarray:
-    """psi on the parity image of the mesh, as a view of ``psi``."""
-    flipped, order = index_map
-    return np.transpose(np.flip(psi, axis=flipped), order)
+            raise DomainError(f"parity {parity.name} does not map the grids onto themselves")
+    flipped, order = tuple(np.flatnonzero(signs < 0)), tuple(np.argsort(perm))
+    return lambda psi: np.transpose(np.flip(psi, axis=flipped), order)
 
 
 def _pole_hits(bad: np.ndarray, scaled, codimensions) -> None:
@@ -247,28 +255,6 @@ def _checked_grids(spec: OscillatorSpec, config: REConfig, grids) -> list:
     return grids
 
 
-class ParityImage:
-    """psi on the image P·mesh of a job's mesh, for one parity operator P.
-
-    When P maps the grids onto themselves, psi there is psi on the mesh with
-    its axes reversed and permuted (a view); only otherwise is a
-    ``model.Plan`` built on the image, on the slabs of ``plan``, the job's
-    plan on the mesh of ``grids``, once, and shared by the job's states.
-    """
-
-    def __init__(self, plan: model.Plan, grids, parity):
-        self.parity = parity
-        self.index_map = _index_map(grids, parity)
-        self.plan = (model.Plan(plan.spec, plan.config, _image(plan.points, parity), plan.slabs)
-                     if self.index_map is None else None)
-
-    def psi(self, state: Eigenstate, psi: np.ndarray) -> np.ndarray:
-        """psi of ``state`` on the image, given ``psi`` on the mesh."""
-        if self.plan is not None:
-            return self.plan.psi(state)
-        return _on_image(psi, self.index_map)
-
-
 class MeshPlan(model.Plan):
     """A verify job compiled once for its open mesh: the eigenfunctions of a
     ``model.Plan`` on the mesh's slabs (``_slabs``; a small mesh is one
@@ -281,7 +267,7 @@ class MeshPlan(model.Plan):
     them again. The build forms no Gaussian on a slab and no prefactor; the
     job holds 17 B per interior point (V and the mask), and psi. Each state
     then costs one ``psi``, which ``residual`` and the parity-time fits
-    (through a ``ParityImage`` per operator) share. The slabs are built on
+    (through a ``parity_view`` per operator) share. The slabs are built on
     ``_kernels.map_slabs``'s threads; a V that overflows raises after the
     last slab.
     """
@@ -444,13 +430,15 @@ def pt_parity_eigenvalue(spec: OscillatorSpec, config: REConfig,
     """Least-squares scalar s with conj(psi(P p)) = s * psi(p) on the grid.
 
     Raises IndeterminateError when the fit residual exceeds PT_FIT_TOLERANCE
-    (broken symmetry or a parity the state does not respect).
+    (broken symmetry or a parity the state does not respect), and
+    DomainError, before psi is formed, when the parity does not map the grids
+    onto themselves (``parity_view``).
     """
     grids = _checked_grids(spec, config, grids)
+    view = parity_view(grids, parity)
     plan = model.Plan(spec, config, _mesh(grids), _slabs(tuple(g.n_points for g in grids)))
     psi = plan.psi(state)
-    image = ParityImage(plan, grids, parity)
-    return pt_fit(pt_reference(psi, plan.psi_max()), image.psi(state, psi))
+    return pt_fit(pt_reference(psi, plan.psi_max()), view(psi))
 
 
 def _planes(f: np.ndarray) -> np.ndarray:

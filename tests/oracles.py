@@ -8,9 +8,10 @@ and counting oracles use brute-force enumeration.
 ``spectrum_ref`` is the two-rule level grouping whose tables the one pass of
 ``model.spectrum`` must reproduce exactly. ``whole_points_psi`` is psi as
 whole-array expressions over every point at once, which ``model.Plan``'s
-slab passes must reproduce bit for bit. The reference kernel at the end is
-the plain loop that the eigensolver's blocked Sturm count must reproduce
-bit for bit. ``held_arrays`` lists what an object keeps.
+slab passes must reproduce bit for bit, and ``image_plan`` evaluates psi
+at the points of a parity image, which psi read off the mesh psi must
+equal. The reference kernel at the end is the plain loop that the
+eigensolver's blocked Sturm count must reproduce bit for bit. ``held_arrays`` lists what an object keeps.
 """
 import itertools
 import math
@@ -376,6 +377,15 @@ def whole_points_psi(spec, config, state, points):
         else:
             np.multiply(out, numerator, out=out)
     return out
+
+
+def image_plan(spec, config, mesh, slabs, parity):
+    """A ``model.Plan`` on ``slabs`` at the image P·mesh of the open mesh
+    ``mesh``, for a signed permutation P, (P x)_i = s_i x_{p_i}: axis i of
+    the image holds s_i times the points of axis p_i, along axis p_i."""
+    mat = np.asarray(parity.matrix)
+    perm = np.argmax(np.abs(mat), axis=1)
+    return model.Plan(spec, config, [mat[i, p] * mesh[p] for i, p in enumerate(perm)], slabs)
 
 
 def held_arrays(value, seen=None) -> list:

@@ -261,9 +261,9 @@ def test_oversized_grid_refused_before_its_points_are_built(capsys):
 
 
 def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
-    # four states and two parity operators that map the grids onto
-    # themselves: psi on the mesh once per state, and none on an image,
-    # which is read off the mesh psi by index reversal
+    # four states and two parity operators: psi on the mesh once per
+    # state, and none on an image, since every fit reads psi there off the
+    # mesh psi by index reversal (``verify.parity_view``)
     sizes = []
     psi = cli.model.Plan.psi
 
@@ -280,6 +280,22 @@ def test_verify_evaluates_psi_once_per_state_and_image(capsys, monkeypatch):
     assert code == 0
     assert sorted(json.loads(out)["pt_eigenvalues"]) == ["P1", "P2"]
     assert sizes == [41 * 41] * 4
+
+
+@pytest.mark.parametrize("argv, names", [
+    # frequencies 1e-11 apart: the swaps P3 and P4 are classified
+    (["--dim", "2", "--omega", "1,1.00000000001"], ["P1", "P2", "P3", "P4"]),
+    (["--dim", "2", "--omega", "1,1.00000000001", "--coupling", "real:0.3"], ["P3", "P4"]),
+    # a real shift of 5e-12: the inversion is classified
+    (["--dim", "1", "--omega", "2", "--linear", "real:1e-11"], ["inversion"]),
+], ids=["oscillator", "quadratic2d", "linear"])
+def test_verify_fits_a_parity_classified_within_tolerance(argv, names, capsys):
+    for grid in (["--points", "41"], ["--spacing", "0.5"]):
+        code, out, err = run(["verify", *argv, *grid], capsys)
+        assert code == 0, err
+        fits = json.loads(out)["pt_eigenvalues"]
+        assert sorted(fits) == names
+        assert all(v[0]["re"] == pytest.approx(1.0, abs=1e-6) for v in fits.values())
 
 
 def test_verify_decouples_once(capsys, monkeypatch):
@@ -432,6 +448,12 @@ def test_bad_input_exits_1_with_one_line(argv, message, capsys):
      "--coupling", "real:1.5e308"],
     ["spectrum", "--dim", "2", "--omega", "1e154,1", "--coupling", "real:1", "--cutoff", "1"],
     ["verify", "--dim", "1", "--omega", "2", "--linear", "real:1e200", "--points", "101"],
+    # the linear coupling's shift or potential constant overflows
+    ["transform", "--dim", "1", "--omega", "2", "--linear", "real:1e200"],
+    ["transform", "--dim", "1", "--omega", "0.5", "--linear", "imaginary:1e308"],
+    ["transform", "--dim", "3", "--case", "lq", "--omega", "1,2,1.5", "--linear", "real:1e308",
+     "--coupling", "real:0.5"],
+    ["spectrum", "--dim", "1", "--omega", "2", "--linear", "real:1e200", "--cutoff", "10"],
     ["verify", "--dim", "1", "--omega", "2", "--linear", "real:1e150", "--points", "101"],
     ["plotdata", "--omega", "2", "--linear", "real:1e150", "--points", "11"],
 ], ids=" ".join)
@@ -503,6 +525,17 @@ def test_missing_job_file_exits_1(tmp_path, capsys):
     code, _, err = run(["verify", "--job", str(tmp_path / "absent.json")], capsys)
     assert code == 1
     assert err.count("\n") == 1 and "cannot read job file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "2", "--cutoff", "4", "--out"],
+    ["verify", "--omega", "2", "--points", "101", "--emit-job"],
+], ids=" ".join)
+def test_unwritable_output_exits_1_with_one_line(argv, tmp_path, capsys):
+    path = str(tmp_path / "absent" / "out.json")
+    code, out, err = run([*argv, path], capsys)
+    assert code == 1 and out == ""
+    assert err == f"validation error: cannot write {path!r}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("text", ["not json", "{}", '{"spec": 3}'])

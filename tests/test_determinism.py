@@ -30,7 +30,7 @@ _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 LIBRARY_API = {
     "model.unextended_energy",   # closed-form levels of the unextended oscillator
     "transform.eta_metric_2d",   # the paper's pseudo-hermiticity metric
-    "verify.pt_parity_eigenvalue",  # one PT fit on its own grids
+    "verify.pt_parity_eigenvalue",  # one PT fit on grids its parity maps onto themselves
 }
 
 

@@ -118,6 +118,15 @@ def test_overflowing_pair_is_a_numerical_failure():
             call()
 
 
+def test_overflowing_shift_is_a_numerical_failure():
+    # the constant -lambda0^2/omega^2 overflows, or the shift 2 lambda0/omega^2
+    for omega, lambda0 in ((2.0, CouplingValue.real(1e200)),
+                           (2.0, CouplingValue.imaginary(1e200)),
+                           (0.5, CouplingValue.real(1e308))):
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            transform.shift_map_1d(omega, lambda0)
+
+
 @pytest.mark.parametrize("spec", [s for s in _NAMED_PARITY_SPECS
                                   if s.case in ("quadratic2d", "lq3d", "q2_3d")],
                          ids=_spec_id)

@@ -12,6 +12,7 @@ from rexosc.errors import (
     DomainError,
     IndeterminateError,
     NumericalFailureError,
+    RexoscError,
     SingularityError,
 )
 from rexosc.model import Eigenstate, OscillatorSpec, REConfig
@@ -35,11 +36,11 @@ def _interior(f):
 def _slab_plan(spec, config, grids, op=None):
     """A ``model.Plan`` on the mesh of ``grids`` and its slabs, as
     ``pt_parity_eigenvalue`` builds one; with ``op``, on the image of the
-    mesh under that parity operator, as ``verify.ParityImage`` builds one
-    where ``op`` does not map the grids onto themselves."""
-    mesh = verify._mesh(grids)
-    points = mesh if op is None else verify._image(mesh, op)
-    return model.Plan(spec, config, points, verify._slabs(tuple(g.n_points for g in grids)))
+    mesh under that parity operator (``oracles.image_plan``)."""
+    mesh, slabs = verify._mesh(grids), verify._slabs(tuple(g.n_points for g in grids))
+    if op is None:
+        return model.Plan(spec, config, mesh, slabs)
+    return oracles.image_plan(spec, config, mesh, slabs, op)
 
 
 def _scaled(spec, points):
@@ -156,18 +157,18 @@ def test_mesh_plan_unchanged_by_its_states():
                           (OscillatorSpec.oscillator(1.0, 3.0), False)):
         config, grids = REConfig((2, 2)), verify.suggest_grids(spec, n_points=41)
         plan = verify.MeshPlan(spec, config, grids)
-        images = [_slab_plan(spec, config, grids, op) for op in model.pt_classification(spec)]
+        views = [verify.parity_view(grids, op) for op in model.pt_classification(spec)]
+        assert views
 
         def work(state):
             psi = plan.psi(state)
             return plan.residual(state, psi), [
-                verify.pt_fit(verify.pt_reference(psi, plan.psi_max()), im.psi(state))
-                for im in images]
+                verify.pt_fit(verify.pt_reference(psi, plan.psi_max()), view(psi))
+                for view in views]
 
         # a 41^2 mesh is one slab: V, the mask and the sub-mesh terms
-        sub_meshes = [a for p in (plan, *images) for terms in p._sub_meshes
-                      if terms is not None for a in terms]
-        assert len(sub_meshes) == (0 if rotated else 6 * (1 + len(images)))
+        sub_meshes = [a for terms in plan._sub_meshes if terms is not None for a in terms]
+        assert len(sub_meshes) == (0 if rotated else 6)
         arrays = [plan.potential, plan.keep, *sub_meshes]
         before = [a.copy() for a in arrays]
         first = [work(st) for st in states]
@@ -214,13 +215,12 @@ def _fits_agree(spec, config, grids, op):
     psi from an image plan, for a few states, whether or not the state
     respects the symmetry."""
     plan = model.plan(spec, config, verify._mesh(grids))
-    index_map = verify._index_map(grids, op)
-    assert index_map is not None
+    view = verify.parity_view(grids, op)
     image = _slab_plan(spec, config, grids, op)
     for state in _states(spec.dimension):
         psi = plan.psi(state)
         want = image.psi(state)
-        got = verify._on_image(psi, index_map)
+        got = view(psi)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -250,9 +250,8 @@ def test_equal_decay_values_give_equal_grids():
     assert q[0] != q[1] and abs(q[0] - q[1]) <= 1e-12 * q[0]
     grids = verify.suggest_grids(spec, n_points=61)
     assert grids[0] == grids[1]
-    job = verify.MeshPlan(spec, REConfig((2, 2)), grids)
     for op in transform.parity_operators(2)[2:]:
-        assert verify.ParityImage(job, grids, op).plan is None
+        verify.parity_view(grids, op)  # raises unless the swap maps the grids
     # equal frequencies alone do not snap: q1_3d's x and y decay differently
     spec = _case_spec("q1_3d", ())
     half_widths = [g.half_width for g in verify.suggest_grids(spec, n_points=41)]
@@ -262,10 +261,80 @@ def test_equal_decay_values_give_equal_grids():
 def test_index_map_needs_grids_mapped_onto_themselves():
     grids = [verify.Grid(0.0, 5.0, 21), verify.Grid(0.0, 6.0, 21)]
     p1, _, swap, _ = transform.parity_operators(2)
-    assert verify._index_map(grids, p1) is not None
-    assert verify._index_map(grids, swap) is None
+    verify.parity_view(grids, p1)
+    with pytest.raises(DomainError, match="parity P3 does not map the grids onto themselves"):
+        verify.parity_view(grids, swap)
     shifted = [verify.Grid(0.5, 5.0, 21), grids[1]]
-    assert verify._index_map(shifted, p1) is None
+    with pytest.raises(DomainError, match="parity P1 does not map the grids onto themselves"):
+        verify.parity_view(shifted, p1)
+    # an operator of another dimension, and one that is no signed permutation
+    rotation = transform.ParityOperator(np.array([[0.6, -0.8], [0.8, 0.6]]), "R")
+    for op in (transform.parity_operators(3)[0], rotation):
+        with pytest.raises(DomainError, match="is not a signed permutation of 2 axes"):
+            verify.parity_view(grids, op)
+
+
+def test_pt_parity_eigenvalue_refuses_a_parity_off_its_grids_before_psi(monkeypatch):
+    spec = OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.real(0.6))
+    grids = verify.suggest_grids(spec, n_points=41)
+    assert grids[0] != grids[1]
+    calls = []
+    monkeypatch.setattr(model.Plan, "psi", lambda plan, state: calls.append(state))
+    with pytest.raises(DomainError, match="parity P3 does not map the grids onto themselves"):
+        verify.pt_parity_eigenvalue(spec, REConfig((2, 2)), Eigenstate.ground(2),
+                                    transform.parity_operators(2)[2], grids)
+    assert calls == []
+
+
+# Frequencies per case for the parity traffic: those above, equal ones,
+# ones that differ by 1e-11 relative (within the classification's tolerance
+# but not the decay values' snap) and others (q1 and q2 take equal x and y
+# frequencies)
+_NEAR = 1.0 + 1e-11
+_TRAFFIC_FREQUENCIES = {
+    "none": [(1.0,), (1.0, 1.0), (1.0, _NEAR), (1.0, 2.0), (1.0, _NEAR, 1.0)],
+    "linear": [(2.0,), (1.0,), (0.7,)],
+    "quadratic2d": [(1.0, 3.0), (1.0, 1.0), (1.0, _NEAR), (1.0, 2.0), (2.0, 0.5)],
+    "lq3d": [(1.0, 2.0, 1.5), (1.0, 1.0, 1.0), (1.0, _NEAR, 1.0), (1.0, 1.0, 2.0),
+             (2.0, 1.0, 1.0)],
+    "q1_3d": [(1.4, 1.4, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 2.0, 1.0)],
+    "q2_3d": [(1.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (1.4, 1.4, 1.0)],
+}
+
+
+def _traffic_specs():
+    """Every case x flavor, each coupling real, imaginary or zero, at the
+    magnitudes 0.3, 0.05, 1.1, 0.6 (whose 2D decay values at equal
+    frequencies differ in the last bit) and 1e-11 (a real coupling that the
+    classification's tolerance ignores), at the frequencies above: each spec
+    that ``verify`` takes past its bound-state check."""
+    for case, frequency_sets in _TRAFFIC_FREQUENCIES.items():
+        names = model.CASES[case].couplings
+        for freqs, magnitude in itertools.product(frequency_sets, (0.3, 0.05, 1.1, 0.6, 1e-11)):
+            for flavors in itertools.product(("real", "imaginary", "zero"), repeat=len(names)):
+                couplings = {n: CouplingValue.zero() if f == "zero" else CouplingValue(magnitude, f)
+                             for n, f in zip(names, flavors)}
+                try:
+                    spec = OscillatorSpec(len(freqs), freqs, case, couplings)
+                    spec.system.require_bound_states()
+                except RexoscError:
+                    continue  # refused before any grid is built
+                yield spec
+
+
+def test_every_classified_parity_maps_the_suggested_grids_onto_themselves():
+    # psi on a parity image is read off the mesh psi alone. suggest_grids
+    # ties its grids to the classified operators, so every operator that
+    # verify fits maps the grids it suggests, from a number of points as
+    # from a spacing, onto themselves; this samples that guarantee
+    checked = 0
+    for spec in _traffic_specs():
+        for grids in (verify.suggest_grids(spec, n_points=41),
+                      verify.suggest_grids(spec, spacing=0.25)):
+            for op in model.pt_classification(spec):
+                verify.parity_view(grids, op)
+                checked += 1
+    assert checked >= 500
 
 
 def test_on_image_reads_a_function_at_the_parity_image():
@@ -275,7 +344,7 @@ def test_on_image_reads_a_function_at_the_parity_image():
     x = np.broadcast_arrays(*verify._mesh(grids))
     f = x[0] + 10 * x[1] + 100 * x[2]
     want = -x[2] + 10 * x[0] + 100 * x[1]
-    got = verify._on_image(f, verify._index_map(grids, op))
+    got = verify.parity_view(grids, op)(f)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -435,21 +504,20 @@ def test_slabs_hold_two_planes_of_the_mesh_and_of_the_interior(n, monkeypatch):
 @pytest.mark.parametrize("one_plane", [False, True])
 def test_image_plan_equals_the_whole_mesh_plan_on_the_image_bitwise(one_plane, monkeypatch):
     # unequal frequencies give unequal grids, which the swaps do not map onto
-    # themselves: psi on the image comes from a plan on the image mesh
+    # themselves: a plan on the image mesh, each of whose axes holds the
+    # points of the other, forms psi as on any open mesh
     spec = OscillatorSpec.quadratic_2d(1.0, 2.0, CouplingValue.real(0.6))
     config = REConfig((2, 2))
     grids = verify.suggest_grids(spec, n_points=401)
     if one_plane:
         _one_plane(monkeypatch, grids)
-    mesh = verify._mesh(grids)
     for op in transform.parity_operators(2)[2:]:
-        assert verify._index_map(grids, op) is None
-        perm, signs = verify._signed_permutation(op)
-        image = [s * mesh[p] for p, s in zip(perm, signs)]
-        plan = verify.ParityImage(_slab_plan(spec, config, grids), grids, op).plan
+        with pytest.raises(DomainError):
+            verify.parity_view(grids, op)
+        plan = _slab_plan(spec, config, grids, op)
         assert len(plan.slabs) == (198 if one_plane else 7)
         for state in _states(2):
-            want = oracles.whole_points_psi(spec, config, state, image)
+            want = oracles.whole_points_psi(spec, config, state, plan.points)
             assert _bits(plan.psi(state)) == _bits(want)
 
 
@@ -506,7 +574,7 @@ def test_pt_fit_with_no_kept_point_is_indeterminate():
     # psi underflows to 0 on a mesh 85 widths off the oscillator's centre;
     # 50 widths off, max |psi| is 1.8e-230 and |psi|^2 underflows to 0
     spec, config = OscillatorSpec.oscillator(1.0, 1.0), REConfig((0, 0))
-    flip = transform.parity_operators(2)[0]
+    flip = transform.parity_operators(2)[1]  # flips axis 1, centred on 0
     for center, message in ((85.0, "keeps no point"), (50.0, "norm of psi .* vanishes")):
         grids = [verify.Grid(center, 4.0, 41), verify.Grid(0.0, 4.0, 41)]
         with pytest.raises(IndeterminateError, match=message):
@@ -714,8 +782,8 @@ def _workers(monkeypatch, n):
     monkeypatch.setattr(_kernels, "_cpus", lambda: n)
 
 
-# a signed permutation that maps no unequal grids onto themselves: psi on
-# its image comes from an image plan
+# a signed permutation that maps no unequal grids onto themselves: a plan
+# on its image mesh, whose axes hold other axes' points
 _SWAPS = {2: transform.parity_operators(2)[2],
           3: transform.ParityOperator(np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "S13")}
 
@@ -724,19 +792,20 @@ def _slab_outputs(spec, config, grids):
     """Every array a verify job forms slab by slab, with its residuals, and
     each state's parity-time fit under every operator of the spec."""
     job = verify.MeshPlan(spec, config, grids)
-    image = verify.ParityImage(job, grids, _SWAPS[spec.dimension])
-    assert image.plan is not None
-    images = [verify.ParityImage(job, grids, op) for op in model.pt_classification(spec)]
+    with pytest.raises(DomainError):
+        verify.parity_view(grids, _SWAPS[spec.dimension])
+    image = _slab_plan(spec, config, grids, _SWAPS[spec.dimension])
+    views = [verify.parity_view(grids, op) for op in model.pt_classification(spec)]
     out = [_bits(job.potential), _bits(job.keep)]
     for state in _states(spec.dimension):
         psi = job.psi(state)
         reference = verify.pt_reference(psi, job.psi_max())
         _, keep, scale, slabs, norm = reference
         out += [_bits(psi), job.residual(state, psi), _bits(keep), repr(scale), repr(norm),
-                [_bits(starts) for _, starts in slabs], _bits(image.psi(state, psi))]
-        for im in images:
+                [_bits(starts) for _, starts in slabs], _bits(image.psi(state))]
+        for view in views:
             try:
-                out.append(repr(verify.pt_fit(reference, im.psi(state, psi))))
+                out.append(repr(verify.pt_fit(reference, view(psi))))
             except IndeterminateError as exc:
                 out.append(str(exc))
     return out
@@ -844,7 +913,8 @@ def test_parity_fit_on_slabs_raises_the_serial_denominator_error(case, monkeypat
     # MeshPlan: what its build does not check, its psi does
     monkeypatch.setattr(model, "_TINY", 2.5)
     spec, config, grids = _DENOMINATOR_CASES[case]
-    ground, parity = Eigenstate.ground(spec.dimension), transform.parity_operators(spec.dimension)[0]
+    # P2 flips the last axis, centred on 0, so it maps these grids
+    ground, parity = Eigenstate.ground(spec.dimension), transform.parity_operators(spec.dimension)[1]
     _one_plane(monkeypatch, grids)
     assert len(verify._slabs(tuple(g.n_points for g in grids))) > 1
 
@@ -950,12 +1020,15 @@ def test_pt_value_real_spec_trivial():
 
 
 def test_pt_indeterminate_for_wrong_parity():
-    spec = OscillatorSpec.quadratic_2d(1, 3, CouplingValue.imaginary(SQ7))
+    # P1 reverses the sign of a real xy coupling: not a symmetry here
+    spec = OscillatorSpec.quadratic_2d(1, 2, CouplingValue.real(SQ7 / 2))
     grids = verify.suggest_grids(spec, n_points=301)
-    swap = transform.parity_operators(2)[2]  # axis swap: not a symmetry here
-    with pytest.raises(IndeterminateError):
-        verify.pt_parity_eigenvalue(spec, REConfig((0, 0)),
-                                    Eigenstate((0, None)), swap, grids)
+    p1, _, swap, _ = transform.parity_operators(2)
+    with pytest.raises(IndeterminateError, match="residual 7.6..e-01"):
+        verify.pt_parity_eigenvalue(spec, REConfig((0, 0)), Eigenstate((0, None)), p1, grids)
+    # the axis swap does not map these unequal grids onto themselves
+    with pytest.raises(DomainError, match="parity P3 does not map the grids"):
+        verify.pt_parity_eigenvalue(spec, REConfig((0, 0)), Eigenstate((0, None)), swap, grids)
 
 
 def test_pt_2d_per_axis_signs():
